@@ -8,7 +8,6 @@ from .field import (
     FieldElement,
     NumberField,
     RealRootInterval,
-    compare_at,
     elem_arith,
     eval_embedding,
     exact_floor,
@@ -42,7 +41,6 @@ __all__ = [
     "RealRootInterval",
     "UnitElement",
     "ZModule",
-    "compare_at",
     "elem_arith",
     "endomorphism_ring",
     "eval_embedding",

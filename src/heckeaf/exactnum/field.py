@@ -413,11 +413,6 @@ def exact_floor(a: FieldElement, root: RealRootInterval) -> int:
         iv = iv.refined(iv.width / 4)
 
 
-def compare_at(a: FieldElement, b: FieldElement, root: RealRootInterval) -> int:
-    """Sign of sigma(a) - sigma(b)."""
-    return sign_at(a - b, root)
-
-
 # ---------------------------------------------------------------------------
 # small exact linear algebra over Q
 

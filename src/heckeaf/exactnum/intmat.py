@@ -7,7 +7,6 @@ field degree), so clarity wins over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .polynomial import IntPolynomial
 
@@ -24,10 +23,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_vec(a, v):
-    return tuple(sum(a[i][t] * v[t] for t in range(len(v))) for i in range(len(a)))
-
-
 def mat_pow(a, e: int):
     n = len(a)
     result = mat_identity(n)
@@ -38,14 +33,6 @@ def mat_pow(a, e: int):
         base = mat_mul(base, base)
         e >>= 1
     return result
-
-
-def mat_transpose(a):
-    return tuple(zip(*a))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def mat_is_nonnegative(a) -> bool:
@@ -218,11 +205,3 @@ def is_primitive(a) -> bool:
             for i in range(n)
         ]
     return all(all(x > 0 for x in row) for row in cur)
-
-
-def content(rows) -> int:
-    g = 0
-    for row in rows:
-        for x in row:
-            g = gcd(g, abs(x))
-    return g

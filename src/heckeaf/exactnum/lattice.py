@@ -79,13 +79,6 @@ class ZModule:
         gens = [b * elem for b in self.basis_elements()]
         return module_from_generators(self.field, gens)
 
-    def covolume(self) -> Fraction:
-        # rows are triangular, so the determinant is the product of pivots
-        prod = 1
-        for i in range(len(self.rows)):
-            prod *= self.rows[i][i]
-        return Fraction(prod, self.den ** len(self.rows))
-
     def __repr__(self):
         return f"ZModule(den={self.den}, rows={self.rows})"
 

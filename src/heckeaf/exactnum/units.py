@@ -15,15 +15,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from ..errors import (
+    DegenerateSpectrum,
+    IrreducibilityUndecided,
     NonnegativeFormNotFound,
     NotEndomorphism,
+    NotFactorizable,
+    ReducibleCharPoly,
+    RoundTripMismatch,
     UnitNotFound,
 )
 from .field import FieldElement, RealRootInterval, eval_embedding, isolate_real_roots, sign_at
 from .intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
 from .lattice import OrderRing, ZModule
+
+if TYPE_CHECKING:
+    from ..mcf import JpaExpansion
 
 
 @dataclass(frozen=True)
@@ -31,9 +40,6 @@ class UnitElement:
     element: FieldElement
     norm: int  # +1 or -1
     order: OrderRing
-
-    def inverse_element(self) -> FieldElement:
-        return self.element.inverse()
 
 
 def trace_gram(basis):
@@ -208,13 +214,14 @@ def _unit_sort_key(u: FieldElement, root: RealRootInterval):
 def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
     """Expand the module's own basis ratios to their periodic tail.
 
-    Returns (T, period_digits, return_unit) where T is the basis change
-    with T^-1 A T the action in the attractor basis, the digits are the
-    detected cycle, and the return unit v is the Perron value of one trip
-    around it (v * L = L for the attractor-scaled module L, so v lies in
-    End(m) and expands at root).  Returns None when the expansion does not
-    cycle within the budget: the Jacobi-Perron expansion of a module
-    direction is not periodic in general.
+    Returns (T, W, period_digits, return_unit) where T is the basis change
+    with T^-1 A T the action in the attractor basis, W = T^-1 (the
+    attractor basis rows), the digits are the detected cycle, and the
+    return unit v is the Perron value of one trip around it (v * L = L for
+    the attractor-scaled module L, so v lies in End(m) and expands at
+    root).  Returns None when the expansion does not cycle within the
+    budget: the Jacobi-Perron expansion of a module direction is not
+    periodic in general.
     """
     from .. import mcf
 
@@ -253,7 +260,7 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
                 if coef:
                     num = num + coef * g
             v = num / star[0]
-            return t_mat, tuple(period), v
+            return t_mat, w, tuple(period), v
         seen[key] = step
         d, nxt = mcf.jpa_step(state, root)
         digits.append(d)
@@ -263,8 +270,13 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
     return None
 
 
+# the attractor data of a module has not been computed yet
+_NOT_COMPUTED = object()
+
+
 def find_unit(order: OrderRing, root: RealRootInterval,
-              max_coord: int = 256, max_candidates: int = 500_000) -> UnitElement:
+              max_coord: int = 256, max_candidates: int = 500_000,
+              attractor=_NOT_COMPUTED) -> UnitElement:
     """A non-torsion unit u of the order with sigma_e(u) > 1.
 
     Degree 2 uses the continued fraction of the order's discriminant
@@ -275,6 +287,10 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     expansion does not cycle within budget, a bounded enumeration over
     coordinate shells looks for expanding units directly, preferring field
     generators that dominate at the embedding, smallest image first.
+
+    attractor, when given, is _attractor_data(order.module, root) as the
+    caller already computed it (None included: the expansion did not
+    cycle), so that the expansion runs once per pipeline run.
     """
     field = order.field
     if field.degree < 2:
@@ -285,9 +301,10 @@ def find_unit(order: OrderRing, root: RealRootInterval,
         return _quadratic_cf_unit(order, root)
 
     n = field.degree
-    attractor = _attractor_data(order.module, root)
+    if attractor is _NOT_COMPUTED:
+        attractor = _attractor_data(order.module, root)
     if attractor is not None:
-        _, _, v = attractor
+        v = attractor[3]
         nrm = v.norm()
         if (
             nrm in (1, -1)
@@ -356,15 +373,6 @@ def multiplication_matrix(u: FieldElement, m: ZModule):
             raise NotEndomorphism(f"{u} * {g} leaves the module")
         rows.append(tuple(coords))
     return tuple(rows)
-
-
-def _signed_permutation_matrices(n: int):
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            yield tuple(
-                tuple(signs[j] if perm[i] == j else 0 for j in range(n))
-                for i in range(n)
-            )
 
 
 def _lll_transform(gram):
@@ -440,17 +448,61 @@ def _is_perron_image(value: FieldElement, root: RealRootInterval, poly) -> bool:
         eps /= 64
 
 
-def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
-                     k_max: int = 12, require_canonical_cycle: bool = True):
-    """Search for (A', k, T) with A' = T^-1 A^k T entrywise non-negative.
+@dataclass(frozen=True)
+class Realization:
+    """A non-negative form matrix = T^-1 A^power T of a unit's action
+    matrix A, with T = transform, and the Jacobi-Perron expansion of its
+    Perron eigenvector, whose period is a rotation of the matrix's Bauer
+    digit cycle."""
 
-    T ranges over the module's attractor basis change, signed permutations
-    and an LLL-derived basis change; k runs over 1..k_max, even values only
-    when the unit's image is negative so that the spectral radius of A' is
-    sigma_e(u)^k (this is verified, not assumed).  With
-    require_canonical_cycle set, a candidate is kept only if its Bauer
-    digit cycle is the canonical expansion of its own Perron vector, which
-    the stationary pipeline needs downstream.
+    matrix: tuple
+    power: int
+    transform: tuple
+    expansion: JpaExpansion
+
+
+def _signed_conjugates(m):
+    """(P^T M P, q, signs) for every signed permutation matrix P, in a
+    fixed order; P has the entry signs[j] at row q[j], column j, and zeros
+    elsewhere.  As P^-1 = P^T, each entry of the conjugate is an entry of
+    M times two signs: (P^T M P)[i][j] = signs[i] signs[j] M[q[i]][q[j]]."""
+    n = len(m)
+    for perm in permutations(range(n)):
+        q = [0] * n
+        for i, j in enumerate(perm):
+            q[j] = i
+        for signs in product((1, -1), repeat=n):
+            yield tuple(
+                tuple(signs[i] * signs[j] * m[q[i]][q[j]] for j in range(n))
+                for i in range(n)
+            ), q, signs
+
+
+def _times_signed_permutation(base, q, signs):
+    """base * P for the signed permutation P given as in _signed_conjugates."""
+    n = len(base)
+    return tuple(tuple(signs[j] * base[i][q[j]] for j in range(n)) for i in range(n))
+
+
+def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
+                     k_max: int = 12, attractor=_NOT_COMPUTED) -> Realization:
+    """Search for T and k with A' = T^-1 A^k T entrywise non-negative.
+
+    T = B P ranges over base changes B (the module's attractor basis
+    change, the identity and an LLL-derived basis change) times signed
+    permutations P; k runs over 1..k_max, even values only when the unit's
+    image is negative so that the spectral radius of A' is sigma_e(u)^k
+    (this is verified, not assumed).  A candidate is kept only if its
+    Bauer digit cycle is the canonical expansion of its own Perron vector,
+    which the stationary pipeline needs downstream; the expansion that
+    showed this is returned in the Realization, so callers need not
+    expand again.
+
+    No B is inverted here: the attractor expansion and the LLL step
+    already hold each inverse.  Since P^-1 = P^T, the candidate
+    P^T (B^-1 A^k B) P is read off M = B^-1 A^k B by index and sign,
+    and T = B P is formed only for the candidate returned.  attractor,
+    when given, is _attractor_data(m, root) as the caller computed it.
     """
     from .. import mcf
 
@@ -458,33 +510,31 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     s = sign_at(u.element, root)
     k_start, k_step = (1, 1) if s > 0 else (2, 2)
 
-    base_changes = []
-    attractor = _attractor_data(m, root)
+    # base changes B with their inverses, each of which is already known
+    ident = mat_identity(n)
+    bases = []
+    if attractor is _NOT_COMPUTED:
+        attractor = _attractor_data(m, root)
     if attractor is not None:
-        base_changes.append(attractor[0])
-    base_changes.append(mat_identity(n))
+        bases.append(attractor[:2])
+    bases.append((ident, ident))
     try:
         gram = trace_gram(m.basis_elements())
         u_lll = _lll_transform(gram)
         inv = _int_rows(mat_inverse_fraction(u_lll))
-        if inv is not None and u_lll != mat_identity(n):
-            base_changes.append(inv)  # A in the LLL basis is T^-1 A T for T = U^-1
+        if inv is not None and u_lll != ident:
+            bases.append((inv, u_lll))  # A in the LLL basis is T^-1 A T for T = U^-1
     except Exception:  # pragma: no cover - LLL is a best-effort heuristic
         pass
 
-    ident = mat_identity(n)
     seen = set()
     found_nonneg = False
     for k in range(k_start, k_max + 1, k_step):
         ak = mat_pow(a, k)
         u_pow = u.element ** k
-        for base in base_changes:
-            for p in _signed_permutation_matrices(n):
-                t = mat_mul(base, p)
-                t_inv = _int_rows(mat_inverse_fraction(t))
-                if t_inv is None:  # pragma: no cover - t is unimodular
-                    continue
-                cand = mat_mul(mat_mul(t_inv, ak), t)
+        for base, base_inv in bases:
+            conjugated = mat_mul(mat_mul(base_inv, ak), base)
+            for cand, q, signs in _signed_conjugates(conjugated):
                 if cand in seen:
                     continue
                 seen.add(cand)
@@ -495,12 +545,13 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
                 found_nonneg = True
                 if not _is_perron_image(u_pow, root, charpoly(cand)):
                     continue
-                if require_canonical_cycle:
-                    try:
-                        mcf.periodicity_roundtrip(cand)
-                    except Exception:
-                        continue
-                return cand, k, t
+                try:
+                    expansion = mcf.periodicity_roundtrip(cand)
+                except (RoundTripMismatch, NotFactorizable, DegenerateSpectrum,
+                        ReducibleCharPoly, IrreducibilityUndecided):
+                    continue  # the candidate's digit cycle is not canonical
+                transform = _times_signed_permutation(base, q, signs)
+                return Realization(cand, k, transform, expansion)
     if found_nonneg:
         raise NonnegativeFormNotFound(
             "non-negative forms exist but none passed the Perron/canonical "

@@ -41,8 +41,14 @@ from .exactnum.field import FieldElement, NumberField, eval_embedding, make_fiel
 from .exactnum.intmat import charpoly
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
-from .exactnum.units import UnitElement, find_unit, make_nonnegative, multiplication_matrix
-from .mcf import JpaExpansion, bauer_factorize, periodicity_roundtrip, satz12_eigenvector
+from .exactnum.units import (
+    UnitElement,
+    _attractor_data,
+    find_unit,
+    make_nonnegative,
+    multiplication_matrix,
+)
+from .mcf import JpaExpansion, bauer_factorize, satz12_eigenvector
 
 MIN_COEFFS = 20
 HECKE_CHECK_BOUND = 13
@@ -437,6 +443,12 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     period of the expansion; the detected period is cross-checked against
     the factorization.
 
+    Each intermediate fact is computed once and passed on: the module's
+    attractor expansion feeds both the unit search (when the order's
+    module is the module itself) and the non-negative form search, and
+    the realization record returned by make_nonnegative carries the
+    Jacobi-Perron expansion its round trip already produced.
+
     Conjugate data: the action of the conjugated unit on the conjugated
     module has the same integer matrix in coordinates, so per-conjugate
     characteristic polynomials agree by construction; the per-conjugate
@@ -453,11 +465,15 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     order = endomorphism_ring(module)
     emb_index = f.working_embedding_index()
     root = field.real_roots[emb_index]
-    unit = find_unit(order, root)
+    attractor = _attractor_data(module, root)
+    if order.module == module:
+        unit = find_unit(order, root, attractor=attractor)
+    else:
+        unit = find_unit(order, root)
     matrix_a = multiplication_matrix(unit.element, module)
-    nonneg, power, transform = make_nonnegative(matrix_a, unit, module, root)
+    realization = make_nonnegative(matrix_a, unit, module, root, attractor=attractor)
+    nonneg = realization.matrix
     digits = tuple(bauer_factorize(nonneg))
-    expansion = periodicity_roundtrip(nonneg)
     cp = charpoly(nonneg)
 
     u_sat, lam = satz12_eigenvector(nonneg)
@@ -496,10 +512,10 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
         unit=unit,
         matrix_a=matrix_a,
         nonneg_matrix=nonneg,
-        nonneg_power=power,
-        nonneg_transform=transform,
+        nonneg_power=realization.power,
+        nonneg_transform=realization.transform,
         digits=digits,
-        expansion=expansion,
+        expansion=realization.expansion,
         group=group,
         embedding_index=emb_index,
         per_conjugate=tuple(summaries),

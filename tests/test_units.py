@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckeaf.errors import NonnegativeFormNotFound, NotEndomorphism, UnitNotFound
 from heckeaf.exactnum import (
@@ -15,8 +17,8 @@ from heckeaf.exactnum import (
     order_discriminant,
     eval_embedding,
 )
-from heckeaf.exactnum.intmat import mat_det, charpoly
-from heckeaf.exactnum.units import UnitElement
+from heckeaf.exactnum.intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
+from heckeaf.exactnum.units import UnitElement, _signed_conjugates, _times_signed_permutation
 from heckeaf import mcf
 
 
@@ -119,11 +121,11 @@ def test_make_nonnegative_golden(golden):
     root = field.real_roots[-1]
     u = find_unit(order, root)
     a = multiplication_matrix(u.element, module)
-    nonneg, k, t = make_nonnegative(a, u, module, root)
-    assert nonneg == ((0, 1), (1, 1))
-    assert k == 1
-    assert mat_det(t) in (1, -1)
-    assert charpoly(nonneg) == (u.element ** k).min_poly()
+    r = make_nonnegative(a, u, module, root)
+    assert r.matrix == ((0, 1), (1, 1))
+    assert r.power == 1
+    assert mat_det(r.transform) in (1, -1)
+    assert charpoly(r.matrix) == (u.element ** r.power).min_poly()
 
 
 def test_make_nonnegative_negative_unit(golden):
@@ -133,10 +135,10 @@ def test_make_nonnegative_negative_unit(golden):
     u = UnitElement(neg, int(neg.norm()), order)
     a = multiplication_matrix(neg, module)
     assert any(x < 0 for row in a for x in row)
-    nonneg, k, t = make_nonnegative(a, u, module, root)
-    assert k % 2 == 0
-    assert all(x >= 0 for row in nonneg for x in row)
-    assert charpoly(nonneg) == (neg ** k).min_poly()
+    r = make_nonnegative(a, u, module, root)
+    assert r.power % 2 == 0
+    assert all(x >= 0 for row in r.matrix for x in row)
+    assert charpoly(r.matrix) == (neg ** r.power).min_poly()
 
 
 def test_make_nonnegative_spectral_radius(golden):
@@ -146,8 +148,9 @@ def test_make_nonnegative_spectral_radius(golden):
     root = field.real_roots[-1]
     u = find_unit(order, root)
     a = multiplication_matrix(u.element, module)
-    nonneg, k, _ = make_nonnegative(a, u, module, root)
-    perron, _ = mcf.satz12_eigenvector(nonneg)
+    r = make_nonnegative(a, u, module, root)
+    k = r.power
+    perron, _ = mcf.satz12_eigenvector(r.matrix)
     eps = Fraction(1, 10 ** 12)
     lo1, hi1 = eval_embedding(u.element ** k, root, eps)
     lo2, hi2 = eval_embedding(perron, mcf.perron_embedding(perron.field), eps)
@@ -180,7 +183,69 @@ def test_cubic_unit_search_end_to_end():
     root = field.real_roots[-1]
     u = find_unit(order, root)
     a = multiplication_matrix(u.element, module)
-    nonneg, k, _ = make_nonnegative(a, u, module, root)
-    digits = mcf.bauer_factorize(nonneg)
-    assert mcf.convergent_matrix(digits, 3) == nonneg
-    assert charpoly(nonneg) == (u.element ** k).min_poly()
+    r = make_nonnegative(a, u, module, root)
+    digits = mcf.bauer_factorize(r.matrix)
+    assert mcf.convergent_matrix(digits, 3) == r.matrix
+    assert charpoly(r.matrix) == (u.element ** r.power).min_poly()
+
+
+@st.composite
+def _base_and_action(draw):
+    """(base, A): base a product of elementary integer matrices, A any
+    integer matrix of the same size n in 2..4."""
+    n = draw(st.integers(2, 4))
+    base = [list(row) for row in mat_identity(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("add", "swap", "negate")))
+        if kind == "add" and i != j:
+            c = draw(st.integers(-3, 3))
+            base[i] = [x + c * y for x, y in zip(base[i], base[j])]
+        elif kind == "swap":
+            base[i], base[j] = base[j], base[i]
+        elif kind == "negate":
+            base[i] = [-x for x in base[i]]
+    entries = st.integers(-6, 6)
+    a = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+    return tuple(tuple(row) for row in base), a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_base_and_action())
+def test_signed_conjugates_match_inverse_times_action(case):
+    """Every index-and-sign candidate equals (B P)^-1 A (B P), computed
+    with an exact inverse, and the transform formed for it is B P."""
+    base, a = case
+    n = len(a)
+    base_inv = mat_inverse_fraction(base)
+    conjugated = mat_mul(mat_mul(base_inv, a), base)
+    expected_ps = {
+        tuple(tuple(signs[j] if perm[i] == j else 0 for j in range(n)) for i in range(n))
+        for perm in permutations(range(n)) for signs in product((1, -1), repeat=n)
+    }
+    ps = []
+    for cand, q, signs in _signed_conjugates(conjugated):
+        p = tuple(tuple(signs[j] if q[j] == i else 0 for j in range(n)) for i in range(n))
+        ps.append(p)
+        t = mat_mul(base, p)
+        assert cand == mat_mul(mat_mul(mat_inverse_fraction(t), a), t)
+        assert _times_signed_permutation(base, q, signs) == t
+    assert len(ps) == len(expected_ps) and set(ps) == expected_ps
+
+
+@pytest.mark.parametrize("poly", [(-5, 0, 1), (-1, -1, 0, 1), (3, -5, 0, 1)])
+def test_make_nonnegative_realization_is_consistent(poly):
+    """matrix = transform^-1 A^power transform, and the expansion's
+    period is a rotation of the matrix's Bauer digits."""
+    field = make_field(IntPolynomial(poly))
+    gens = [field.one]
+    for _ in range(field.degree - 1):
+        gens.append(gens[-1] * field.gen)
+    module = module_from_generators(field, gens)
+    root = field.real_roots[-1]
+    u = find_unit(endomorphism_ring(module), root)
+    a = multiplication_matrix(u.element, module)
+    r = make_nonnegative(a, u, module, root)
+    t = r.transform
+    assert mat_mul(mat_mul(mat_inverse_fraction(t), mat_pow(a, r.power)), t) == r.matrix
+    assert mcf.cycles_agree(r.expansion.period, mcf.bauer_factorize(r.matrix))

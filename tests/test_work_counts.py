@@ -1,0 +1,77 @@
+"""One af_of_eigenform run computes each intermediate fact once.
+
+The functions are wrapped with counters from the test, so nothing in the
+library carries instrumentation.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from heckeaf import hecke, mcf
+from heckeaf.exactnum import intmat, units
+from heckeaf.exactnum.lattice import endomorphism_ring
+
+
+def _count(monkeypatch, name, *modules):
+    """Wrap the function `name` with a call counter in every module that
+    binds it; returns a one-item list holding the count."""
+    calls = [0]
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["level71a", "level23a"])
+def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
+    f = hecke.load_fixture(label)
+    attractor = _count(monkeypatch, "_attractor_data", units, hecke)
+    roundtrip = _count(monkeypatch, "periodicity_roundtrip", mcf, units, hecke)
+    inverse = _count(monkeypatch, "mat_inverse_fraction", intmat, units, hecke)
+    result = hecke.af_of_eigenform(f)
+    assert isinstance(result.af, hecke.StationaryAF)
+    assert attractor[0] == 1
+    assert roundtrip[0] == 1
+    # one inverse for the LLL basis and one inside the attractor
+    # expansion; every base change of the search comes with its inverse
+    assert inverse[0] == 2
+
+
+def test_find_unit_expands_its_own_module_when_it_differs(monkeypatch):
+    """A module that is not a ring has End(m) != m; the unit search then
+    expands the order's module, not the one shared with the form search."""
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
+    f = dataclasses.replace(
+        hecke.load_fixture("level71a"),
+        module_rows=tuple(tuple(Fraction(x) for x in row) for row in rows),
+    )
+    module = hecke.module_of_eigenform(f)
+    order_module = endomorphism_ring(module).module
+    assert order_module != module
+    expanded = []
+    original = units._attractor_data
+
+    def recorded(m, root, *args):
+        expanded.append(m)
+        return original(m, root, *args)
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(units, "_attractor_data", recorded)
+    monkeypatch.setattr(hecke, "_attractor_data", recorded)
+    monkeypatch.setattr(hecke, "make_nonnegative", stop)
+    with pytest.raises(Stop):
+        hecke.af_of_eigenform(f)
+    assert expanded == [module, order_module]
