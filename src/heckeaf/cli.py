@@ -354,6 +354,10 @@ def cmd_af(args) -> int:
             RoundTripMismatch) as exc:
         error = {"stage": type(exc).__name__, "message": str(exc)}
         code = EXIT_PIPELINE
+    except HeckeafError as exc:
+        error = {"stage": type(exc).__name__, "message": str(exc)}
+        code = EXIT_DOMAIN
+        print(f"error: {exc}", file=sys.stderr)
     timings = {"total_s": f"{time.monotonic() - started:.3f}"}
     report = build_report(f, result=result, companion=companion,
                           error=error, timings=timings)

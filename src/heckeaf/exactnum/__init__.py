@@ -8,7 +8,6 @@ from .field import (
     FieldElement,
     NumberField,
     RealRootInterval,
-    elem_arith,
     eval_embedding,
     exact_floor,
     isolate_real_roots,
@@ -41,7 +40,6 @@ __all__ = [
     "RealRootInterval",
     "UnitElement",
     "ZModule",
-    "elem_arith",
     "endomorphism_ring",
     "eval_embedding",
     "exact_floor",

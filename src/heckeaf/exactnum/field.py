@@ -339,21 +339,6 @@ class FieldElement:
         return n
 
 
-def elem_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch helper mirroring the library's public arithmetic surface."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero field element")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # embeddings: interval evaluation, signs, floors
 

@@ -52,7 +52,8 @@ def order_discriminant(order: OrderRing) -> int:
     from .field import _det_fraction
 
     d = _det_fraction(trace_gram(order.basis_elements()))
-    assert d.denominator == 1
+    if d.denominator != 1:  # pragma: no cover - an order consists of algebraic integers
+        raise NotEndomorphism(f"order basis has a non-integral discriminant {d}")
     return int(d)
 
 
@@ -106,16 +107,16 @@ def _quadratic_cf_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
     zeta = next(b for b in order.basis_elements() if not b.is_rational())
     s = 2 * zeta - field.from_rational(zeta.trace())
     s_sq = (s * s).as_rational()
-    assert s_sq.denominator == 1
-    k_sq, rem = divmod(int(s_sq), disc)
-    assert rem == 0
+    k_sq, rem = divmod(s_sq.numerator, disc)
     k = isqrt(k_sq)
-    assert k * k == k_sq
+    if s_sq.denominator != 1 or rem or k * k != k_sq:  # pragma: no cover
+        raise UnitNotFound(f"{s_sq} is not a square multiple of the discriminant {disc}")
     sqrt_d = s / k
     if sign_at(sqrt_d, root) < 0:
         sqrt_d = -sqrt_d
     omega = (field.from_rational(disc % 2) + sqrt_d) / 2
-    assert order.contains(omega)
+    if not order.contains(omega):  # pragma: no cover - Z[omega] is the order
+        raise UnitNotFound(f"{omega} is not in the order of discriminant {disc}")
 
     # walk the expansion keeping exact states; stop at the first repeat
     seen = {}
@@ -131,9 +132,9 @@ def _quadratic_cf_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
                 m = mat_mul(m, ((a, 1), (1, 0)))
             u = m[1][0] * theta_star + m[1][1]
             nrm = u.norm()
-            if nrm not in (1, -1) or not order.contains(u.inverse()):  # pragma: no cover
+            if (nrm not in (1, -1) or not order.contains(u.inverse())
+                    or sign_at(u - field.one, root) <= 0):  # pragma: no cover
                 raise UnitNotFound("period unit failed verification")
-            assert sign_at(u - field.one, root) > 0
             return UnitElement(u, int(nrm), order)
         seen[key] = step
         digit, nxt = mcf.jpa_step((state,), root)
@@ -211,6 +212,88 @@ def _unit_sort_key(u: FieldElement, root: RealRootInterval):
     return (lo, u.coords)
 
 
+# fractional bits of the repeat fingerprint floor(2^bits * theta_j)
+_FINGERPRINT_BITS = 64
+
+
+class _BasisEnclosure:
+    """Integer enclosures a_k <= 2^p sigma(g_k) <= b_k of a module basis g
+    at one real embedding, sharpened on demand.
+
+    An instance lives for one expansion: it refines its own copy of the
+    root interval, so nothing outlives the call that made it.
+    """
+
+    def __init__(self, basis, root: RealRootInterval, prec: int):
+        self._basis = basis
+        self._root = root
+        self._sharpen(prec)
+
+    def _sharpen(self, prec: int) -> None:
+        self._root = self._root.refined(Fraction(1, 1 << (prec + 8)))
+        eps = Fraction(1, 1 << prec)
+        bounds = []
+        for g in self._basis:
+            lo, hi = eval_embedding(g, self._root, eps)
+            bounds.append(((lo.numerator << prec) // lo.denominator,
+                           -((-hi.numerator << prec) // hi.denominator)))
+        self._prec = prec
+        self._bounds = bounds
+
+    def _enclose(self, row):
+        """[lo, hi] with lo <= 2^p sigma(sum_k row_k g_k) <= hi."""
+        lo = hi = 0
+        for c, (a, b) in zip(row, self._bounds):
+            if c > 0:
+                lo += c * a
+                hi += c * b
+            elif c < 0:
+                lo += c * b
+                hi += c * a
+        return lo, hi
+
+    def _ratio_floors(self, w, bits):
+        lo0, hi0 = self._enclose(w[0])
+        if lo0 <= 0:
+            return None
+        key = []
+        for row in w[1:]:
+            lo, hi = self._enclose(row)
+            # the ratio lies in [lo, hi] / [lo0, hi0] with a positive divisor
+            floor_lo = (lo << bits) // (hi0 if lo >= 0 else lo0)
+            floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
+            if floor_lo != floor_hi:
+                return None
+            key.append(floor_lo)
+        return tuple(key)
+
+    def ratio_floors(self, w, bits: int) -> tuple:
+        """floor(2^bits sigma(v_j) / sigma(v_0)) for j = 1..n-1, where
+        v = W g and sigma(v_0) > 0; each ratio must be irrational."""
+        while True:
+            key = self._ratio_floors(w, bits)
+            if key is not None:
+                return key
+            self._sharpen(2 * self._prec)
+
+
+def _combination(row, basis, field) -> FieldElement:
+    """sum_k row_k basis_k for integer coefficients."""
+    acc = field.zero
+    for coef, g in zip(row, basis):
+        if coef:
+            acc = acc + coef * g
+    return acc
+
+
+def _same_direction(w_a, w_b, basis, field) -> bool:
+    """Whether the states v = W_a g and u = W_b g have equal ratios theta,
+    by the exact cross products v_j u_0 == u_j v_0 (no field division)."""
+    v = [_combination(row, basis, field) for row in w_a]
+    u = [_combination(row, basis, field) for row in w_b]
+    return all(v[j] * u[0] == u[j] * v[0] for j in range(1, len(v)))
+
+
 def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
     """Expand the module's own basis ratios to their periodic tail.
 
@@ -222,6 +305,28 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
     root).  Returns None when the expansion does not cycle within the
     budget: the Jacobi-Perron expansion of a module direction is not
     periodic in general.
+
+    The state is an integer matrix W, not a tuple of field ratios: its
+    rows give the state vector v = W g over the HNF basis g, and the
+    Jacobi-Perron state is theta_j = v_j / v_0.  It starts at W = S, the
+    diagonal of the basis signs at root, and one step with digit d is the
+    integer row operation W'_{j-1} = W_j - d_j W_0 (j = 1..n-1),
+    W'_{n-1} = W_0.  This keeps the projective invariant v = B(d) v'
+    exactly, so after the digits of C = B(d_1)...B(d_k) the state is
+    W = C^-1 S: at the start of the cycle W is the attractor basis, with
+    no matrix to invert.  W stays unimodular, so the v_j are Q-linearly
+    independent and every theta_j is irrational and positive.
+
+    Digits and repeats are read from integer enclosures of sigma(g_k)
+    (_BasisEnclosure): the fingerprint floor(2^F theta_j), F =
+    _FINGERPRINT_BITS, is certified once the enclosures of its two ends
+    agree, which they do at some precision because theta_j is irrational;
+    the precision is doubled whenever they do not, as W's entries grow.
+    The digit is the fingerprint shifted right by F bits, so it is the
+    exact floor of theta_j.  Equal states have equal fingerprints, and a
+    fingerprint hit counts as a repeat only after the exact comparison of
+    both states' theta, so the cycle found is the first literal repeat of
+    the field-state expansion.
     """
     from .. import mcf
 
@@ -229,44 +334,33 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
     n = len(basis)
     if n < 2:
         return None
+    bits = _FINGERPRINT_BITS
     signs = [sign_at(g, root) for g in basis]
-    adapted = [g if s > 0 else -g for g, s in zip(basis, signs)]
-    theta = tuple(adapted[i] / adapted[0] for i in range(1, n))
+    w = tuple(tuple((signs[i] if i == j else 0) for j in range(n)) for i in range(n))
+    enclosure = _BasisEnclosure(basis, root, bits + 32)
     seen = {}
+    states = []
     digits = []
-    state = theta
     for step in range(max_steps):
-        key = tuple(t.coords for t in state)
-        if key in seen:
-            pre = digits[: seen[key]]
-            period = digits[seen[key]:]
-            c = mcf.convergent_matrix(pre, n)
-            s_diag = tuple(
-                tuple((signs[j] if i == j else 0) for j in range(n)) for i in range(n)
-            )
-            t_mat = mat_mul(s_diag, c)  # (C^-1 S)^-1 = S C
-            # attractor basis rows: W = C^-1 S applied to the HNF basis
-            w = _int_rows(mat_inverse_fraction(t_mat))
-            star = []
-            for row in w:
-                acc = m.field.zero
-                for coef, g in zip(row, basis):
-                    if coef:
-                        acc = acc + coef * g
-                star.append(acc)
-            p_mat = mcf.convergent_matrix(period, n)
-            num = m.field.zero
-            for coef, g in zip(p_mat[0], star):
-                if coef:
-                    num = num + coef * g
-            v = num / star[0]
-            return t_mat, w, tuple(period), v
-        seen[key] = step
-        d, nxt = mcf.jpa_step(state, root)
-        digits.append(d)
-        if nxt is None:
-            return None
-        state = nxt
+        key = enclosure.ratio_floors(w, bits)
+        for start in seen.get(key, ()):
+            if _same_direction(states[start], w, basis, m.field):
+                c = mcf.convergent_matrix(digits[:start], n)
+                t_mat = mat_mul(states[0], c)  # (C^-1 S)^-1 = S C
+                star = states[start]
+                period = tuple(digits[start:])
+                p_mat = mcf.convergent_matrix(period, n)
+                star_elems = [_combination(row, basis, m.field) for row in star]
+                v = _combination(p_mat[0], star_elems, m.field) / star_elems[0]
+                return t_mat, star, period, v
+        seen.setdefault(key, []).append(step)
+        states.append(w)
+        digit = tuple(f >> bits for f in key)
+        digits.append(digit)
+        w0 = w[0]
+        w = tuple(
+            tuple(x - d * y for x, y in zip(w[j], w0)) for j, d in zip(range(1, n), digit)
+        ) + (w0,)
     return None
 
 
@@ -329,10 +423,7 @@ def find_unit(order: OrderRing, root: RealRootInterval,
             tested += 1
             if not is_unit_norm(coords):
                 continue
-            alpha = field.zero
-            for c, b in zip(coords, basis):
-                if c:
-                    alpha = alpha + c * b
+            alpha = _combination(coords, basis, field)
             if alpha.is_rational():
                 continue
             rep = _expanding_representative(alpha, root)
@@ -415,19 +506,6 @@ def _lll_transform(gram):
             u[k], u[k - 1] = u[k - 1], u[k]
             k = max(k - 1, 1)
     return tuple(tuple(row) for row in u)
-
-
-def _int_rows(fraction_rows):
-    out = []
-    for row in fraction_rows:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                return None
-            r.append(int(f))
-        out.append(tuple(r))
-    return tuple(out)
 
 
 def _is_perron_image(value: FieldElement, root: RealRootInterval, poly) -> bool:
@@ -521,8 +599,9 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     try:
         gram = trace_gram(m.basis_elements())
         u_lll = _lll_transform(gram)
-        inv = _int_rows(mat_inverse_fraction(u_lll))
-        if inv is not None and u_lll != ident:
+        # U is a product of unimodular row operations: its inverse is integral
+        inv = tuple(tuple(int(x) for x in row) for row in mat_inverse_fraction(u_lll))
+        if u_lll != ident:
             bases.append((inv, u_lll))  # A in the LLL basis is T^-1 A T for T = U^-1
     except Exception:  # pragma: no cover - LLL is a best-effort heuristic
         pass

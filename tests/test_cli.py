@@ -3,6 +3,7 @@ import json
 import pytest
 
 from heckeaf import cli
+from heckeaf.errors import DegenerateSpectrum, NotEndomorphism, ReducibleCharPoly
 from heckeaf.exactnum import IntPolynomial
 
 
@@ -143,6 +144,28 @@ def test_af_reports_validate_against_schema(tmp_path, capsys):
         code, _, _ = run(capsys, "af", fixture, "--conjugates", "--report", str(path))
         assert code == 0
         jsonschema.validate(json.loads(path.read_text()), schema)
+
+
+@pytest.mark.parametrize("error", [DegenerateSpectrum, ReducibleCharPoly, NotEndomorphism])
+def test_af_domain_error_writes_report(tmp_path, capsys, monkeypatch, error):
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+
+    schema = json.loads(
+        resources.files("heckeaf.schemas").joinpath("run_report.schema.json").read_text()
+    )
+
+    def fail(f):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "af_of_eigenform", fail)
+    path = tmp_path / "report.json"
+    code, _, err = run(capsys, "af", "level23a", "--report", str(path))
+    assert code == 3
+    assert "injected" in err
+    payload = json.loads(path.read_text())
+    assert payload["error"] == {"stage": error.__name__, "message": "injected"}
+    jsonschema.validate(payload, schema)
 
 
 def test_bundled_fixtures_validate_against_schema():

@@ -6,7 +6,6 @@ import pytest
 from heckeaf.errors import DivisionByZero, NotSquarefree, ReduciblePolynomial
 from heckeaf.exactnum import (
     IntPolynomial,
-    elem_arith,
     eval_embedding,
     exact_floor,
     isolate_real_roots,
@@ -71,14 +70,14 @@ def test_isolation_handles_rational_roots():
 
 def test_elem_arith_examples(sqrt5):
     s5 = sqrt5.gen
-    assert elem_arith(s5, s5, "mul") == 5
+    assert s5 * s5 == 5
     phi = sqrt5.element((Fraction(1, 2), Fraction(1, 2)))
     psi = sqrt5.element((Fraction(-1, 2), Fraction(1, 2)))
-    assert elem_arith(phi, psi, "mul") == 1
+    assert phi * psi == 1
     a = sqrt5.element((3, 7))
-    assert elem_arith(a, sqrt5.zero, "add") == a
+    assert a + sqrt5.zero == a
     with pytest.raises(DivisionByZero):
-        elem_arith(a, sqrt5.zero, "div")
+        a / sqrt5.zero
 
 
 def test_field_axioms_on_random_triples(sqrt5):

@@ -6,12 +6,17 @@ library carries instrumentation.
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from heckeaf import hecke, mcf
 from heckeaf.exactnum import intmat, units
+from heckeaf.exactnum.field import FieldElement
 from heckeaf.exactnum.lattice import endomorphism_ring
+from heckeaf.hecke import load_newform
+
+LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
 
 
 def _count(monkeypatch, name, *modules):
@@ -40,9 +45,30 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     assert isinstance(result.af, hecke.StationaryAF)
     assert attractor[0] == 1
     assert roundtrip[0] == 1
-    # one inverse for the LLL basis and one inside the attractor
-    # expansion; every base change of the search comes with its inverse
-    assert inverse[0] == 2
+    # one inverse for the LLL basis; the attractor expansion carries its
+    # basis change and that change's inverse as integer matrices
+    assert inverse[0] == 1
+
+
+def test_attractor_expansion_makes_no_field_step_or_division(monkeypatch):
+    """level47a's 512-step expansion runs on integer row operations with
+    digits read from basis enclosures: no Jacobi-Perron field step and no
+    field inverse."""
+    f = load_newform(LEVEL47A.read_text())
+    module = hecke.module_of_eigenform(f)
+    root = f.field.real_roots[f.working_embedding_index()]
+    steps = _count(monkeypatch, "jpa_step", mcf, units)
+    inverse = [0]
+    original = FieldElement.inverse
+
+    def counted(self):
+        inverse[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    assert units._attractor_data(module, root) is None
+    assert steps[0] == 0
+    assert inverse[0] == 0
 
 
 def test_find_unit_expands_its_own_module_when_it_differs(monkeypatch):
