@@ -40,7 +40,7 @@ from .hecke import (
     load_newform,
     verify_eigenform,
 )
-from .mcf import JpaExpansion, bauer_factorize, convergent_matrix, convergents_from_digits, jpa_expand, regular_cf
+from .mcf import JpaExpansion, bauer_factorize, convergents_from_digits, jpa_expand, regular_cf
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -212,7 +212,6 @@ def cmd_factor(args) -> int:
         print(f"factorization stalled: {exc}", file=sys.stderr)
         print(f"partial digits: {_digits_str(exc.partial)}", file=sys.stderr)
         return EXIT_DOMAIN
-    assert convergent_matrix(digits, len(matrix)) == matrix
     print(_digits_str(digits))
     return EXIT_OK
 

@@ -28,7 +28,6 @@ from .units import (
     is_dominant_at,
     make_nonnegative,
     multiplication_matrix,
-    order_discriminant,
     trace_gram,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "module_from_generators",
     "module_intersect",
     "multiplication_matrix",
-    "order_discriminant",
     "trace_gram",
 ]

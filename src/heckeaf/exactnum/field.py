@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import DivisionByZero, NotSquarefree
+from ..errors import DivisionByZero, HeckeafError, NotSquarefree
 from .polynomial import (
     IntPolynomial,
     assert_irreducible,
@@ -83,7 +83,8 @@ def isolate_real_roots(poly: IntPolynomial) -> list:
     def endpoints_ok(a, b):
         return poly.evaluate(a) != 0 and poly.evaluate(b) != 0
 
-    assert endpoints_ok(lo, hi)
+    if not endpoints_ok(lo, hi):  # pragma: no cover - the root bound is strict
+        raise HeckeafError(f"root bound {bound} of {poly} is a root")
 
     out = []
     stack = [(lo, hi, sturm_count(chain, lo, hi))]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import HeckeafError
 from .polynomial import IntPolynomial
 
 
@@ -185,7 +186,8 @@ def charpoly(a) -> IntPolynomial:
         f = Fraction(yi, denom)
         for k, c in enumerate(basis):
             coeffs[k] += c * f
-    assert all(c.denominator == 1 for c in coeffs)
+    if any(c.denominator != 1 for c in coeffs):  # pragma: no cover - det(xI - A) is integral
+        raise HeckeafError(f"non-integral characteristic polynomial {coeffs}")
     return IntPolynomial(tuple(int(c) for c in coeffs))
 
 

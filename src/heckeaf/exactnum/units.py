@@ -1,12 +1,14 @@
 """Units of orders, unit action matrices, and non-negative realizations.
 
 find_unit searches for a non-torsion unit expanding at a chosen real
-embedding.  Degree 2 uses the classical continued fraction method keyed
-to the order's discriminant; higher degrees run a bounded deterministic
-enumeration over the order's basis.  multiplication_matrix writes the
-unit action on a full module as an integer matrix, and make_nonnegative
-hunts for a power/basis change making that matrix entrywise non-negative
-with a canonical digit cycle.
+embedding.  In every degree it first takes the return unit of the
+Jacobi-Perron expansion of the order's own basis ratios (in degree 2 the
+regular continued fraction, whose period gives the fundamental unit of
+the multiplier ring); when that expansion does not cycle within budget, a
+bounded deterministic enumeration over the order's basis takes over.
+multiplication_matrix writes the unit action on a full module as an
+integer matrix, and make_nonnegative hunts for a power/basis change
+making that matrix entrywise non-negative with a canonical digit cycle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import isqrt
 from typing import TYPE_CHECKING
 
 from ..errors import (
@@ -48,15 +49,6 @@ def trace_gram(basis):
     return [[(basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)]
 
 
-def order_discriminant(order: OrderRing) -> int:
-    from .field import _det_fraction
-
-    d = _det_fraction(trace_gram(order.basis_elements()))
-    if d.denominator != 1:  # pragma: no cover - an order consists of algebraic integers
-        raise NotEndomorphism(f"order basis has a non-integral discriminant {d}")
-    return int(d)
-
-
 def is_dominant_at(u: FieldElement, root: RealRootInterval) -> bool:
     """Whether |sigma_e(u)| > |sigma(u)| at every other real embedding.
 
@@ -86,67 +78,7 @@ def is_dominant_at(u: FieldElement, root: RealRootInterval) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# degree 2: continued fraction / Pell
-
-def _quadratic_cf_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
-    """Fundamental expanding unit of a real quadratic order.
-
-    The order of discriminant D equals Z[omega] for omega = (r + sqrt(D))/2
-    with r = D mod 2.  The regular continued fraction of omega is eventually
-    periodic; one full period around the purely periodic tail theta* yields
-    the unit u = C theta* + D' from the period's convergent matrix.
-    """
-    from .. import mcf  # runtime import; mcf depends on this subpackage
-
-    field = order.field
-    disc = order_discriminant(order)
-    if disc <= 0:  # pragma: no cover - real quadratic fields only
-        raise UnitNotFound(f"discriminant {disc} is not totally real")
-    # sqrt(disc) inside the field: for any non-rational zeta in the order,
-    # s = 2 zeta - Tr(zeta) has s^2 = disc(Z[zeta]) = k^2 * disc
-    zeta = next(b for b in order.basis_elements() if not b.is_rational())
-    s = 2 * zeta - field.from_rational(zeta.trace())
-    s_sq = (s * s).as_rational()
-    k_sq, rem = divmod(s_sq.numerator, disc)
-    k = isqrt(k_sq)
-    if s_sq.denominator != 1 or rem or k * k != k_sq:  # pragma: no cover
-        raise UnitNotFound(f"{s_sq} is not a square multiple of the discriminant {disc}")
-    sqrt_d = s / k
-    if sign_at(sqrt_d, root) < 0:
-        sqrt_d = -sqrt_d
-    omega = (field.from_rational(disc % 2) + sqrt_d) / 2
-    if not order.contains(omega):  # pragma: no cover - Z[omega] is the order
-        raise UnitNotFound(f"{omega} is not in the order of discriminant {disc}")
-
-    # walk the expansion keeping exact states; stop at the first repeat
-    seen = {}
-    trail = []
-    state = omega
-    for step in range(4096):
-        key = state.coords
-        if key in seen:
-            start = seen[key]
-            theta_star = trail[start][0]
-            m = ((1, 0), (0, 1))
-            for _, (a,) in trail[start:]:
-                m = mat_mul(m, ((a, 1), (1, 0)))
-            u = m[1][0] * theta_star + m[1][1]
-            nrm = u.norm()
-            if (nrm not in (1, -1) or not order.contains(u.inverse())
-                    or sign_at(u - field.one, root) <= 0):  # pragma: no cover
-                raise UnitNotFound("period unit failed verification")
-            return UnitElement(u, int(nrm), order)
-        seen[key] = step
-        digit, nxt = mcf.jpa_step((state,), root)
-        trail.append((state, digit))
-        if nxt is None:  # pragma: no cover - omega is irrational
-            raise UnitNotFound("expansion terminated unexpectedly")
-        state = nxt[0]
-    raise UnitNotFound("no period found within 4096 steps")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# degree >= 3: bounded enumeration over the order basis
+# the unit search: the attractor return unit, else a bounded enumeration
 
 _COORD_ROUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -294,7 +226,7 @@ def _same_direction(w_a, w_b, basis, field) -> bool:
     return all(v[j] * u[0] == u[j] * v[0] for j in range(1, len(v)))
 
 
-def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
+def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = None):
     """Expand the module's own basis ratios to their periodic tail.
 
     Returns (T, W, period_digits, return_unit) where T is the basis change
@@ -304,7 +236,11 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
     the attractor-scaled module L, so v lies in End(m) and expands at
     root).  Returns None when the expansion does not cycle within the
     budget: the Jacobi-Perron expansion of a module direction is not
-    periodic in general.
+    periodic in general.  The default budget is set by the module's rank:
+    4096 steps for rank 2, where the expansion is the regular continued
+    fraction of a quadratic irrational and always cycles, with a period
+    of length O(sqrt(D) log D) for discriminant D; 512 steps for
+    rank >= 3, where an expansion need not cycle and has to be cut off.
 
     The state is an integer matrix W, not a tuple of field ratios: its
     rows give the state vector v = W g over the HNF basis g, and the
@@ -334,6 +270,8 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int = 512):
     n = len(basis)
     if n < 2:
         return None
+    if max_steps is None:
+        max_steps = 4096 if n == 2 else 512
     bits = _FINGERPRINT_BITS
     signs = [sign_at(g, root) for g in basis]
     w = tuple(tuple((signs[i] if i == j else 0) for j in range(n)) for i in range(n))
@@ -373,14 +311,17 @@ def find_unit(order: OrderRing, root: RealRootInterval,
               attractor=_NOT_COMPUTED) -> UnitElement:
     """A non-torsion unit u of the order with sigma_e(u) > 1.
 
-    Degree 2 uses the continued fraction of the order's discriminant
-    surd, which yields the fundamental expanding unit.  Degree >= 3 first
-    expands the order's own basis ratios: when that expansion cycles, the
-    Perron value of one trip around the cycle is a unit of the order and
-    is the one the downstream block factorization can realize.  When the
-    expansion does not cycle within budget, a bounded enumeration over
-    coordinate shells looks for expanding units directly, preferring field
-    generators that dominate at the embedding, smallest image first.
+    The order's own basis ratios are expanded first (_attractor_data):
+    when that expansion cycles, the Perron value of one trip around the
+    cycle is a unit of the order and is the one the downstream block
+    factorization can realize.  In degree 2 the expansion is the regular
+    continued fraction of a reduced quadratic irrational, and one period
+    gives the fundamental unit of the order.  The return unit is verified
+    exactly (unit norm, it and its inverse in the order, image > 1).
+    When the expansion does not cycle within budget, a bounded
+    enumeration over coordinate shells looks for expanding units
+    directly, preferring field generators that dominate at the
+    embedding, smallest image first.
 
     attractor, when given, is _attractor_data(order.module, root) as the
     caller already computed it (None included: the expansion did not
@@ -391,9 +332,6 @@ def find_unit(order: OrderRing, root: RealRootInterval,
         raise UnitNotFound("degree-1 orders have only the torsion units +1, -1")
     if root not in field.real_roots:
         raise ValueError("embedding does not belong to the order's field")
-    if field.degree == 2:
-        return _quadratic_cf_unit(order, root)
-
     n = field.degree
     if attractor is _NOT_COMPUTED:
         attractor = _attractor_data(order.module, root)
@@ -596,15 +534,11 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     if attractor is not None:
         bases.append(attractor[:2])
     bases.append((ident, ident))
-    try:
-        gram = trace_gram(m.basis_elements())
-        u_lll = _lll_transform(gram)
-        # U is a product of unimodular row operations: its inverse is integral
-        inv = tuple(tuple(int(x) for x in row) for row in mat_inverse_fraction(u_lll))
-        if u_lll != ident:
-            bases.append((inv, u_lll))  # A in the LLL basis is T^-1 A T for T = U^-1
-    except Exception:  # pragma: no cover - LLL is a best-effort heuristic
-        pass
+    u_lll = _lll_transform(trace_gram(m.basis_elements()))
+    # U is a product of unimodular row operations: its inverse is integral
+    inv = tuple(tuple(int(x) for x in row) for row in mat_inverse_fraction(u_lll))
+    if u_lll != ident:
+        bases.append((inv, u_lll))  # A in the LLL basis is T^-1 A T for T = U^-1
 
     seen = set()
     found_nonneg = False

@@ -503,7 +503,7 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
                 )
             )
 
-    result = EigenformAFResult(
+    return EigenformAFResult(
         label=f.label,
         field=field,
         module=module,
@@ -520,9 +520,6 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
         embedding_index=emb_index,
         per_conjugate=tuple(summaries),
     )
-    assert result.char_polys_equal()
-    assert isinstance(result.af, TrivialAF) == (field.degree == 1)
-    return result
 
 
 @dataclass(frozen=True)

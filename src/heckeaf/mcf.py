@@ -267,7 +267,8 @@ def bauer_factorize(a):
                 f"peel rule stalled after {len(digits)} digits", partial=digits
             )
         seen.add(cur)
-    assert convergent_matrix(digits, n) == a
+    if convergent_matrix(digits, n) != a:  # pragma: no cover - each peel inverts one B(d)
+        raise NotFactorizable("the peeled digits do not multiply back", partial=digits)
     return digits
 
 

@@ -1,22 +1,37 @@
-"""The integer attractor expansion against the field-state reference.
+"""The integer attractor expansion against field-state references.
 
 units._attractor_data runs the Jacobi-Perron expansion of a module's
 basis ratios as integer row operations on its basis-change matrix, with
-digits and repeat fingerprints read from basis enclosures.  The reference
-below is the direct expansion: exact field-element states stepped by
-mcf.jpa_step and hashed by their coordinates, with the attractor basis
-obtained by inverting the basis change.  Both must give the same
-(T, W, period, return unit), or both None.
+digits and repeat fingerprints read from basis enclosures.  The first
+reference below is the direct expansion: exact field-element states
+stepped by mcf.jpa_step and hashed by their coordinates, with the
+attractor basis obtained by inverting the basis change.  Both must give
+the same (T, W, period, return unit), or both None.
+
+The second reference is the classical degree-2 unit: one period of the
+continued fraction of the order's discriminant surd gives its fundamental
+unit.  find_unit, which takes the attractor's return unit in every
+degree, must give that unit on real quadratic orders.
 """
 
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heckeaf import hecke, mcf
-from heckeaf.exactnum import endomorphism_ring, module_from_generators, sign_at, units
+from heckeaf.exactnum import (
+    IntPolynomial,
+    endomorphism_ring,
+    find_unit,
+    make_field,
+    module_from_generators,
+    sign_at,
+    trace_gram,
+    units,
+)
 from heckeaf.exactnum.intmat import mat_det, mat_inverse_fraction, mat_mul
 
 LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
@@ -63,6 +78,56 @@ def reference_attractor_data(m, root, max_steps=512):
             return None
         state = nxt
     return None
+
+
+def reference_quadratic_unit(order, root):
+    """Fundamental expanding unit of a real quadratic order.
+
+    The order of discriminant D equals Z[omega] for omega = (r + sqrt(D))/2
+    with r = D mod 2.  The regular continued fraction of omega is
+    eventually periodic; one full period around the purely periodic tail
+    theta* yields the unit u = C theta* + D' from the period's convergent
+    matrix.
+    """
+    field = order.field
+    (g00, g01), (g10, g11) = trace_gram(order.basis_elements())
+    disc = g00 * g11 - g01 * g10
+    assert disc > 0
+    # sqrt(disc) inside the field: for any non-rational zeta in the order,
+    # s = 2 zeta - Tr(zeta) has s^2 = disc(Z[zeta]) = k^2 * disc
+    zeta = next(b for b in order.basis_elements() if not b.is_rational())
+    s = 2 * zeta - field.from_rational(zeta.trace())
+    s_sq = (s * s).as_rational()
+    k_sq, rem = divmod(s_sq.numerator, disc)
+    k = isqrt(k_sq)
+    assert s_sq.denominator == 1 and rem == 0 and k * k == k_sq
+    sqrt_d = s / k
+    if sign_at(sqrt_d, root) < 0:
+        sqrt_d = -sqrt_d
+    omega = (field.from_rational(disc % 2) + sqrt_d) / 2
+    assert order.contains(omega)
+
+    # walk the expansion keeping exact states; stop at the first repeat
+    seen = {}
+    trail = []
+    state = omega
+    for step in range(4096):
+        key = state.coords
+        if key in seen:
+            theta_star = trail[seen[key]][0]
+            m = ((1, 0), (0, 1))
+            for _, (a,) in trail[seen[key]:]:
+                m = mat_mul(m, ((a, 1), (1, 0)))
+            u = m[1][0] * theta_star + m[1][1]
+            assert u.norm() in (1, -1)
+            assert order.contains(u.inverse())
+            assert sign_at(u - field.one, root) > 0
+            return u
+        seen[key] = step
+        digit, nxt = mcf.jpa_step((state,), root)
+        trail.append((state, digit))
+        state = nxt[0]
+    raise AssertionError("no period within 4096 steps")
 
 
 @pytest.fixture(params=[None, 0], ids=["fingerprint-default", "fingerprint-0"])
@@ -151,3 +216,28 @@ def test_random_modules_match_reference_without_fingerprint(case):
     finally:
         units._FINGERPRINT_BITS = original
     assert got == reference_attractor_data(m, root, 24)
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 61) if isqrt(d) ** 2 != d])
+def test_find_unit_matches_continued_fraction_unit(d):
+    """On Z[sqrt d], Z[(1+sqrt d)/2] when d = 1 mod 4, Z[2 sqrt d],
+    Z[3 sqrt d] and the module <3, 1 + sqrt d>, which is not a ring, at
+    both embeddings of Q(sqrt d)."""
+    field = make_field(IntPolynomial((-d, 0, 1)))
+    one, r = field.one, field.gen
+    gens = [[one, r], [one, 2 * r], [one, 3 * r], [3 * one, one + r]]
+    if d % 4 == 1:
+        gens.append([one, (one + r) / 2])
+    for g in gens:
+        order = endomorphism_ring(module_from_generators(field, g))
+        for root in field.real_roots:
+            assert find_unit(order, root).element == reference_quadratic_unit(order, root), (g, root)
+
+
+def test_find_unit_long_quadratic_period():
+    """The continued fraction of sqrt(48799) has period 544: more than the
+    512 steps a rank-3 expansion gets, within the rank-2 budget."""
+    field = make_field(IntPolynomial((-48799, 0, 1)))
+    order = endomorphism_ring(module_from_generators(field, [field.one, field.gen]))
+    for root in field.real_roots:
+        assert find_unit(order, root).element == reference_quadratic_unit(order, root)

@@ -15,7 +15,6 @@ from heckeaf.errors import (
     SchemaError,
 )
 from heckeaf.exactnum import IntPolynomial, make_field, module_from_generators
-from heckeaf.exactnum.units import order_discriminant
 from heckeaf.exactnum.lattice import endomorphism_ring
 
 from util import random_unimodular
@@ -162,7 +161,8 @@ def test_coefficient_field(f11, f23):
     field = hecke.coefficient_field(f23)
     assert field.degree == 2
     order = endomorphism_ring(hecke.module_of_eigenform(f23))
-    assert order_discriminant(order) == 5  # disc of x^2 + x - 1
+    # Z[c(2)] for the root c(2) of x^2 + x - 1: the maximal order, disc 5
+    assert order.module == module_from_generators(field, [field.one, field.gen])
 
 
 def test_conjugate_family(f23, f11):

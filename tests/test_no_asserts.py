@@ -1,0 +1,20 @@
+"""The library checks at run time with typed errors, never with assert:
+an assert vanishes under python -O, and a failing one raises an
+AssertionError that no HeckeafError handler catches."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "heckeaf"
+
+
+def test_library_has_no_assert_statements():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

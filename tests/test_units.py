@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckeaf.errors import NonnegativeFormNotFound, NotEndomorphism, UnitNotFound
 from heckeaf.exactnum import (
@@ -14,11 +14,16 @@ from heckeaf.exactnum import (
     make_nonnegative,
     module_from_generators,
     multiplication_matrix,
-    order_discriminant,
     eval_embedding,
 )
 from heckeaf.exactnum.intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
-from heckeaf.exactnum.units import UnitElement, _signed_conjugates, _times_signed_permutation
+from heckeaf.exactnum.units import (
+    UnitElement,
+    _lll_transform,
+    _signed_conjugates,
+    _times_signed_permutation,
+    trace_gram,
+)
 from heckeaf import mcf
 
 
@@ -33,7 +38,8 @@ def golden():
 
 def test_find_unit_golden(golden):
     field, phi, module, order = golden
-    assert order_discriminant(order) == 5
+    # the order is Z[(1 + sqrt5)/2], the maximal order of discriminant 5
+    assert order.module == module_from_generators(field, [field.one, phi])
     u = find_unit(order, field.real_roots[-1])
     # Pell oracle: x^2 - x - 1 has constant term -1
     assert u.element == phi
@@ -55,7 +61,8 @@ def test_find_unit_suborder():
     field = make_field(IntPolynomial((-5, 0, 1)))
     module = module_from_generators(field, [field.one, field.gen])
     order = endomorphism_ring(module)
-    assert order_discriminant(order) == 20
+    # the order is Z[sqrt5], of discriminant 20
+    assert order.module == module_from_generators(field, [field.one, field.gen])
     u = find_unit(order, field.real_roots[-1])
     # fundamental unit of Z[sqrt5] is 2 + sqrt5 (phi^3)
     assert u.element == field.element((2, 1))
@@ -249,3 +256,28 @@ def test_make_nonnegative_realization_is_consistent(poly):
     t = r.transform
     assert mat_mul(mat_mul(mat_inverse_fraction(t), mat_pow(a, r.power)), t) == r.matrix
     assert mcf.cycles_agree(r.expansion.period, mcf.bauer_factorize(r.matrix))
+
+
+# a totally real cubic (positive definite trace form) and x^3 - 2, whose
+# trace form is indefinite
+_LLL_FIELDS = [make_field(IntPolynomial(c)) for c in ((1, -2, -1, 1), (-2, 0, 0, 1))]
+
+
+@st.composite
+def _cubic_module(draw):
+    field = draw(st.sampled_from(_LLL_FIELDS))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+                         min_size=3, max_size=3))
+    assume(mat_det(rows) != 0)
+    den = draw(st.integers(1, 3))
+    return module_from_generators(field, [[Fraction(x, den) for x in row] for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cubic_module())
+def test_lll_transform_is_unimodular(module):
+    """make_nonnegative inverts the LLL transform as an integer matrix
+    with no fallback, so it must be unimodular on every full-rank module,
+    whether or not the trace form is definite."""
+    u = _lll_transform(trace_gram(module.basis_elements()))
+    assert mat_det(u) in (1, -1)

@@ -50,6 +50,28 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     assert inverse[0] == 1
 
 
+def test_quadratic_unit_comes_from_the_shared_expansion(monkeypatch):
+    """level23a's unit is the return unit of the one attractor expansion:
+    the unit search makes no Jacobi-Perron field step of its own."""
+    f = hecke.load_fixture("level23a")
+    attractor = _count(monkeypatch, "_attractor_data", units, hecke)
+    steps = _count(monkeypatch, "jpa_step", mcf, units)
+    steps_in_find_unit = [0]
+    original = units.find_unit
+
+    def counted(*args, **kwargs):
+        before = steps[0]
+        unit = original(*args, **kwargs)
+        steps_in_find_unit[0] += steps[0] - before
+        return unit
+
+    monkeypatch.setattr(hecke, "find_unit", counted)
+    result = hecke.af_of_eigenform(f)
+    assert isinstance(result.af, hecke.StationaryAF)
+    assert attractor[0] == 1
+    assert steps_in_find_unit[0] == 0
+
+
 def test_attractor_expansion_makes_no_field_step_or_division(monkeypatch):
     """level47a's 512-step expansion runs on integer row operations with
     digits read from basis enclosures: no Jacobi-Perron field step and no
