@@ -77,13 +77,19 @@ class StationaryAF:
 
     period_matrix: tuple
     digits: tuple               # the digit cycle generating period_matrix
-    char_poly: IntPolynomial
-    perron_value: FieldElement
-    perron_root: RealRootInterval
+    perron_value: FieldElement  # the generator of Q[x]/(char period_matrix)
 
     @property
     def rank(self) -> int:
         return len(self.period_matrix)
+
+    @property
+    def char_poly(self) -> IntPolynomial:
+        return self.perron_value.field.minpoly
+
+    @property
+    def perron_root(self) -> RealRootInterval:
+        return perron_embedding(self.perron_value.field)
 
 
 def af_from_expansion(expansion: JpaExpansion):
@@ -99,14 +105,8 @@ def af_from_expansion(expansion: JpaExpansion):
         return TrivialAF()
     if expansion.is_periodic():
         b = convergent_matrix(expansion.period, n)
-        u, lam = satz12_eigenvector(b)
-        return StationaryAF(
-            period_matrix=b,
-            digits=tuple(expansion.period),
-            char_poly=charpoly(b),
-            perron_value=u,
-            perron_root=perron_embedding(u.field),
-        )
+        u, _ = satz12_eigenvector(b)
+        return StationaryAF(b, tuple(expansion.period), u)
     mats = tuple(jpa_block(d, n) for d in expansion.digits)
     counts = (n,) * (len(mats) + 1)
     return BratteliDiagram(counts, mats, complete=expansion.terminated)
@@ -341,14 +341,15 @@ def parse_bratteli_json(text: str):
         return TrivialAF()
     if kind == "stationary":
         b = tuple(tuple(int(x) for x in row) for row in data["period_matrix"])
+        digits = tuple(tuple(int(x) for x in d) for d in data["digits"])
+        try:
+            fits = convergent_matrix(digits, len(b)) == b
+        except ValueError:  # a digit of the wrong length or sign
+            fits = False
+        if not fits:
+            raise ShapeMismatch("digits do not multiply to the period matrix")
         u, _ = satz12_eigenvector(b)
-        return StationaryAF(
-            period_matrix=b,
-            digits=tuple(tuple(int(x) for x in d) for d in data["digits"]),
-            char_poly=charpoly(b),
-            perron_value=u,
-            perron_root=perron_embedding(u.field),
-        )
+        return StationaryAF(b, digits, u)
     if kind == "finite":
         return BratteliDiagram(
             tuple(data["vertex_counts"]),

@@ -38,7 +38,6 @@ from .hecke import (
     companion_of_conjugates,
     load_fixture,
     load_newform,
-    verify_eigenform,
 )
 from .mcf import JpaExpansion, bauer_factorize, convergents_from_digits, jpa_expand, regular_cf
 
@@ -337,10 +336,6 @@ def cmd_af(args) -> int:
         _emit_report(report_json(report), args.report)
         print(f"fixture rejected: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    verification = verify_eigenform(f)
-    if not verification.all_ok:  # pragma: no cover - load already enforces this
-        p, m = verification.first_failure()
-        raise HeckeafError(f"eigenform check fails for T_{p} at coefficient {m}")
     result = None
     companion = None
     error = None
@@ -348,7 +343,7 @@ def cmd_af(args) -> int:
     try:
         result = af_of_eigenform(f)
         if args.conjugates:
-            companion = companion_of_conjugates(f)
+            companion = companion_of_conjugates(f, result)
     except (UnitNotFound, NonnegativeFormNotFound, NotFactorizable,
             RoundTripMismatch) as exc:
         error = {"stage": type(exc).__name__, "message": str(exc)}

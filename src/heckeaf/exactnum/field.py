@@ -56,7 +56,7 @@ class RealRootInterval:
                 mid = lo + (hi - lo) * Fraction(1, 3)
                 v = self.poly.evaluate(mid)
                 if v == 0:  # pragma: no cover - two exact roots is impossible
-                    raise AssertionError("isolating interval contains two roots")
+                    raise HeckeafError("isolating interval contains two roots")
             if (1 if v > 0 else -1) == sign_lo:
                 lo = mid
             else:
@@ -100,7 +100,7 @@ def isolate_real_roots(poly: IntPolynomial) -> list:
             # rational root exactly at the midpoint: shift it
             mid = a + (b - a) * Fraction(2, 5)
             if poly.evaluate(mid) == 0:  # pragma: no cover
-                raise AssertionError("could not find a non-root cut point")
+                raise HeckeafError("could not find a non-root cut point")
         cl = sturm_count(chain, a, mid)
         stack.append((a, mid, cl))
         stack.append((mid, b, count - cl))
@@ -250,7 +250,7 @@ class FieldElement:
         m = self.field.minpoly.rational_coeffs()
         g, s, _ = pxgcd(a, m)
         if pdeg(g) != 0:  # pragma: no cover - minpoly is irreducible
-            raise AssertionError("element not invertible modulo an irreducible polynomial")
+            raise HeckeafError("element not invertible modulo an irreducible polynomial")
         inv = [c / g[0] for c in s]
         inv = pmod(inv, m)
         return self.field.element(inv)
@@ -325,7 +325,7 @@ class FieldElement:
                 if all(c.denominator == 1 for c in coeffs):
                     return IntPolynomial(tuple(int(c) for c in coeffs))
                 raise ValueError(f"element {self} is not an algebraic integer")
-        raise AssertionError("no dependency found up to the field degree")
+        raise HeckeafError("no dependency found up to the field degree")
 
     def degree_over_q(self) -> int:
         n = self.field.degree

@@ -33,7 +33,7 @@ from .intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_m
 from .lattice import OrderRing, ZModule
 
 if TYPE_CHECKING:
-    from ..mcf import JpaExpansion
+    from ..mcf import RoundTrip
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,9 @@ def is_dominant_at(u: FieldElement, root: RealRootInterval) -> bool:
 # ---------------------------------------------------------------------------
 # the unit search: the attractor return unit, else a bounded enumeration
 
+# the enumeration's coordinate bounds, and its budget of tested candidates
 _COORD_ROUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+_MAX_CANDIDATES = 500_000
 
 
 def _norm_tester(order: OrderRing):
@@ -307,7 +309,6 @@ _NOT_COMPUTED = object()
 
 
 def find_unit(order: OrderRing, root: RealRootInterval,
-              max_coord: int = 256, max_candidates: int = 500_000,
               attractor=_NOT_COMPUTED) -> UnitElement:
     """A non-torsion unit u of the order with sigma_e(u) > 1.
 
@@ -351,10 +352,8 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     tested = 0
     fallback = None
     for bound in _COORD_ROUNDS:
-        if bound > max_coord:
-            break
         shell_size = (2 * bound + 1) ** n - (2 * bound - 1) ** n
-        if tested + shell_size > max_candidates:
+        if tested + shell_size > _MAX_CANDIDATES:
             break
         reps = []
         for coords in _shell(bound, n):
@@ -381,13 +380,16 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     if fallback is not None:
         return UnitElement(fallback[0], fallback[1], order)
     raise UnitNotFound(
-        f"no unit with image > 1 found within coordinate bound {max_coord} "
+        f"no unit with image > 1 found within coordinate bound {_COORD_ROUNDS[-1]} "
         f"({tested} candidates tested)"
     )
 
 
 # ---------------------------------------------------------------------------
 # the action matrix and its non-negative realization
+
+# largest power k of the action matrix that make_nonnegative tries
+_K_MAX = 12
 
 def multiplication_matrix(u: FieldElement, m: ZModule):
     """Integer matrix A with row i the coordinates of u * g_i in the basis
@@ -467,14 +469,13 @@ def _is_perron_image(value: FieldElement, root: RealRootInterval, poly) -> bool:
 @dataclass(frozen=True)
 class Realization:
     """A non-negative form matrix = T^-1 A^power T of a unit's action
-    matrix A, with T = transform, and the Jacobi-Perron expansion of its
-    Perron eigenvector, whose period is a rotation of the matrix's Bauer
-    digit cycle."""
+    matrix A, with T = transform, and the record of the round trip that
+    accepted it (Bauer digits, Perron value and eigenvector, expansion)."""
 
     matrix: tuple
     power: int
     transform: tuple
-    expansion: JpaExpansion
+    roundtrip: RoundTrip
 
 
 def _signed_conjugates(m):
@@ -501,18 +502,18 @@ def _times_signed_permutation(base, q, signs):
 
 
 def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
-                     k_max: int = 12, attractor=_NOT_COMPUTED) -> Realization:
+                     attractor=_NOT_COMPUTED) -> Realization:
     """Search for T and k with A' = T^-1 A^k T entrywise non-negative.
 
     T = B P ranges over base changes B (the module's attractor basis
     change, the identity and an LLL-derived basis change) times signed
-    permutations P; k runs over 1..k_max, even values only when the unit's
+    permutations P; k runs over 1.._K_MAX, even values only when the unit's
     image is negative so that the spectral radius of A' is sigma_e(u)^k
     (this is verified, not assumed).  A candidate is kept only if its
     Bauer digit cycle is the canonical expansion of its own Perron vector,
-    which the stationary pipeline needs downstream; the expansion that
-    showed this is returned in the Realization, so callers need not
-    expand again.
+    which the stationary pipeline needs downstream; the round trip that
+    showed this (digits, Perron data, expansion) is returned in the
+    Realization, so callers need not compute any of it again.
 
     No B is inverted here: the attractor expansion and the LLL step
     already hold each inverse.  Since P^-1 = P^T, the candidate
@@ -542,7 +543,7 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
 
     seen = set()
     found_nonneg = False
-    for k in range(k_start, k_max + 1, k_step):
+    for k in range(k_start, _K_MAX + 1, k_step):
         ak = mat_pow(a, k)
         u_pow = u.element ** k
         for base, base_inv in bases:
@@ -559,17 +560,17 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
                 if not _is_perron_image(u_pow, root, charpoly(cand)):
                     continue
                 try:
-                    expansion = mcf.periodicity_roundtrip(cand)
+                    roundtrip = mcf.roundtrip_record(cand)
                 except (RoundTripMismatch, NotFactorizable, DegenerateSpectrum,
                         ReducibleCharPoly, IrreducibilityUndecided):
                     continue  # the candidate's digit cycle is not canonical
                 transform = _times_signed_permutation(base, q, signs)
-                return Realization(cand, k, transform, expansion)
+                return Realization(cand, k, transform, roundtrip)
     if found_nonneg:
         raise NonnegativeFormNotFound(
             "non-negative forms exist but none passed the Perron/canonical "
-            f"cycle checks within k <= {k_max}"
+            f"cycle checks within k <= {_K_MAX}"
         )
     raise NonnegativeFormNotFound(
-        f"no non-negative conjugate of a power up to {k_max} found"
+        f"no non-negative conjugate of a power up to {_K_MAX} found"
     )

@@ -1,7 +1,7 @@
 """Hecke eigenform data and the stationary AF pipeline.
 
 Loads weight-2 eigenform fixtures (coefficients as exact elements of the
-coefficient field), verifies the Hecke relations, and drives the chain
+coefficient field), checks the Hecke relations on load, and drives the chain
 
     coefficient module -> endomorphism order -> expanding unit
     -> action matrix -> non-negative form -> block factorization
@@ -9,8 +9,8 @@ coefficient field), verifies the Hecke relations, and drives the chain
 
 with the degree-1 case collapsing to the trivial algebra.  Conjugate
 eigenforms share their coordinate data: conjugation is a change of the
-working real embedding, so the conjugate pipeline reuses the same module
-and unit (their action matrix is coordinate-identical), which makes the
+working real embedding, so the conjugate comparison reuses the base
+result (the action matrix is coordinate-identical), which makes the
 equal-characteristic-polynomial claim checkable literally.
 """
 
@@ -38,7 +38,6 @@ from .errors import (
     SchemaError,
 )
 from .exactnum.field import FieldElement, NumberField, eval_embedding, make_field
-from .exactnum.intmat import charpoly
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
 from .exactnum.units import (
@@ -48,7 +47,7 @@ from .exactnum.units import (
     make_nonnegative,
     multiplication_matrix,
 )
-from .mcf import JpaExpansion, bauer_factorize, satz12_eigenvector
+from .mcf import JpaExpansion
 
 MIN_COEFFS = 20
 HECKE_CHECK_BOUND = 13
@@ -104,7 +103,12 @@ def load_newform(source) -> NewformData:
 
     Accepts a JSON string or an already-decoded dict.  Checks the schema,
     normalization c(1) = 1, coprime multiplicativity, and the prime-power
-    recursions before returning.
+    recursions up to the stored count before returning.
+
+    So verify_eigenform cannot fail after load: for pm <= count and m = p^r m'
+    with p not dividing m', multiplicativity gives (T_p f)(m) = (c(p^(r+1))
+    + p c(p^(r-1))) c(m') (no p term if r = 0 or p divides the level), and
+    the recursion makes that c(p) c(p^r) c(m') = c(p) c(m).
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -417,10 +421,6 @@ class EigenformAFResult:
         return len(polys) <= 1
 
 
-def _interval_strings(lo, hi):
-    return (str(lo), str(hi))
-
-
 def _abs_exceeds_one(elem: FieldElement, root) -> bool:
     """Exact |sigma(elem)| > 1 test (units never have |image| exactly 1)."""
     eps = Fraction(1, 100)
@@ -434,7 +434,7 @@ def _abs_exceeds_one(elem: FieldElement, root) -> bool:
 
 
 def af_of_eigenform(f: NewformData) -> EigenformAFResult:
-    """Run the stationary pipeline on a verified eigenform.
+    """Run the stationary pipeline on a loaded (hence verified) eigenform.
 
     Degree 1 is the rational case: the diagram is finite and
     one-dimensional, so the result is the trivial algebra.  Otherwise the
@@ -446,8 +446,8 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     Each intermediate fact is computed once and passed on: the module's
     attractor expansion feeds both the unit search (when the order's
     module is the module itself) and the non-negative form search, and
-    the realization record returned by make_nonnegative carries the
-    Jacobi-Perron expansion its round trip already produced.
+    the realization returned by make_nonnegative carries its round-trip
+    record (Bauer digits, Perron value and eigenvector, expansion).
 
     Conjugate data: the action of the conjugated unit on the conjugated
     module has the same integer matrix in coordinates, so per-conjugate
@@ -472,21 +472,9 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
         unit = find_unit(order, root)
     matrix_a = multiplication_matrix(unit.element, module)
     realization = make_nonnegative(matrix_a, unit, module, root, attractor=attractor)
-    nonneg = realization.matrix
-    digits = tuple(bauer_factorize(nonneg))
-    cp = charpoly(nonneg)
-
-    u_sat, lam = satz12_eigenvector(nonneg)
-    from .mcf import perron_embedding
-
-    group = dimension_group(lam[1:], perron_embedding(u_sat.field))
-    af = StationaryAF(
-        period_matrix=nonneg,
-        digits=digits,
-        char_poly=cp,
-        perron_value=u_sat,
-        perron_root=perron_embedding(u_sat.field),
-    )
+    roundtrip = realization.roundtrip
+    af = StationaryAF(realization.matrix, roundtrip.digits, roundtrip.perron_value)
+    group = dimension_group(roundtrip.eigenvector[1:], af.perron_root)
 
     summaries = []
     if len(field.real_roots) == field.degree:
@@ -496,10 +484,10 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
             summaries.append(
                 ConjugateSummary(
                     embedding_index=i,
-                    embedding=_interval_strings(r.lo, r.hi),
-                    unit_image=_interval_strings(lo, hi),
+                    embedding=(str(r.lo), str(r.hi)),
+                    unit_image=(str(lo), str(hi)),
                     expanding=expanding,
-                    char_poly=cp,
+                    char_poly=af.char_poly,
                 )
             )
 
@@ -511,11 +499,11 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
         order=order,
         unit=unit,
         matrix_a=matrix_a,
-        nonneg_matrix=nonneg,
+        nonneg_matrix=realization.matrix,
         nonneg_power=realization.power,
         nonneg_transform=realization.transform,
-        digits=digits,
-        expansion=realization.expansion,
+        digits=roundtrip.digits,
+        expansion=roundtrip.expansion,
         group=group,
         embedding_index=emb_index,
         per_conjugate=tuple(summaries),
@@ -532,8 +520,8 @@ class CompanionReport:
     module_galois_stable: bool
 
 
-def companion_of_conjugates(f: NewformData) -> CompanionReport:
-    """Per-conjugate pipeline comparison.
+def companion_of_conjugates(f: NewformData, result: EigenformAFResult) -> CompanionReport:
+    """Per-conjugate pipeline comparison on f's pipeline result.
 
     The conjugate pipeline is the base pipeline with the conjugated module
     and unit, which in coordinates are the very same objects; what changes
@@ -547,14 +535,10 @@ def companion_of_conjugates(f: NewformData) -> CompanionReport:
             pairwise_verdicts=(), module_galois_stable=True,
         )
     family = conjugate_family(f)
-    base = af_of_eigenform(f)
     # the conjugated module: built from the shared coordinate tables
-    stable = module_of_eigenform(f) == base.module
-    polys = []
-    matrices = []
-    for _ in range(family.size):
-        polys.append(base.af.char_poly)
-        matrices.append(base.af.period_matrix)
+    stable = module_of_eigenform(f) == result.module
+    polys = [result.af.char_poly] * family.size
+    matrices = [result.af.period_matrix] * family.size
     verdicts = []
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):

@@ -31,6 +31,7 @@ from math import lcm
 
 from .errors import (
     DegenerateSpectrum,
+    HeckeafError,
     NotFactorizable,
     ReducibleCharPoly,
     ReduciblePolynomial,
@@ -322,7 +323,7 @@ def satz12_eigenvector(a):
         for j in range(n):
             acc = acc + field.from_rational(a[i][j]) * lam[j]
         if acc != u * lam[i]:  # pragma: no cover - exact algebra guarantee
-            raise AssertionError("eigenvector residual is nonzero")
+            raise HeckeafError("eigenvector residual is nonzero")
     for v in lam:
         if sign_at(v, root) <= 0:
             raise DegenerateSpectrum("Perron eigenvector is not positive")
@@ -371,18 +372,29 @@ def cycles_agree(p, d) -> bool:
     return any(dd[r:] + dd[:r] == pp for r in range(length))
 
 
-def periodicity_roundtrip(a, max_steps: int = DEFAULT_MAX_STEPS) -> JpaExpansion:
+@dataclass(frozen=True)
+class RoundTrip:
+    """What the round trip of a non-negative unimodular matrix A found:
+    its Bauer digits, satz12_eigenvector's (u, lam) and the expansion of
+    lam's ratios, whose period is a rotation of the digits."""
+
+    digits: tuple
+    perron_value: FieldElement
+    eigenvector: tuple
+    expansion: JpaExpansion
+
+
+def roundtrip_record(a, max_steps: int = DEFAULT_MAX_STEPS) -> RoundTrip:
     """Expand the Perron eigenvector of A and check the detected period
     against the Bauer digits of A.
 
     A mismatch raises RoundTripMismatch: either an implementation bug or a
     matrix whose Bauer digit cycle is not a canonical expansion.
     """
-    digits = bauer_factorize(a)
+    digits = tuple(bauer_factorize(a))
     u, lam = satz12_eigenvector(a)
     root = perron_embedding(u.field)
-    theta = lam[1:]
-    exp = jpa_expand(theta, root, max_steps=max_steps)
+    exp = jpa_expand(lam[1:], root, max_steps=max_steps)
     if not exp.is_periodic():
         raise RoundTripMismatch(
             f"no period detected within {max_steps} steps for {a}"
@@ -390,6 +402,11 @@ def periodicity_roundtrip(a, max_steps: int = DEFAULT_MAX_STEPS) -> JpaExpansion
     if not cycles_agree(exp.period, digits):
         raise RoundTripMismatch(
             f"detected period {exp.period} is not a rotation of the "
-            f"factorization {tuple(digits)}"
+            f"factorization {digits}"
         )
-    return exp
+    return RoundTrip(digits, u, lam, exp)
+
+
+def periodicity_roundtrip(a, max_steps: int = DEFAULT_MAX_STEPS) -> JpaExpansion:
+    """The expansion of roundtrip_record(a, max_steps)."""
+    return roundtrip_record(a, max_steps).expansion

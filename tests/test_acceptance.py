@@ -138,7 +138,7 @@ def test_companion_claim_all_fixtures():
         if f.field.degree < 2:
             continue
         degree_ge2 += 1
-        report = hecke.companion_of_conjugates(f)
+        report = hecke.companion_of_conjugates(f, hecke.af_of_eigenform(f))
         assert report.all_equal, name
         assert len(set(report.char_polys)) == 1
         for _, _, verdict in report.pairwise_verdicts:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -153,6 +154,17 @@ def test_export_import_roundtrip():
     trivial = afalg.TrivialAF()
     assert afalg.parse_bratteli_json(afalg.export_bratteli(trivial, "json")) == trivial
     assert '"type": "trivial"' in afalg.export_bratteli(trivial, "json")
+
+
+@pytest.mark.parametrize("digits", [[["7"]], [], [["1"], ["1"]], [["1", "1"]], [["-1"]]])
+def test_import_rejects_digits_that_do_not_give_the_matrix(digits):
+    text = json.dumps({
+        "type": "stationary",
+        "period_matrix": [["0", "1"], ["1", "2"]],
+        "digits": digits,
+    })
+    with pytest.raises(ShapeMismatch):
+        afalg.parse_bratteli_json(text)
 
 
 def test_dot_export():

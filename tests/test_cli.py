@@ -198,6 +198,30 @@ def test_af_corrupted_fixture(tmp_path, capsys):
     assert payload["error"]["stage"] == "HeckeRelationViolated"
 
 
+def test_af_short_fixture_writes_the_full_report(tmp_path, capsys):
+    """The schema and load_newform accept 20 coefficients, and af checks
+    the Hecke relations on load only: a 100-coefficient table runs the
+    pipeline and gives the full table's report apart from its count."""
+    from importlib import resources
+
+    data = json.loads(
+        resources.files("heckeaf.fixtures").joinpath("level23a.json").read_text()
+    )
+    reports = []
+    for count in (len(data["an"]), 100):
+        source = tmp_path / f"level23a_{count}.json"
+        source.write_text(json.dumps(dict(data, an=data["an"][:count])))
+        target = tmp_path / f"report_{count}.json"
+        code, _, _ = run(capsys, "af", str(source), "--report", str(target))
+        assert code == 0
+        report = json.loads(target.read_text())
+        assert report["coefficient_count"] == count
+        for key in ("coefficient_count", "timings"):
+            del report[key]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_af_unknown_fixture(capsys):
     code, _, err = run(capsys, "af", "level9999z")
     assert code == 2

@@ -20,9 +20,9 @@ CASES = golden_reports.golden_cases()
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(stem for stem, _ in CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(stem for stem, _, _ in CASES)
 
 
-@pytest.mark.parametrize("stem,fixture", CASES, ids=[stem for stem, _ in CASES])
-def test_report_matches_golden(stem, fixture):
-    assert golden_reports.report_text(fixture) == (GOLDEN / f"{stem}.json").read_text()
+@pytest.mark.parametrize("stem,fixture,options", CASES, ids=[stem for stem, _, _ in CASES])
+def test_report_matches_golden(stem, fixture, options):
+    assert golden_reports.report_text(fixture, options) == (GOLDEN / f"{stem}.json").read_text()

@@ -156,6 +156,28 @@ def test_verify_eigenform_needs_enough_coefficients(f23):
         hecke.verify_eigenform(short, 13)
 
 
+def test_load_rejects_every_table_verify_rejects(f11):
+    """Load's multiplicativity and prime-power checks imply the T_p check:
+    for each m in 2..200, c(m) of level11a raised by 1 fails verify only
+    if it fails load."""
+    data = fixture_dict("level11a")
+    caught = 0
+    for m in range(2, f11.count + 1):
+        coeffs = list(f11.coeffs)
+        coeffs[m - 1] = coeffs[m - 1] + 1
+        broken = hecke.NewformData(
+            label="broken", level=11, weight=2, field=f11.field, coeffs=tuple(coeffs)
+        )
+        if hecke.verify_eigenform(broken, 13).all_ok:
+            continue
+        caught += 1
+        an = [list(row) for row in data["an"]]
+        an[m - 1] = [str(coeffs[m - 1].as_rational())]
+        with pytest.raises(HeckeRelationViolated):
+            hecke.load_newform(dict(data, an=an))
+    assert caught > 100
+
+
 def test_coefficient_field(f11, f23):
     assert hecke.coefficient_field(f11).degree == 1
     field = hecke.coefficient_field(f23)
@@ -260,11 +282,11 @@ def test_pipeline_determinism(f23):
 
 
 def test_companion_of_conjugates(f11, f23, f71a, f71b):
-    rep = hecke.companion_of_conjugates(f11)
+    rep = hecke.companion_of_conjugates(f11, hecke.af_of_eigenform(f11))
     assert rep.conjugates == 0 and rep.char_polys == ()
 
     for f in (f23, f71a, f71b):
-        rep = hecke.companion_of_conjugates(f)
+        rep = hecke.companion_of_conjugates(f, hecke.af_of_eigenform(f))
         assert rep.conjugates == f.field.degree
         assert rep.all_equal
         assert rep.module_galois_stable

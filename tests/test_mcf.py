@@ -11,6 +11,7 @@ from heckeaf.errors import (
     RoundTripMismatch,
 )
 from heckeaf.exactnum import IntPolynomial, eval_embedding, make_field, sign_at
+from heckeaf.exactnum.intmat import charpoly
 
 from util import admissible_digits
 
@@ -245,6 +246,16 @@ def test_periodicity_roundtrip_examples():
     a = mcf.convergent_matrix([(1, 1), (1, 2)])
     e = mcf.periodicity_roundtrip(a)
     assert mcf.cycles_agree(e.period, [(1, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("a", [((0, 1), (1, 1)), ((2, 5), (5, 12)),
+                               mcf.convergent_matrix([(1, 1), (1, 2)])])
+def test_roundtrip_record_carries_what_it_computed(a):
+    record = mcf.roundtrip_record(a)
+    assert record.digits == tuple(mcf.bauer_factorize(a))
+    assert (record.perron_value, record.eigenvector) == mcf.satz12_eigenvector(a)
+    assert record.perron_value.field.minpoly == charpoly(a)
+    assert record.expansion == mcf.periodicity_roundtrip(a)
 
 
 def test_periodicity_roundtrip_mismatch_is_detected():

@@ -1,11 +1,19 @@
 """The library checks at run time with typed errors, never with assert:
-an assert vanishes under python -O, and a failing one raises an
-AssertionError that no HeckeafError handler catches."""
+an assert vanishes under python -O, and a failing one (or a bare
+`raise AssertionError`) raises an AssertionError that no HeckeafError
+handler catches."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "heckeaf"
+
+
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
 def test_library_has_no_assert_statements():
@@ -15,6 +23,6 @@ def test_library_has_no_assert_statements():
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in files
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []

@@ -255,7 +255,7 @@ def test_make_nonnegative_realization_is_consistent(poly):
     r = make_nonnegative(a, u, module, root)
     t = r.transform
     assert mat_mul(mat_mul(mat_inverse_fraction(t), mat_pow(a, r.power)), t) == r.matrix
-    assert mcf.cycles_agree(r.expansion.period, mcf.bauer_factorize(r.matrix))
+    assert mcf.cycles_agree(r.roundtrip.expansion.period, mcf.bauer_factorize(r.matrix))
 
 
 # a totally real cubic (positive definite trace form) and x^3 - 2, whose

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from heckeaf import hecke, mcf
+from heckeaf import afalg, cli, hecke, mcf
 from heckeaf.exactnum import intmat, units
 from heckeaf.exactnum.field import FieldElement
 from heckeaf.exactnum.lattice import endomorphism_ring
@@ -39,15 +39,31 @@ def _count(monkeypatch, name, *modules):
 def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     f = hecke.load_fixture(label)
     attractor = _count(monkeypatch, "_attractor_data", units, hecke)
-    roundtrip = _count(monkeypatch, "periodicity_roundtrip", mcf, units, hecke)
+    roundtrip = _count(monkeypatch, "roundtrip_record", mcf, units, hecke)
+    eigenvector = _count(monkeypatch, "satz12_eigenvector", mcf, units, hecke, afalg)
+    factorize = _count(monkeypatch, "bauer_factorize", mcf, units, hecke, afalg)
     inverse = _count(monkeypatch, "mat_inverse_fraction", intmat, units, hecke)
     result = hecke.af_of_eigenform(f)
     assert isinstance(result.af, hecke.StationaryAF)
     assert attractor[0] == 1
     assert roundtrip[0] == 1
+    # the round trip's record carries the digits and the Perron data
+    assert eigenvector[0] == 1
+    assert factorize[0] == 1
     # one inverse for the LLL basis; the attractor expansion carries its
     # basis change and that change's inverse as integer matrices
     assert inverse[0] == 1
+
+
+def test_af_conjugates_runs_the_pipeline_once(monkeypatch, tmp_path, capsys):
+    """`af --conjugates` compares the conjugates on the one pipeline result,
+    and checks the Hecke relations only when it loads the fixture."""
+    pipeline = _count(monkeypatch, "af_of_eigenform", hecke, cli)
+    verify = _count(monkeypatch, "verify_eigenform", hecke, cli)
+    report = tmp_path / "report.json"
+    assert cli.main(["af", "level71a", "--conjugates", "--report", str(report)]) == 0
+    assert pipeline[0] == 1
+    assert verify[0] == 0
 
 
 def test_quadratic_unit_comes_from_the_shared_expansion(monkeypatch):

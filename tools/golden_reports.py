@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Write the `heckeaf af` golden reports the test suite compares against.
 
-One report per bundled fixture at each of its real embeddings, plus
-level47a (from perfbench/data) at its default embedding, where the
+One report per bundled fixture at each of its real embeddings, once
+plain and once with `--conjugates` (file stem suffix `.conjugates`),
+plus level47a (from perfbench/data) at its default embedding, where the
 pipeline ends in NonnegativeFormNotFound with exit code 4.  The
 `timings` block is dropped, so a report is a pure function of the code
 and the fixture; any change to these bytes is a change of behaviour.
@@ -33,18 +34,21 @@ LEVEL47A = ROOT / "perfbench" / "data" / "level47a.json"
 
 
 def golden_cases():
-    """(file stem, fixture dict) for every golden report, in a fixed order."""
+    """(file stem, fixture dict, extra `af` options) for every golden
+    report, in a fixed order."""
     cases = []
     for name in bundled_fixture_names():
         data = json.loads((FIXTURES / f"{name}.json").read_text())
         field = make_field(IntPolynomial(tuple(data["field_poly"])))
         for i in range(len(field.real_roots)):
-            cases.append((f"{name}@{i}", dict(data, embedding_index=i)))
-    cases.append(("level47a", json.loads(LEVEL47A.read_text())))
+            fixture = dict(data, embedding_index=i)
+            cases.append((f"{name}@{i}", fixture, ()))
+            cases.append((f"{name}@{i}.conjugates", fixture, ("--conjugates",)))
+    cases.append(("level47a", json.loads(LEVEL47A.read_text()), ()))
     return cases
 
 
-def report_text(fixture: dict) -> str:
+def report_text(fixture: dict, options=()) -> str:
     """The exit code and the report of `heckeaf af` on the fixture, with
     `timings` removed, as the text of one JSON document."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -53,7 +57,7 @@ def report_text(fixture: dict) -> str:
         source.write_text(json.dumps(fixture))
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = cli.main(["af", str(source), "--report", str(target)])
+            code = cli.main(["af", str(source), "--report", str(target), *options])
         report = json.loads(target.read_text())
     report.pop("timings", None)
     return json.dumps({"exit_code": code, "report": report}, indent=1, sort_keys=True) + "\n"
@@ -64,9 +68,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "tests" / "golden")
     args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
-    for stem, fixture in golden_cases():
+    for stem, fixture, options in golden_cases():
         path = args.out / f"{stem}.json"
-        path.write_text(report_text(fixture))
+        path.write_text(report_text(fixture, options))
         print(f"wrote {path}")
     return 0
 
