@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ..errors import DivisionByZero, HeckeafError, NotSquarefree
 from .polynomial import (
@@ -43,28 +44,70 @@ class RealRootInterval:
         return self.hi - self.lo
 
     def refined(self, max_width: Fraction) -> "RealRootInterval":
-        """A sub-interval of width < max_width around the same root."""
+        """A sub-interval of width < max_width around the same root.
+
+        Bisection on integers: the interval is (a, b) / (d 2^k), with d the
+        common denominator of the endpoints, and the sign of poly at a cut
+        m / (d 2^k) is the sign of the integer (d 2^k)^n poly(m / (d 2^k)),
+        a Horner sum over the coefficients scaled once by powers of d, with
+        the powers of 2^k as shifts.  The cuts are the rationals of Fraction
+        bisection, (lo + hi) / 2, or lo + (hi - lo) / 3 (d times 3) where
+        the midpoint is a root; so the interval returned is the same, and
+        its two endpoints are the only Fractions built.
+        """
+        if max_width <= 0:
+            raise ValueError("max_width must be positive")
         lo, hi = self.lo, self.hi
-        if hi - lo < max_width:
+        d = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+        a = lo.numerator * (d // lo.denominator)
+        b = hi.numerator * (d // hi.denominator)
+        # hi - lo >= max_width  <=>  (b - a) den >= num d 2^k
+        num, den = max_width.numerator, max_width.denominator
+        if (b - a) * den < num * d:
             return self
-        sign_lo = 1 if self.poly.evaluate(lo) > 0 else -1
-        while hi - lo >= max_width:
-            mid = (lo + hi) / 2
-            v = self.poly.evaluate(mid)
+        scaled = _scaled_coeffs(self.poly.coeffs, d)
+        sign_lo = 1 if _scaled_value(scaled, a, 0) > 0 else -1
+        k = 0
+        while (b - a) * den >= (num * d) << k:
+            mid = a + b  # (lo + hi) / 2 at the scale d 2^(k+1)
+            a, b, k = a << 1, b << 1, k + 1
+            v = _scaled_value(scaled, mid, k)
             if v == 0:
-                # rational root hit exactly; nudge the cut point
-                mid = lo + (hi - lo) * Fraction(1, 3)
-                v = self.poly.evaluate(mid)
+                # rational root hit exactly; cut at lo + (hi - lo) / 3
+                mid, a, b, d = 2 * a + b, 3 * a, 3 * b, 3 * d
+                scaled = _scaled_coeffs(self.poly.coeffs, d)
+                v = _scaled_value(scaled, mid, k)
                 if v == 0:  # pragma: no cover - two exact roots is impossible
                     raise HeckeafError("isolating interval contains two roots")
             if (1 if v > 0 else -1) == sign_lo:
-                lo = mid
+                a = mid
             else:
-                hi = mid
-        return RealRootInterval(self.poly, lo, hi)
+                b = mid
+        return RealRootInterval(self.poly, Fraction(a, d << k), Fraction(b, d << k))
 
     def __repr__(self) -> str:
         return f"RealRootInterval({self.lo}, {self.hi})"
+
+
+def _scaled_coeffs(coeffs, d):
+    """c_i d^(n-i) for the coefficients c_0..c_n, highest degree first."""
+    out = []
+    power = 1
+    for c in reversed(coeffs):
+        out.append(c * power)
+        power *= d
+    return out
+
+
+def _scaled_value(scaled, m, k):
+    """(d 2^k)^n poly(m / (d 2^k)) from _scaled_coeffs(poly.coeffs, d): an
+    integer of the sign of poly at m / (d 2^k)."""
+    acc = 0
+    shift = 0
+    for c in scaled:
+        acc = acc * m + (c << shift)
+        shift += k
+    return acc
 
 
 def isolate_real_roots(poly: IntPolynomial) -> list:

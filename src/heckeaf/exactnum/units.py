@@ -478,21 +478,41 @@ class Realization:
     roundtrip: RoundTrip
 
 
-def _signed_conjugates(m):
-    """(P^T M P, q, signs) for every signed permutation matrix P, in a
-    fixed order; P has the entry signs[j] at row q[j], column j, and zeros
-    elsewhere.  As P^-1 = P^T, each entry of the conjugate is an entry of
-    M times two signs: (P^T M P)[i][j] = signs[i] signs[j] M[q[i]][q[j]]."""
+def _signed_conjugates(m, classes):
+    """(P^T M P, q, signs) for every signed permutation matrix P whose sign
+    class is in classes, in a fixed order; P has the entry signs[j] at row
+    q[j], column j, and zeros elsewhere.  As P^-1 = P^T, each entry of the
+    conjugate is an entry of M times two signs: (P^T M P)[i][j] = signs[i]
+    signs[j] M[q[i]][q[j]].  P's sign class is the vector t with t[q[i]] =
+    signs[i]; permutations run in the order of permutations(), and for each
+    the signs in the order of product((1, -1))."""
     n = len(m)
     for perm in permutations(range(n)):
         q = [0] * n
         for i, j in enumerate(perm):
             q[j] = i
-        for signs in product((1, -1), repeat=n):
+        for signs in sorted((tuple(t[q[i]] for i in range(n)) for t in classes),
+                            reverse=True):
             yield tuple(
                 tuple(signs[i] * signs[j] * m[q[i]][q[j]] for j in range(n))
                 for i in range(n)
             ), q, signs
+
+
+def _nonnegative_conjugates(m):
+    """The entrywise non-negative P^T M P among _signed_conjugates, in the
+    same order and with the same (q, signs).
+
+    The entries of P^T M P are those of D_t M D_t for P's sign class t,
+    permuted; so the conjugate is non-negative exactly when D_t M D_t is,
+    whatever the permutation.  The 2^n sign classes are tested first (n^2
+    entries each), and when none is admissible no conjugate is formed.
+    """
+    n = len(m)
+    classes = [t for t in product((1, -1), repeat=n)
+               if all(t[a] * t[b] * m[a][b] >= 0 for a in range(n) for b in range(n))]
+    if classes:
+        yield from _signed_conjugates(m, classes)
 
 
 def _times_signed_permutation(base, q, signs):
@@ -520,6 +540,14 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     P^T (B^-1 A^k B) P is read off M = B^-1 A^k B by index and sign,
     and T = B P is formed only for the candidate returned.  attractor,
     when given, is _attractor_data(m, root) as the caller computed it.
+
+    Candidates are visited in the order of _signed_conjugates, but only
+    those of an admissible sign class (_nonnegative_conjugates): a
+    conjugate is non-negative exactly when D_t M D_t is for its sign
+    vector t, so the sign classes of M are tested before any permutation,
+    and an M with none forms no conjugate.  `seen` need hold non-negative
+    candidates only: a matrix skipped for its signs is skipped wherever it
+    recurs.
     """
     from .. import mcf
 
@@ -548,12 +576,10 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
         u_pow = u.element ** k
         for base, base_inv in bases:
             conjugated = mat_mul(mat_mul(base_inv, ak), base)
-            for cand, q, signs in _signed_conjugates(conjugated):
+            for cand, q, signs in _nonnegative_conjugates(conjugated):
                 if cand in seen:
                     continue
                 seen.add(cand)
-                if not all(x >= 0 for row in cand for x in row):
-                    continue
                 if cand == ident:
                     continue
                 found_nonneg = True

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heckeaf.errors import DivisionByZero, NotSquarefree, ReduciblePolynomial
 from heckeaf.exactnum import (
@@ -12,6 +13,8 @@ from heckeaf.exactnum import (
     make_field,
     sign_at,
 )
+from heckeaf.exactnum.field import RealRootInterval
+from heckeaf.exactnum.polynomial import is_squarefree
 
 from util import random_element
 
@@ -171,3 +174,76 @@ def test_norm_trace_minpoly(sqrt5):
     assert phi.degree_over_q() == 2
     assert sqrt5.from_rational(4).degree_over_q() == 1
     assert sqrt5.from_rational(4).norm() == 16
+
+
+def reference_refined(iv, max_width):
+    """Bisection on Fraction midpoints: the reference (lo, hi) that the
+    integer bisection of RealRootInterval.refined must return."""
+    lo, hi = iv.lo, iv.hi
+    if hi - lo < max_width:
+        return lo, hi
+    sign_lo = 1 if iv.poly.evaluate(lo) > 0 else -1
+    while hi - lo >= max_width:
+        mid = (lo + hi) / 2
+        v = iv.poly.evaluate(mid)
+        if v == 0:
+            mid = lo + (hi - lo) * Fraction(1, 3)
+            v = iv.poly.evaluate(mid)
+        if (1 if v > 0 else -1) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@st.composite
+def _squarefree_poly(draw):
+    """A squarefree integer polynomial of degree 1..5, monic or not, with
+    up to two rational roots p/q put in as factors q x - p."""
+    coeffs = [draw(st.integers(-9, 9)) for _ in range(draw(st.integers(0, 3)))]
+    coeffs.append(draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1))))
+    for _ in range(draw(st.integers(0, 2))):
+        p, q = draw(st.integers(-6, 6)), draw(st.integers(1, 4))
+        coeffs = [q * hi - p * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    poly = IntPolynomial(tuple(coeffs))
+    assume(1 <= poly.degree <= 5 and is_squarefree(poly))
+    return poly
+
+
+_NON_DYADIC = st.builds(lambda num, den: Fraction(num, 3 * den),
+                        st.integers(1, 10 ** 6).filter(lambda x: x % 3),
+                        st.integers(1, 10 ** 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_squarefree_poly(), st.data())
+def test_integer_bisection_matches_fraction_bisection(poly, data):
+    """refined returns the interval of Fraction bisection, at every
+    isolating interval, for dyadic widths 2^-j up to j = 2000 and for
+    widths that are not dyadic."""
+    for iv in isolate_real_roots(poly):
+        j = data.draw(st.integers(0, 2000), label="j")
+        for max_width in (Fraction(1, 2 ** j), data.draw(_NON_DYADIC, label="width")):
+            got = iv.refined(max_width)
+            assert (got.lo, got.hi) == reference_refined(iv, max_width)
+            assert got.poly == poly
+
+
+def test_integer_bisection_nudges_off_a_rational_root():
+    """x^3 - 2x on (-1, 1): the first midpoint 0 is the root, so the cut
+    moves to -1/3, and every later cut is that of Fraction bisection."""
+    iv = RealRootInterval(IntPolynomial((0, -2, 0, 1)), Fraction(-1), Fraction(1))
+    for max_width in (Fraction(1), Fraction(1, 2 ** 40), Fraction(1, 10 ** 9)):
+        got = iv.refined(max_width)
+        assert (got.lo, got.hi) == reference_refined(iv, max_width)
+        assert got.lo < 0 < got.hi
+    got = iv.refined(Fraction(1))
+    assert (got.lo, got.hi) == (Fraction(-1, 3), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("max_width", [Fraction(0), Fraction(-1)])
+def test_refined_rejects_a_width_that_is_not_positive(max_width):
+    """No interval is narrower than 0: the bisection would never stop."""
+    root = isolate_real_roots(IntPolynomial((-2, 0, 1)))[1]
+    with pytest.raises(ValueError):
+        root.refined(max_width)

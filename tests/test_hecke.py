@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -176,6 +177,66 @@ def test_load_rejects_every_table_verify_rejects(f11):
         with pytest.raises(HeckeRelationViolated):
             hecke.load_newform(dict(data, an=an))
     assert caught > 100
+
+
+def reference_coefficient_check(coeffs, level):
+    """The reference for load_newform's coefficient checks: every coprime
+    pair, then the prime-power recursion."""
+    count = len(coeffs)
+
+    def c(m):
+        return coeffs[m - 1]
+
+    for m in range(2, count + 1):
+        for n in range(2, count // m + 1):
+            if gcd(m, n) == 1 and c(m) * c(n) != c(m * n):
+                raise HeckeRelationViolated(f"c({m})c({n}) != c({m * n})", m=m, n=n)
+    for p in hecke._primes_up_to(count):
+        r = 1
+        while p ** (r + 1) <= count:
+            if level % p == 0:
+                expected = c(p) * c(p ** r)
+            else:
+                expected = c(p) * c(p ** r) - p * c(p ** (r - 1))
+            if c(p ** (r + 1)) != expected:
+                raise HeckeRelationViolated(
+                    f"prime power recursion fails at c({p ** (r + 1)})", m=p, n=p ** r
+                )
+            r += 1
+
+
+def _verdict(check):
+    try:
+        check()
+    except HeckeRelationViolated as exc:
+        return exc.m, exc.n, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("label", ["level11a", "level23a"])
+def test_load_names_the_failure_the_pairwise_scan_names(label):
+    """Each c(m), m = 2..200, raised by 1, and seeded pairs of changed
+    coefficients: load_newform fails exactly when the pairwise scan plus
+    the prime-power recursion fails, with the same (m, n) and message."""
+    f = hecke.load_fixture(label)
+    data = fixture_dict(label)
+    rng = random.Random(4711)
+    changes = [{m: 1} for m in range(2, f.count + 1)]
+    for _ in range(60):
+        m1, m2 = rng.sample(range(2, f.count + 1), 2)
+        changes.append({m1: rng.choice((-2, -1, 1, 2)), m2: rng.choice((-2, -1, 1, 2))})
+    raised = 0
+    for change in changes:
+        coeffs = list(f.coeffs)
+        an = [list(row) for row in data["an"]]
+        for m, delta in change.items():
+            coeffs[m - 1] = coeffs[m - 1] + delta
+            an[m - 1] = [str(x) for x in coeffs[m - 1].coords]
+        expected = _verdict(lambda: reference_coefficient_check(coeffs, f.level))
+        got = _verdict(lambda: hecke.load_newform(dict(data, an=an)))
+        assert got == expected, change
+        raised += expected is not None
+    assert raised > 150
 
 
 def test_coefficient_field(f11, f23):

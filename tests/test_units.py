@@ -20,6 +20,7 @@ from heckeaf.exactnum.intmat import charpoly, mat_det, mat_identity, mat_inverse
 from heckeaf.exactnum.units import (
     UnitElement,
     _lll_transform,
+    _nonnegative_conjugates,
     _signed_conjugates,
     _times_signed_permutation,
     trace_gram,
@@ -231,13 +232,55 @@ def test_signed_conjugates_match_inverse_times_action(case):
         for perm in permutations(range(n)) for signs in product((1, -1), repeat=n)
     }
     ps = []
-    for cand, q, signs in _signed_conjugates(conjugated):
+    every_sign = list(product((1, -1), repeat=n))
+    for cand, q, signs in _signed_conjugates(conjugated, every_sign):
         p = tuple(tuple(signs[j] if q[j] == i else 0 for j in range(n)) for i in range(n))
         ps.append(p)
         t = mat_mul(base, p)
         assert cand == mat_mul(mat_mul(mat_inverse_fraction(t), a), t)
         assert _times_signed_permutation(base, q, signs) == t
     assert len(ps) == len(expected_ps) and set(ps) == expected_ps
+
+
+def reference_signed_conjugates(m):
+    """The reference enumeration: (P^T M P, q, signs) for every signed
+    permutation P, permutations outer, signs in product((1, -1)) order."""
+    n = len(m)
+    for perm in permutations(range(n)):
+        q = [0] * n
+        for i, j in enumerate(perm):
+            q[j] = i
+        for signs in product((1, -1), repeat=n):
+            yield tuple(
+                tuple(signs[i] * signs[j] * m[q[i]][q[j]] for j in range(n))
+                for i in range(n)
+            ), q, signs
+
+
+@st.composite
+def _sign_patterned_matrix(draw):
+    """An n x n integer matrix, n in 2..4: often D_t N D_t for a
+    non-negative N and a sign vector t, so that some class is admissible,
+    with zero entries, which make several classes admissible at once."""
+    n = draw(st.integers(2, 4))
+    low = draw(st.sampled_from((-4, 0)))
+    m = [[draw(st.integers(low, 4)) for _ in range(n)] for _ in range(n)]
+    t = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(tuple(t[a] * t[b] * m[a][b] for b in range(n)) for a in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sign_patterned_matrix())
+def test_sign_classes_keep_the_non_negative_candidates_in_order(m):
+    """The candidates make_nonnegative examines are the non-negative ones
+    among all signed conjugates, in the same order, with the same q and
+    signs."""
+    expected = [
+        (cand, list(q), tuple(signs)) for cand, q, signs in reference_signed_conjugates(m)
+        if all(x >= 0 for row in cand for x in row)
+    ]
+    got = [(cand, list(q), tuple(signs)) for cand, q, signs in _nonnegative_conjugates(m)]
+    assert got == expected
 
 
 @pytest.mark.parametrize("poly", [(-5, 0, 1), (-1, -1, 0, 1), (3, -5, 0, 1)])

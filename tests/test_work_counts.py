@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from heckeaf import afalg, cli, hecke, mcf
+from heckeaf.errors import NonnegativeFormNotFound
 from heckeaf.exactnum import intmat, units
 from heckeaf.exactnum.field import FieldElement
 from heckeaf.exactnum.lattice import endomorphism_ring
@@ -139,3 +140,44 @@ def test_find_unit_expands_its_own_module_when_it_differs(monkeypatch):
     with pytest.raises(Stop):
         hecke.af_of_eigenform(f)
     assert expanded == [module, order_module]
+
+
+def test_level47a_forms_no_signed_conjugate(monkeypatch):
+    """No power of level47a's action matrix, in any of its bases, has an
+    admissible sign class, so the form search builds none of the 24 x 384
+    signed conjugates and still ends in NonnegativeFormNotFound."""
+    f = load_newform(LEVEL47A.read_text())
+    calls, yielded = [0], [0]
+    original = units._signed_conjugates
+
+    def tally(items):
+        for item in items:
+            yielded[0] += 1
+            yield item
+
+    def counted(*args):
+        calls[0] += 1
+        return tally(original(*args))
+
+    monkeypatch.setattr(units, "_signed_conjugates", counted)
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert calls[0] == 0
+    assert yielded[0] == 0
+
+
+def test_load_checks_multiplicativity_once_per_coefficient(monkeypatch):
+    """Loading level71a (200 coefficients) makes one field product per
+    coefficient that is not a prime power, plus the prime-power recursion:
+    153 products, where the pairwise coprime scan made 416."""
+    text = (Path(hecke.__file__).parent / "fixtures" / "level71a.json").read_text()
+    products = [0]
+    original = FieldElement.__mul__
+
+    def counted(self, other):
+        products[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    load_newform(text)
+    assert products[0] < 200
