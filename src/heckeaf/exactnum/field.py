@@ -4,7 +4,9 @@ A field is Q[x]/(m) for a monic irreducible integer polynomial m.  Elements
 are rational coordinate vectors in the power basis 1, x, ..., x^(n-1).
 Real embeddings are represented by isolating intervals with rational
 endpoints; every numeric question (signs, floors, interval values) is
-answered by refining those intervals, never by floating point.
+answered by walking one refinement sequence, enclosures(a, root): the
+interval values of a over the root interval and over its successive
+refinements to a quarter of the previous width, never by floating point.
 """
 
 from __future__ import annotations
@@ -140,10 +142,11 @@ def isolate_real_roots(poly: IntPolynomial) -> list:
             continue
         mid = (a + b) / 2
         if poly.evaluate(mid) == 0:
-            # rational root exactly at the midpoint: shift it
-            mid = a + (b - a) * Fraction(2, 5)
-            if poly.evaluate(mid) == 0:  # pragma: no cover
-                raise HeckeafError("could not find a non-root cut point")
+            # rational root exactly at the midpoint: shift it to the first
+            # non-root of the deg + 1 cuts a + (b - a) j / (2j + 1), j >= 2
+            mid = next(m for m in (a + (b - a) * Fraction(j, 2 * j + 1)
+                                   for j in range(2, poly.degree + 3))
+                       if poly.evaluate(m) != 0)
         cl = sturm_count(chain, a, mid)
         stack.append((a, mid, cl))
         stack.append((mid, b, count - cl))
@@ -386,20 +389,27 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # embeddings: interval evaluation, signs, floors
 
+def enclosures(a: FieldElement, root: RealRootInterval):
+    """Rational intervals certifiably containing sigma(a), without end: the
+    interval value of a over root, then over root refined to a quarter of
+    its width, and so on.  The intervals are nested and shrink to sigma(a),
+    so a walk over them settles any strict inequality between sigma(a) and
+    a rational, or another such walk, once the two differ."""
+    iv = root
+    while True:
+        yield _interval_horner(a.coords, iv.lo, iv.hi)
+        iv = iv.refined(iv.width / 4)
+
+
 def eval_embedding(a: FieldElement, root: RealRootInterval, eps) -> tuple:
-    """A rational interval of width < eps certifiably containing sigma(a)."""
+    """The first of enclosures(a, root) of width < eps."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if a.is_rational():
         v = a.coords[0]
         return (v, v)
-    iv = root
-    while True:
-        lo, hi = _interval_horner(a.coords, iv.lo, iv.hi)
-        if hi - lo < eps:
-            return (lo, hi)
-        iv = iv.refined(iv.width / 4)
+    return next((lo, hi) for lo, hi in enclosures(a, root) if hi - lo < eps)
 
 
 def _interval_horner(coords, lo, hi):
@@ -415,14 +425,11 @@ def sign_at(a: FieldElement, root: RealRootInterval) -> int:
     """Exact sign of sigma(a): symbolic zero test first, then intervals."""
     if a.is_zero():
         return 0
-    iv = root
-    while True:
-        lo, hi = _interval_horner(a.coords, iv.lo, iv.hi)
+    for lo, hi in enclosures(a, root):
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        iv = iv.refined(iv.width / 4)
 
 
 def exact_floor(a: FieldElement, root: RealRootInterval) -> int:
@@ -432,14 +439,9 @@ def exact_floor(a: FieldElement, root: RealRootInterval) -> int:
         return v.numerator // v.denominator
     # irrational image: both endpoints eventually share a floor, and the
     # image itself is never an integer, so that floor is the answer
-    iv = root
-    while True:
-        lo, hi = _interval_horner(a.coords, iv.lo, iv.hi)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return flo
-        iv = iv.refined(iv.width / 4)
+    for lo, hi in enclosures(a, root):
+        if lo.numerator // lo.denominator == hi.numerator // hi.denominator:
+            return lo.numerator // lo.denominator
 
 
 # ---------------------------------------------------------------------------

@@ -34,27 +34,7 @@ class ZModule:
         )
 
     def contains(self, elem: FieldElement) -> bool:
-        if elem.field != self.field:
-            return False
-        target = [c * self.den for c in elem.coords]
-        if any(t.denominator != 1 for t in target):
-            return False
-        target = [int(t) for t in target]
-        # back-substitute against the triangular HNF rows
-        coeffs = [0] * len(self.rows)
-        pivots = []
-        for i, row in enumerate(self.rows):
-            j = next(k for k, v in enumerate(row) if v != 0)
-            pivots.append(j)
-        rem = list(target)
-        for i, row in enumerate(self.rows):
-            j = pivots[i]
-            if rem[j] % row[j] != 0:
-                return False
-            q = rem[j] // row[j]
-            coeffs[i] = q
-            rem = [r - q * v for r, v in zip(rem, row)]
-        return all(r == 0 for r in rem)
+        return elem.field == self.field and self.coordinates_of(elem) is not None
 
     def coordinates_of(self, elem: FieldElement):
         """Integer coordinates of elem in this basis, or None."""

@@ -28,7 +28,14 @@ from ..errors import (
     RoundTripMismatch,
     UnitNotFound,
 )
-from .field import FieldElement, RealRootInterval, eval_embedding, isolate_real_roots, sign_at
+from .field import (
+    FieldElement,
+    RealRootInterval,
+    enclosures,
+    eval_embedding,
+    isolate_real_roots,
+    sign_at,
+)
 from .intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
 from .lattice import OrderRing, ZModule
 
@@ -55,26 +62,30 @@ def is_dominant_at(u: FieldElement, root: RealRootInterval) -> bool:
     Symbolic degree checks rule out exact ties (they force u^2 into a
     proper subfield); the rest is interval separation.
     """
+    if len(u.field.real_roots) > 1 and u.degree_over_q() < u.field.degree:
+        return False  # embedding values repeat
+    return _dominant_of_full_degree(u, root)
+
+
+def _dominant_of_full_degree(u: FieldElement, root: RealRootInterval) -> bool:
+    """is_dominant_at for u of the field's degree: one walk over the
+    enclosures of sigma(u^2) at every real root, in step, until the
+    embedding's interval lies above all the others or below one of them."""
     field = u.field
     roots = field.real_roots
     if len(roots) <= 1:
         return True
-    if u.degree_over_q() < field.degree:
-        return False  # embedding values repeat
     sq = u * u
     if sq.degree_over_q() < field.degree:
         return False  # |values| repeat
     idx = roots.index(root)
-    eps = Fraction(1, 1000)
-    while True:
-        vals = [eval_embedding(sq, r, eps) for r in roots]
+    for vals in zip(*(enclosures(sq, r) for r in roots)):
         lo_e, hi_e = vals[idx]
         others = [v for j, v in enumerate(vals) if j != idx]
         if all(hi < lo_e for lo, hi in others):
             return True
         if any(lo > hi_e for lo, hi in others):
             return False
-        eps /= 64
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +137,20 @@ def _shell(bound: int, n: int):
 
 
 def _expanding_representative(alpha: FieldElement, root: RealRootInterval):
-    """The member of {alpha, -alpha, alpha^-1, -alpha^-1} with image > 1."""
-    field = alpha.field
-    s = sign_at(alpha, root)
-    cand = alpha if s > 0 else -alpha
-    cmp_one = sign_at(cand - field.one, root)
-    if cmp_one > 0:
-        return cand
-    if cmp_one == 0:  # pragma: no cover - |image| = 1 forces torsion
-        return None
-    inv = cand.inverse()
-    if sign_at(inv - field.one, root) > 0:
-        return inv
-    return None  # pragma: no cover
+    """The member of {alpha, -alpha, alpha^-1, -alpha^-1} with image > 1.
+
+    alpha must be irrational: then sigma(alpha) is none of -1, 0, 1, and
+    one walk over its enclosures ends when an interval avoids all three.
+    """
+    for lo, hi in enclosures(alpha, root):
+        if lo > 1:
+            return alpha
+        if hi < -1:
+            return -alpha
+        if 0 < lo and hi < 1:
+            return alpha.inverse()
+        if -1 < lo and hi < 0:
+            return -alpha.inverse()
 
 
 def _unit_sort_key(u: FieldElement, root: RealRootInterval):
@@ -361,16 +373,13 @@ def find_unit(order: OrderRing, root: RealRootInterval,
             if not is_unit_norm(coords):
                 continue
             alpha = _combination(coords, basis, field)
-            if alpha.is_rational():
-                continue
-            rep = _expanding_representative(alpha, root)
-            if rep is not None:
-                reps.append((rep, int(alpha.norm())))
+            if not alpha.is_rational():
+                reps.append((_expanding_representative(alpha, root), int(alpha.norm())))
         if not reps:
             continue
         preferred = [
             (rep, nrm) for rep, nrm in reps
-            if rep.degree_over_q() == n and is_dominant_at(rep, root)
+            if rep.degree_over_q() == n and _dominant_of_full_degree(rep, root)
         ]
         if preferred:
             best, nrm = min(preferred, key=lambda t: _unit_sort_key(t[0], root))
@@ -457,13 +466,10 @@ def _is_perron_image(value: FieldElement, root: RealRootInterval, poly) -> bool:
     intervals = isolate_real_roots(poly)
     if not intervals:
         return False
-    eps = Fraction(1, 1000)
-    while True:
-        lo, hi = eval_embedding(value, root, eps)
+    for lo, hi in enclosures(value, root):
         inside = [iv for iv in intervals if iv.lo < lo and hi < iv.hi]
         if len(inside) == 1:
             return inside[0] is intervals[-1]
-        eps /= 64
 
 
 @dataclass(frozen=True)

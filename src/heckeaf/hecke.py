@@ -38,7 +38,7 @@ from .errors import (
     NotTotallyReal,
     SchemaError,
 )
-from .exactnum.field import FieldElement, NumberField, eval_embedding, make_field
+from .exactnum.field import FieldElement, NumberField, enclosures, eval_embedding, make_field
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
 from .exactnum.units import (
@@ -360,12 +360,6 @@ class ConjugateFamily:
     def size(self) -> int:
         return len(self.embeddings)
 
-    def approx_table(self, index: int, eps=Fraction(1, 10 ** 8), upto: int = 20):
-        """Certified intervals for sigma(c(m)), m = 1..upto, at conjugate
-        number `index` (presentation data; the coordinates are shared)."""
-        root = self.embeddings[index]
-        return [eval_embedding(cm, root, eps) for cm in self.base.coeffs[:upto]]
-
 
 def conjugate_family(f: NewformData) -> ConjugateFamily:
     """One conjugate per real embedding; the base embedding comes first.
@@ -459,14 +453,11 @@ class EigenformAFResult:
 
 def _abs_exceeds_one(elem: FieldElement, root) -> bool:
     """Exact |sigma(elem)| > 1 test (units never have |image| exactly 1)."""
-    eps = Fraction(1, 100)
-    while True:
-        lo, hi = eval_embedding(elem * elem, root, eps)
-        if lo > 1:
+    for lo, hi in enclosures(elem, root):
+        if lo > 1 or hi < -1:
             return True
-        if hi < 1:
+        if -1 < lo and hi < 1:
             return False
-        eps /= 64
 
 
 def af_of_eigenform(f: NewformData) -> EigenformAFResult:

@@ -59,6 +59,19 @@ def test_isolate_real_roots_examples():
     assert Fraction(125, 100) < tight.lo < tight.hi < Fraction(126, 100)
     assert Fraction(12599, 10000) < tight.lo < tight.hi < Fraction(12600, 10000)
 
+
+def test_isolate_real_roots_cuts_past_rational_roots():
+    """x (x + 1) (x + 3) has root bound 5: the first cut 0 and the shifted
+    cut -1 are both roots, so the cut moves on to -5/7."""
+    ivs = isolate_real_roots(IntPolynomial((0, 3, 4, 1)))
+    assert [(iv.lo, iv.hi) for iv in ivs] == [
+        (Fraction(-5), Fraction(-20, 7)),
+        (Fraction(-20, 7), Fraction(-5, 7)),
+        (Fraction(-5, 7), Fraction(5)),
+    ]
+    for iv, root in zip(ivs, (-3, -1, 0)):
+        assert iv.lo < root < iv.hi
+
     with pytest.raises(NotSquarefree):
         isolate_real_roots(IntPolynomial((1, 2, 1)))
 

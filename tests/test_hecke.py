@@ -15,7 +15,7 @@ from heckeaf.errors import (
     ReduciblePolynomial,
     SchemaError,
 )
-from heckeaf.exactnum import IntPolynomial, make_field, module_from_generators
+from heckeaf.exactnum import IntPolynomial, eval_embedding, make_field, module_from_generators
 from heckeaf.exactnum.lattice import endomorphism_ring
 
 from util import random_unimodular
@@ -252,11 +252,9 @@ def test_conjugate_family(f23, f11):
     fam = hecke.conjugate_family(f23)
     assert fam.size == 2
     # c(2) lands on the two roots of x^2 + x - 1 at the two embeddings
-    roots = sorted(float(sum(map(Fraction, iv)) / 2)
-                   for iv in [(r.lo, r.hi) for r in fam.base.field.real_roots])
-    approx0 = fam.approx_table(0, upto=2)[1]
-    approx1 = fam.approx_table(1, upto=2)[1]
-    vals = sorted(float(sum(v) / 2) for v in (approx0, approx1))
+    c2 = fam.base.c(2)
+    vals = sorted(float(sum(eval_embedding(c2, root, Fraction(1, 10 ** 8))) / 2)
+                  for root in fam.embeddings)
     assert abs(vals[0] - (-1.618)) < 0.01
     assert abs(vals[1] - 0.618) < 0.01
 

@@ -13,7 +13,7 @@ import pytest
 from heckeaf import afalg, cli, hecke, mcf
 from heckeaf.errors import NonnegativeFormNotFound
 from heckeaf.exactnum import intmat, units
-from heckeaf.exactnum.field import FieldElement
+from heckeaf.exactnum.field import FieldElement, RealRootInterval
 from heckeaf.exactnum.lattice import endomorphism_ring
 from heckeaf.hecke import load_newform
 
@@ -181,3 +181,24 @@ def test_load_checks_multiplicativity_once_per_coefficient(monkeypatch):
     monkeypatch.setattr(FieldElement, "__mul__", counted)
     load_newform(text)
     assert products[0] < 200
+
+
+def test_level47a_walks_each_enclosure_once(monkeypatch):
+    """Every certified embedding question walks one refinement sequence,
+    with no eps-restart from the coarse root interval, and the unit search
+    finds each candidate's degree once: a level47a run makes 253 root
+    refinements (487 with the restarts) and 34 degree computations (50)."""
+    f = load_newform(LEVEL47A.read_text())
+    counts = {"refined": 0, "degree_over_q": 0}
+    for cls, name in ((RealRootInterval, "refined"), (FieldElement, "degree_over_q")):
+        original = getattr(cls, name)
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert counts["refined"] < 300
+    assert counts["degree_over_q"] <= 34
