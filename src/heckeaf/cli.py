@@ -47,6 +47,7 @@ EXIT_DOMAIN = 3
 EXIT_PIPELINE = 4
 
 _TERM_RE = re.compile(r"^([+-]?\d*)\*?(x(?:\^(\d+))?)?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class InputError(Exception):
@@ -101,10 +102,12 @@ def parse_matrix(text: str):
         data = json.loads(stripped)
     except json.JSONDecodeError as exc:
         raise InputError(f"matrix is not valid JSON: {exc}") from exc
-    try:
-        rows = tuple(tuple(int(x) for x in row) for row in data)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"matrix entries must be integers: {exc}") from exc
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise InputError("matrix must be a JSON list of rows")
+    for x in (entry for row in data for entry in row):
+        if type(x) is not int and not (isinstance(x, str) and _INT_RE.fullmatch(x)):
+            raise InputError(f"matrix entries must be integers or integer strings, not {x!r}")
+    rows = tuple(tuple(int(x) for x in row) for row in data)
     if not rows or any(len(r) != len(rows) for r in rows):
         raise InputError("matrix must be square and non-empty")
     return rows

@@ -24,6 +24,7 @@ from ..errors import (
     NonnegativeFormNotFound,
     NotEndomorphism,
     NotFactorizable,
+    NotSquarefree,
     ReducibleCharPoly,
     RoundTripMismatch,
     UnitNotFound,
@@ -33,7 +34,6 @@ from .field import (
     RealRootInterval,
     enclosures,
     eval_embedding,
-    isolate_real_roots,
     sign_at,
 )
 from .intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
@@ -68,20 +68,26 @@ def is_dominant_at(u: FieldElement, root: RealRootInterval) -> bool:
 
 
 def _dominant_of_full_degree(u: FieldElement, root: RealRootInterval) -> bool:
-    """is_dominant_at for u of the field's degree: one walk over the
-    enclosures of sigma(u^2) at every real root, in step, until the
-    embedding's interval lies above all the others or below one of them."""
+    """is_dominant_at for u of the field's degree: _exceeds_other_images
+    of u^2, once u^2 has the field's degree too."""
     field = u.field
-    roots = field.real_roots
-    if len(roots) <= 1:
+    if len(field.real_roots) <= 1:
         return True
     sq = u * u
     if sq.degree_over_q() < field.degree:
         return False  # |values| repeat
+    return _exceeds_other_images(sq, root)
+
+
+def _exceeds_other_images(v: FieldElement, root: RealRootInterval) -> bool:
+    """Whether sigma(v) at root exceeds v's other real images, for v of the
+    field's degree: one walk over the enclosures of v at every real root,
+    in step, until root's interval lies above all the others or below one."""
+    roots = v.field.real_roots
     idx = roots.index(root)
-    for vals in zip(*(enclosures(sq, r) for r in roots)):
+    for vals in zip(*(enclosures(v, r) for r in roots)):
         lo_e, hi_e = vals[idx]
-        others = [v for j, v in enumerate(vals) if j != idx]
+        others = [w for j, w in enumerate(vals) if j != idx]
         if all(hi < lo_e for lo, hi in others):
             return True
         if any(lo > hi_e for lo, hi in others):
@@ -457,19 +463,13 @@ def _lll_transform(gram):
     return tuple(tuple(row) for row in u)
 
 
-def _is_perron_image(value: FieldElement, root: RealRootInterval, poly) -> bool:
-    """Whether sigma(value) at root is the largest real root of poly.
-
-    value is known to be a root of poly; refine its interval until it fits
-    a single isolating interval of poly and compare positions.
-    """
-    intervals = isolate_real_roots(poly)
-    if not intervals:
-        return False
-    for lo, hi in enclosures(value, root):
-        inside = [iv for iv in intervals if iv.lo < lo and hi < iv.hi]
-        if len(inside) == 1:
-            return inside[0] is intervals[-1]
+def _is_top_real_root(value: FieldElement, a, root: RealRootInterval) -> bool:
+    """Whether sigma(value) at root is the largest real root of a's char
+    poly prod_j (x - sigma_j(value)), whose real roots are value's real
+    images once value has the field's degree (it is not squarefree else)."""
+    if value.degree_over_q() < value.field.degree:
+        raise NotSquarefree(str(charpoly(a)))
+    return _exceeds_other_images(value, root)
 
 
 @dataclass(frozen=True)
@@ -535,7 +535,9 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     change, the identity and an LLL-derived basis change) times signed
     permutations P; k runs over 1.._K_MAX, even values only when the unit's
     image is negative so that the spectral radius of A' is sigma_e(u)^k
-    (this is verified, not assumed).  A candidate is kept only if its
+    (this is verified, not assumed).  The candidates at power k are all
+    conjugate to A^k: _is_top_real_root decides at the first of them
+    whether sigma_e(u^k) is their Perron root.  A candidate is kept only if its
     Bauer digit cycle is the canonical expansion of its own Perron vector,
     which the stationary pipeline needs downstream; the round trip that
     showed this (digits, Perron data, expansion) is returned in the
@@ -580,6 +582,7 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     for k in range(k_start, _K_MAX + 1, k_step):
         ak = mat_pow(a, k)
         u_pow = u.element ** k
+        perron = None  # the Perron verdict of power k, at its first candidate
         for base, base_inv in bases:
             conjugated = mat_mul(mat_mul(base_inv, ak), base)
             for cand, q, signs in _nonnegative_conjugates(conjugated):
@@ -589,7 +592,9 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
                 if cand == ident:
                     continue
                 found_nonneg = True
-                if not _is_perron_image(u_pow, root, charpoly(cand)):
+                if perron is None:
+                    perron = _is_top_real_root(u_pow, ak, root)
+                if not perron:
                     continue
                 try:
                     roundtrip = mcf.roundtrip_record(cand)

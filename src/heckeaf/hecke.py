@@ -83,9 +83,12 @@ class NewformData:
 
 
 def _parse_rational(s) -> Fraction:
-    if isinstance(s, (int, str)):
+    if type(s) not in (int, str):  # bool is an int subclass, not a JSON integer
+        raise SchemaError(f"expected a rational string, got {type(s).__name__}")
+    try:
         return Fraction(s)
-    raise SchemaError(f"expected a rational string, got {type(s).__name__}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"cannot parse rational {s!r}: {exc}") from exc
 
 
 def _primes_up_to(bound: int):
@@ -142,15 +145,14 @@ def load_newform(source) -> NewformData:
     + p c(p^(r-1))) c(m') (no p term if r = 0 or p divides the level), and
     the recursion makes that c(p) c(p^r) c(m') = c(p) c(m).
     """
+    data = source
     if isinstance(source, (str, bytes)):
         try:
             data = json.loads(source)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
-    elif isinstance(source, dict):
-        data = source
-    else:
-        raise SchemaError(f"cannot load a {type(source).__name__}")
+    if not isinstance(data, dict):
+        raise SchemaError(f"a fixture is a JSON object, not a {type(data).__name__}")
 
     for key in ("label", "level", "weight", "field_poly", "an"):
         if key not in data:
@@ -160,18 +162,18 @@ def load_newform(source) -> NewformData:
     weight = data["weight"]
     if not isinstance(label, str):
         raise SchemaError("label must be a string")
-    if not isinstance(level, int) or level < 1:
+    if type(level) is not int or level < 1:
         raise SchemaError("level must be a positive integer")
     if weight != 2:
         raise SchemaError(f"weight {weight} not supported; this tool is weight-2 only")
     field_poly = data["field_poly"]
-    if not isinstance(field_poly, list) or not all(isinstance(c, int) for c in field_poly):
+    if not isinstance(field_poly, list) or not all(type(c) is int for c in field_poly):
         raise SchemaError("field_poly must be a list of integers, lowest degree first")
     field = make_field(IntPolynomial(tuple(field_poly)))
 
     an = data["an"]
     if not isinstance(an, list) or len(an) < MIN_COEFFS:
-        raise SchemaError(f"need at least {MIN_COEFFS} coefficients, got {len(an)}")
+        raise SchemaError(f"an must be a list of at least {MIN_COEFFS} coordinate vectors")
     coeffs = []
     for idx, row in enumerate(an, start=1):
         if not isinstance(row, list) or len(row) > field.degree:
@@ -179,14 +181,14 @@ def load_newform(source) -> NewformData:
         coeffs.append(field.element([_parse_rational(x) for x in row]))
     coeffs = tuple(coeffs)
 
-    module_rows = None
-    if "module" in data and data["module"] is not None:
-        module_rows = tuple(
-            tuple(_parse_rational(x) for x in row) for row in data["module"]
-        )
+    module_rows = data.get("module")
+    if module_rows is not None:
+        if not isinstance(module_rows, list) or not all(isinstance(r, list) for r in module_rows):
+            raise SchemaError("module must be a list of rows")
+        module_rows = tuple(tuple(_parse_rational(x) for x in row) for row in module_rows)
     embedding_index = data.get("embedding_index")
     if embedding_index is not None:
-        if not isinstance(embedding_index, int) or not (
+        if type(embedding_index) is not int or not (
             0 <= embedding_index < len(field.real_roots)
         ):
             raise SchemaError(f"embedding_index {embedding_index} out of range")
@@ -467,8 +469,8 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     one-dimensional, so the result is the trivial algebra.  Otherwise the
     module's endomorphism order supplies an expanding unit whose action
     matrix, made non-negative in a proper basis, factorizes into the
-    period of the expansion; the detected period is cross-checked against
-    the factorization.
+    period of the expansion; the expansion's first period is checked digit
+    by digit against the factorization.
 
     Each intermediate fact is computed once and passed on: the module's
     attractor expansion feeds both the unit search (when the order's

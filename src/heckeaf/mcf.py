@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     DegenerateSpectrum,
@@ -359,24 +358,11 @@ def _nullspace_vector(m, field: NumberField):
     return tuple(vec)
 
 
-def cycles_agree(p, d) -> bool:
-    """Whether two digit cycles generate the same bi-infinite sequence up
-    to phase (cyclic rotation after extending to a common length)."""
-    if not p or not d:
-        return False
-    if len(p[0]) != len(d[0]):
-        return False
-    length = lcm(len(p), len(d))
-    pp = tuple(p) * (length // len(p))
-    dd = tuple(d) * (length // len(d))
-    return any(dd[r:] + dd[:r] == pp for r in range(length))
-
-
 @dataclass(frozen=True)
 class RoundTrip:
     """What the round trip of a non-negative unimodular matrix A found:
     its Bauer digits, satz12_eigenvector's (u, lam) and the expansion of
-    lam's ratios, whose period is a rotation of the digits."""
+    lam's ratios, purely periodic with the digits' shortest period."""
 
     digits: tuple
     perron_value: FieldElement
@@ -384,29 +370,32 @@ class RoundTrip:
     expansion: JpaExpansion
 
 
-def roundtrip_record(a, max_steps: int = DEFAULT_MAX_STEPS) -> RoundTrip:
-    """Expand the Perron eigenvector of A and check the detected period
-    against the Bauer digits of A.
+def roundtrip_record(a) -> RoundTrip:
+    """Check that the Perron vector of A expands with A's Bauer digits D.
 
-    A mismatch raises RoundTripMismatch: either an implementation bug or a
-    matrix whose Bauer digit cycle is not a canonical expansion.
+    With j the shortest period of D, theta = lam[1:] is the Perron
+    direction of C(D[:j]), as A = C(D) = C(D[:j])^(k/j).  If its first j
+    digits are D[:j], the state is back at theta, and the expansion is D[:j]
+    repeated, with no earlier repeat (Perron 1907, Satz XII).  No step
+    terminates, as the char poly is irreducible.  A differing digit raises
+    RoundTripMismatch: D is not the canonical expansion of A's Perron
+    vector.
     """
     digits = tuple(bauer_factorize(a))
     u, lam = satz12_eigenvector(a)
     root = perron_embedding(u.field)
-    exp = jpa_expand(lam[1:], root, max_steps=max_steps)
-    if not exp.is_periodic():
-        raise RoundTripMismatch(
-            f"no period detected within {max_steps} steps for {a}"
-        )
-    if not cycles_agree(exp.period, digits):
-        raise RoundTripMismatch(
-            f"detected period {exp.period} is not a rotation of the "
-            f"factorization {digits}"
-        )
-    return RoundTrip(digits, u, lam, exp)
+    k = len(digits)
+    period = next(digits[:j] for j in range(1, k + 1)
+                  if k % j == 0 and digits[:j] * (k // j) == digits)
+    state = lam[1:]
+    for step, expected in enumerate(period):
+        digit, state = jpa_step(state, root)
+        if digit != expected:
+            raise RoundTripMismatch(f"digit {step} of the Perron vector's expansion is "
+                                    f"{digit}, not {expected} of the factorization {digits}")
+    return RoundTrip(digits, u, lam, JpaExpansion(len(a), (), period, False))
 
 
-def periodicity_roundtrip(a, max_steps: int = DEFAULT_MAX_STEPS) -> JpaExpansion:
-    """The expansion of roundtrip_record(a, max_steps)."""
-    return roundtrip_record(a, max_steps).expansion
+def periodicity_roundtrip(a) -> JpaExpansion:
+    """The expansion of roundtrip_record(a)."""
+    return roundtrip_record(a).expansion

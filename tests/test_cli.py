@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckeaf import cli
-from heckeaf.errors import DegenerateSpectrum, NotEndomorphism, ReducibleCharPoly
+from heckeaf import cli, hecke
+from heckeaf.errors import DegenerateSpectrum, HeckeafError, NotEndomorphism, ReducibleCharPoly
 from heckeaf.exactnum import IntPolynomial
 
 
@@ -104,10 +105,26 @@ def test_factor_stall_prints_partial(capsys):
     assert "partial" in err
 
 
+@pytest.mark.parametrize("matrix", ["[[true, 1], [1, 2]]", "[[1.5, 1], [1, 1]]",
+                                    '[["2.0", 1], [1, 1]]', '[["2_0", 1], [1, 1]]',
+                                    '[["two", 1], [1, 1]]', '["12"]'])
+def test_factor_rejects_non_integer_entries(capsys, matrix):
+    code, out, err = run(capsys, "factor", matrix)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
 def test_factor_accepts_integer_strings(capsys):
     # arbitrary precision survives JSON when entries are strings
     code, out, _ = run(capsys, "factor", '[["2","5"],["5","12"]]')
     assert code == 0 and out.strip() == "[2, 2, 2]"
+    # a string entry reads as the integer it holds: [[2, 1], [1, 1]]
+    # factors as B(0) B(1) B(1) B(0)
+    code, out, _ = run(capsys, "factor", '[["2", 1], [1, 1]]')
+    assert code == 0 and out.strip() == "[0, 1, 1, 0]"
+    code, same, _ = run(capsys, "factor", "[[2, 1], [1, 1]]")
+    assert code == 0 and same == out
 
 
 def test_af_trivial(capsys):
@@ -196,6 +213,83 @@ def test_af_corrupted_fixture(tmp_path, capsys):
     assert code == 2
     payload = json.loads(report_path.read_text())
     assert payload["error"]["stage"] == "HeckeRelationViolated"
+
+
+def _level23a():
+    from importlib import resources
+
+    return json.loads(resources.files("heckeaf.fixtures").joinpath("level23a.json").read_text())
+
+
+def _set_an(value):
+    def mutate(data):
+        data["an"] = value
+    return mutate
+
+
+def _set_coefficient(value):
+    def mutate(data):
+        data["an"][3][0] = value
+    return mutate
+
+
+def _set_module_entry(value):
+    def mutate(data):
+        data["module"] = [[value, "0"], ["0", "1"]]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [_set_an(5), _set_coefficient("abc"),
+                                    _set_module_entry("x"), _set_coefficient("1/0")])
+def test_af_malformed_fixture_is_rejected_with_a_report(tmp_path, capsys, mutate):
+    data = _level23a()
+    mutate(data)
+    bad_path = tmp_path / "malformed.json"
+    bad_path.write_text(json.dumps(data))
+    report_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "af", str(bad_path), "--report", str(report_path))
+    assert code == 2
+    assert "fixture rejected" in err
+    assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
+
+
+# short strings over this alphabet keep Fraction's exponents small
+_NUMERIC_TEXT = st.text(alphabet="0123456789/-.xe ", max_size=5)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats(-10, 10) | _NUMERIC_TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+_BAD_RATIONALS = (st.sampled_from(["abc", "x", "1/0", "", "1//2", "nan", "inf"])
+                  | _NUMERIC_TEXT | st.booleans() | st.floats(allow_nan=True) | st.none()
+                  | st.lists(st.integers()))
+_KEYS = ("label", "level", "weight", "field_poly", "an", "module", "embedding_index")
+
+
+@st.composite
+def _mutated_level23a(draw):
+    data = _level23a()
+    kind = draw(st.sampled_from(("replace", "delete", "coefficient", "module")))
+    if kind == "replace":
+        data[draw(st.sampled_from(_KEYS))] = draw(_JSON_VALUES)
+    elif kind == "delete":
+        data.pop(draw(st.sampled_from(_KEYS)), None)
+    elif kind == "coefficient":
+        row = data["an"][draw(st.integers(0, len(data["an"]) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_RATIONALS)
+    else:
+        _set_module_entry(draw(_BAD_RATIONALS))(data)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_level23a())
+def test_load_newform_raises_only_heckeaf_errors(data):
+    try:
+        hecke.load_newform(json.dumps(data))
+    except HeckeafError:
+        pass
 
 
 def test_af_short_fixture_writes_the_full_report(tmp_path, capsys):

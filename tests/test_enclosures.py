@@ -3,7 +3,9 @@
 The eps-restart loops that the walk replaced are kept here as references:
 each question must get the same answer from the walk as from its loop,
 on drawn elements of the level23a, level71a and level47a fields and of
-x^3 - 2 (one real root), at every real root.
+x^3 - 2 (one real root), at every real root.  The Perron test, which now
+walks the images of the value at every real root, keeps the Sturm
+isolation of the char poly as its reference.
 """
 
 from fractions import Fraction
@@ -15,9 +17,11 @@ from hypothesis import assume, given, settings, strategies as st
 from heckeaf import hecke
 from heckeaf.exactnum import IntPolynomial, eval_embedding, exact_floor, make_field, sign_at
 from heckeaf.exactnum.field import _interval_horner, enclosures, isolate_real_roots
+from heckeaf.errors import NotSquarefree
+from heckeaf.exactnum.intmat import charpoly
 from heckeaf.exactnum.units import (
     _expanding_representative,
-    _is_perron_image,
+    _is_top_real_root,
     is_dominant_at,
 )
 
@@ -175,14 +179,41 @@ def test_dominance_is_vacuous_at_a_single_real_root():
         assert is_dominant_at(u, root) and ref_is_dominant_at(u, root)
 
 
+def _perron_verdicts(value, root):
+    """(_is_top_real_root, ref_is_perron_image) on value and its integer
+    multiplication matrix A, as make_nonnegative's power of the unit is on
+    A^k; NotSquarefree stands for the verdict of a call that raised it."""
+    a = [[int(x) for x in row] for row in value.mult_matrix()]
+    verdicts = []
+    for test in (lambda: _is_top_real_root(value, a, root),
+                 lambda: ref_is_perron_image(value, root, charpoly(a))):
+        try:
+            verdicts.append(test())
+        except NotSquarefree:
+            verdicts.append(NotSquarefree)
+    return verdicts
+
+
 @settings(max_examples=40, deadline=None)
 @given(_element_at_root(coords=st.integers(-20, 20)))
 def test_perron_image_matches_the_loop(case):
-    """value is an algebraic integer and a root of its minimal polynomial,
-    as make_nonnegative's power of the unit is of its candidate's."""
+    """value has integer coordinates, so A is an integer matrix with char
+    poly prod_j (x - sigma_j(value))."""
     value, root = case
-    poly = value.min_poly()
-    assert _is_perron_image(value, root, poly) == ref_is_perron_image(value, root, poly)
+    new, ref = _perron_verdicts(value, root)
+    assert new == ref
+
+
+def test_perron_image_of_a_lower_degree_value_is_not_squarefree():
+    """A value of lower degree repeats its images, so A's char poly is not
+    squarefree: 3 in level71a's field, and alpha^2 = 5 + 2 sqrt(6) for
+    alpha = sqrt(2) + sqrt(3), a root of x^4 - 10 x^2 + 1."""
+    cubic = _field("level71a")
+    quartic = make_field(IntPolynomial((1, 0, -10, 0, 1)))
+    cases = [(cubic.from_rational(3), root) for root in cubic.real_roots]
+    cases += [(quartic.gen * quartic.gen, root) for root in quartic.real_roots]
+    for value, root in cases:
+        assert _perron_verdicts(value, root) == [NotSquarefree, NotSquarefree]
 
 
 @settings(max_examples=40, deadline=None)

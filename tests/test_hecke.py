@@ -311,8 +311,8 @@ def test_af_of_eigenform_level23(f23):
     # char poly of the period matrix equals the field polynomial of u^k
     assert r.af.char_poly == (r.unit.element ** r.nonneg_power).min_poly()
     assert r.unit.norm == -1
-    assert r.expansion.is_purely_periodic()
-    assert mcf.cycles_agree(r.expansion.period, r.digits)
+    assert r.expansion.preperiod == ()
+    assert r.expansion.period * (len(r.digits) // len(r.expansion.period)) == r.digits
     assert r.group is not None and r.group.rank == 2
 
 

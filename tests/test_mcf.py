@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckeaf import mcf
 from heckeaf.errors import (
     DegenerateSpectrum,
+    HeckeafError,
     NotFactorizable,
     ReducibleCharPoly,
     RoundTripMismatch,
@@ -241,11 +244,11 @@ def test_periodicity_roundtrip_examples():
     assert e.is_purely_periodic() and e.period == ((1,),)
 
     e = mcf.periodicity_roundtrip(((2, 5), (5, 12)))
-    assert mcf.cycles_agree(e.period, [(2,), (2,), (2,)])
+    assert e.preperiod == () and e.period == ((2,),)
 
     a = mcf.convergent_matrix([(1, 1), (1, 2)])
     e = mcf.periodicity_roundtrip(a)
-    assert mcf.cycles_agree(e.period, [(1, 1), (1, 2)])
+    assert e.preperiod == () and e.period == ((1, 1), (1, 2))
 
 
 @pytest.mark.parametrize("a", [((0, 1), (1, 1)), ((2, 5), (5, 12)),
@@ -258,18 +261,80 @@ def test_roundtrip_record_carries_what_it_computed(a):
     assert record.expansion == mcf.periodicity_roundtrip(a)
 
 
+def ref_cycles_agree(p, d) -> bool:
+    """Whether two digit cycles generate the same bi-infinite sequence up
+    to phase (cyclic rotation after extending to a common length)."""
+    if not p or not d:
+        return False
+    if len(p[0]) != len(d[0]):
+        return False
+    length = lcm(len(p), len(d))
+    pp = tuple(p) * (length // len(p))
+    dd = tuple(d) * (length // len(d))
+    return any(dd[r:] + dd[:r] == pp for r in range(length))
+
+
+def ref_roundtrip_record(a):
+    """The round trip as an open-ended expansion: expand the Perron vector
+    until a state repeats and compare the detected cycle with the Bauer
+    digits up to rotation and repetition."""
+    digits = tuple(mcf.bauer_factorize(a))
+    u, lam = mcf.satz12_eigenvector(a)
+    root = mcf.perron_embedding(u.field)
+    exp = mcf.jpa_expand(lam[1:], root, max(64, 2 * len(digits)))
+    if not exp.is_periodic() or not ref_cycles_agree(exp.period, digits):
+        raise RoundTripMismatch(f"{exp} against {digits}")
+    return mcf.RoundTrip(digits, u, lam, exp)
+
+
+def _outcome(roundtrip, a):
+    try:
+        return roundtrip(a)
+    except (HeckeafError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _block_words(draw):
+    """P^T B(d_1)...B(d_k) P for up to six digits with entries 0..3 and a
+    permutation matrix P."""
+    n = draw(st.integers(2, 4))
+    digit = st.tuples(*[st.integers(0, 3)] * (n - 1))
+    a = mcf.convergent_matrix(draw(st.lists(digit, min_size=1, max_size=6)), n)
+    q = draw(st.permutations(range(n)))
+    return tuple(tuple(a[q[i]][q[j]] for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_words())
+def test_roundtrip_matches_the_open_ended_expansion(a):
+    assert _outcome(mcf.roundtrip_record, a) == _outcome(ref_roundtrip_record, a)
+
+
+def test_roundtrip_rejects_in_one_digit_period(monkeypatch):
+    """A candidate of the form search on x^3 - x^2 - 2x + 1 with module rows
+    (1,0,0), (0,1,0), (0,0,2): 13 Bauer digits, and an expansion that the
+    open-ended loop ran for thousands of steps without a repeat."""
+    steps = [0]
+    original = mcf.jpa_step
+
+    def counted(*args):
+        steps[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(mcf, "jpa_step", counted)
+    a = ((19, 26, 10), (34, 47, 18), (32, 44, 17))
+    assert len(mcf.bauer_factorize(a)) == 13
+    with pytest.raises(RoundTripMismatch):
+        mcf.roundtrip_record(a)
+    assert steps[0] <= 13
+
+
 def test_periodicity_roundtrip_mismatch_is_detected():
     # B(1)B(2)B(1)B(0) = [[3,2],[4,3]] factorizes fine, but its digit cycle
     # is not the canonical expansion of its Perron vector
     with pytest.raises(RoundTripMismatch):
         mcf.periodicity_roundtrip(((3, 2), (4, 3)))
-
-
-def test_cycles_agree_up_to_rotation_and_repetition():
-    assert mcf.cycles_agree([(2,)], [(2,), (2,), (2,)])
-    assert mcf.cycles_agree([(1, 2), (3, 4)], [(3, 4), (1, 2)])
-    assert not mcf.cycles_agree([(1,)], [(2,)])
-    assert not mcf.cycles_agree([(1, 1)], [(1,)])
 
 
 def test_convergents_approach_the_limit():

@@ -12,7 +12,7 @@ import pytest
 
 from heckeaf import afalg, cli, hecke, mcf
 from heckeaf.errors import NonnegativeFormNotFound
-from heckeaf.exactnum import intmat, units
+from heckeaf.exactnum import field, intmat, units
 from heckeaf.exactnum.field import FieldElement, RealRootInterval
 from heckeaf.exactnum.lattice import endomorphism_ring
 from heckeaf.hecke import load_newform
@@ -44,6 +44,8 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     eigenvector = _count(monkeypatch, "satz12_eigenvector", mcf, units, hecke, afalg)
     factorize = _count(monkeypatch, "bauer_factorize", mcf, units, hecke, afalg)
     inverse = _count(monkeypatch, "mat_inverse_fraction", intmat, units, hecke)
+    char_poly = _count(monkeypatch, "charpoly", intmat, units, mcf)
+    isolate = _count(monkeypatch, "isolate_real_roots", field)
     result = hecke.af_of_eigenform(f)
     assert isinstance(result.af, hecke.StationaryAF)
     assert attractor[0] == 1
@@ -54,6 +56,10 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     # one inverse for the LLL basis; the attractor expansion carries its
     # basis change and that change's inverse as integer matrices
     assert inverse[0] == 1
+    # the accepted candidate's char poly and its roots, for its Perron
+    # field; the Perron test walks the unit's images instead
+    assert char_poly[0] == 1
+    assert isolate[0] == 1
 
 
 def test_af_conjugates_runs_the_pipeline_once(monkeypatch, tmp_path, capsys):
