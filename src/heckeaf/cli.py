@@ -46,7 +46,8 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_PIPELINE = 4
 
-_TERM_RE = re.compile(r"^([+-]?\d*)\*?(x(?:\^(\d+))?)?$")
+# sign, digits, x-part, exponent; a '*' stands only between digits and x
+_TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)(?:\*(?=x))?)?(x(?:\^([0-9]+))?)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -55,29 +56,24 @@ class InputError(Exception):
 
 
 def parse_poly(text: str) -> IntPolynomial:
-    """Parse polynomials like x^2-2, x^3 - x - 1, 2x^2+3."""
+    """Parse polynomials like x^2-2, x^3 - x - 1, 2x^2+3, 2*x."""
     s = text.replace(" ", "")
     if not s:
         raise InputError("empty polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(chunks) != s:
+        raise InputError(f"misplaced sign in {text!r}")
     coeffs = {}
     for chunk in chunks:
-        m = _TERM_RE.match(chunk)
+        m = _TERM_RE.fullmatch(chunk)
         if not m:
             raise InputError(f"cannot parse term {chunk!r} in {text!r}")
-        coef_s, xpart, exp_s = m.groups()
-        if xpart is None:
-            if coef_s in ("", "+", "-"):
-                raise InputError(f"cannot parse term {chunk!r} in {text!r}")
-            deg = 0
-        else:
-            deg = int(exp_s) if exp_s else 1
-        if coef_s in ("", "+"):
-            coef = 1
-        elif coef_s == "-":
-            coef = -1
-        else:
-            coef = int(coef_s)
+        sign, digits, xpart, exp_s = m.groups()
+        try:
+            deg = 0 if xpart is None else int(exp_s or 1)
+            coef = int(digits or 1) * (-1 if sign == "-" else 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"cannot parse term {chunk!r}: {exc}") from exc
         coeffs[deg] = coeffs.get(deg, 0) + coef
     top = max(coeffs)
     return IntPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
@@ -328,7 +324,7 @@ def cmd_af(args) -> int:
     started = time.monotonic()
     try:
         f = _fixture_path_or_name(args.fixture)
-    except (SchemaError, NotNormalized, HeckeRelationViolated) as exc:
+    except HeckeafError as exc:
         report = {
             "schema_version": "1",
             "tool": "heckeaf",
@@ -338,7 +334,9 @@ def cmd_af(args) -> int:
         }
         _emit_report(report_json(report), args.report)
         print(f"fixture rejected: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, (SchemaError, NotNormalized, HeckeRelationViolated)):
+            return EXIT_INPUT
+        return EXIT_DOMAIN
     result = None
     companion = None
     error = None

@@ -164,88 +164,6 @@ def _unit_sort_key(u: FieldElement, root: RealRootInterval):
     return (lo, u.coords)
 
 
-# fractional bits of the repeat fingerprint floor(2^bits * theta_j)
-_FINGERPRINT_BITS = 64
-
-
-class _BasisEnclosure:
-    """Integer enclosures a_k <= 2^p sigma(g_k) <= b_k of a module basis g
-    at one real embedding, sharpened on demand.
-
-    An instance lives for one expansion: it refines its own copy of the
-    root interval, so nothing outlives the call that made it.
-    """
-
-    def __init__(self, basis, root: RealRootInterval, prec: int):
-        self._basis = basis
-        self._root = root
-        self._sharpen(prec)
-
-    def _sharpen(self, prec: int) -> None:
-        self._root = self._root.refined(Fraction(1, 1 << (prec + 8)))
-        eps = Fraction(1, 1 << prec)
-        bounds = []
-        for g in self._basis:
-            lo, hi = eval_embedding(g, self._root, eps)
-            bounds.append(((lo.numerator << prec) // lo.denominator,
-                           -((-hi.numerator << prec) // hi.denominator)))
-        self._prec = prec
-        self._bounds = bounds
-
-    def _enclose(self, row):
-        """[lo, hi] with lo <= 2^p sigma(sum_k row_k g_k) <= hi."""
-        lo = hi = 0
-        for c, (a, b) in zip(row, self._bounds):
-            if c > 0:
-                lo += c * a
-                hi += c * b
-            elif c < 0:
-                lo += c * b
-                hi += c * a
-        return lo, hi
-
-    def _ratio_floors(self, w, bits):
-        lo0, hi0 = self._enclose(w[0])
-        if lo0 <= 0:
-            return None
-        key = []
-        for row in w[1:]:
-            lo, hi = self._enclose(row)
-            # the ratio lies in [lo, hi] / [lo0, hi0] with a positive divisor
-            floor_lo = (lo << bits) // (hi0 if lo >= 0 else lo0)
-            floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
-            if floor_lo != floor_hi:
-                return None
-            key.append(floor_lo)
-        return tuple(key)
-
-    def ratio_floors(self, w, bits: int) -> tuple:
-        """floor(2^bits sigma(v_j) / sigma(v_0)) for j = 1..n-1, where
-        v = W g and sigma(v_0) > 0; each ratio must be irrational."""
-        while True:
-            key = self._ratio_floors(w, bits)
-            if key is not None:
-                return key
-            self._sharpen(2 * self._prec)
-
-
-def _combination(row, basis, field) -> FieldElement:
-    """sum_k row_k basis_k for integer coefficients."""
-    acc = field.zero
-    for coef, g in zip(row, basis):
-        if coef:
-            acc = acc + coef * g
-    return acc
-
-
-def _same_direction(w_a, w_b, basis, field) -> bool:
-    """Whether the states v = W_a g and u = W_b g have equal ratios theta,
-    by the exact cross products v_j u_0 == u_j v_0 (no field division)."""
-    v = [_combination(row, basis, field) for row in w_a]
-    u = [_combination(row, basis, field) for row in w_b]
-    return all(v[j] * u[0] == u[j] * v[0] for j in range(1, len(v)))
-
-
 def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = None):
     """Expand the module's own basis ratios to their periodic tail.
 
@@ -262,27 +180,12 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = 
     of length O(sqrt(D) log D) for discriminant D; 512 steps for
     rank >= 3, where an expansion need not cycle and has to be cut off.
 
-    The state is an integer matrix W, not a tuple of field ratios: its
-    rows give the state vector v = W g over the HNF basis g, and the
-    Jacobi-Perron state is theta_j = v_j / v_0.  It starts at W = S, the
-    diagonal of the basis signs at root, and one step with digit d is the
-    integer row operation W'_{j-1} = W_j - d_j W_0 (j = 1..n-1),
-    W'_{n-1} = W_0.  This keeps the projective invariant v = B(d) v'
-    exactly, so after the digits of C = B(d_1)...B(d_k) the state is
-    W = C^-1 S: at the start of the cycle W is the attractor basis, with
-    no matrix to invert.  W stays unimodular, so the v_j are Q-linearly
-    independent and every theta_j is irrational and positive.
-
-    Digits and repeats are read from integer enclosures of sigma(g_k)
-    (_BasisEnclosure): the fingerprint floor(2^F theta_j), F =
-    _FINGERPRINT_BITS, is certified once the enclosures of its two ends
-    agree, which they do at some precision because theta_j is irrational;
-    the precision is doubled whenever they do not, as W's entries grow.
-    The digit is the fingerprint shifted right by F bits, so it is the
-    exact floor of theta_j.  Equal states have equal fingerprints, and a
-    fingerprint hit counts as a repeat only after the exact comparison of
-    both states' theta, so the cycle found is the first literal repeat of
-    the field-state expansion.
+    The expansion runs on the HNF basis g from W = S, the diagonal of the
+    basis signs at root, and checks states 0..max_steps-1 for a repeat.
+    After the digits of C = B(d_1)...B(d_k) the state is W = C^-1 S: at
+    the start of the cycle W is the attractor basis, with no matrix to
+    invert.  W stays unimodular, so the v_j are Q-linearly independent
+    and every theta_j is irrational and positive.
     """
     from .. import mcf
 
@@ -292,34 +195,18 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = 
         return None
     if max_steps is None:
         max_steps = 4096 if n == 2 else 512
-    bits = _FINGERPRINT_BITS
     signs = [sign_at(g, root) for g in basis]
-    w = tuple(tuple((signs[i] if i == j else 0) for j in range(n)) for i in range(n))
-    enclosure = _BasisEnclosure(basis, root, bits + 32)
-    seen = {}
-    states = []
-    digits = []
-    for step in range(max_steps):
-        key = enclosure.ratio_floors(w, bits)
-        for start in seen.get(key, ()):
-            if _same_direction(states[start], w, basis, m.field):
-                c = mcf.convergent_matrix(digits[:start], n)
-                t_mat = mat_mul(states[0], c)  # (C^-1 S)^-1 = S C
-                star = states[start]
-                period = tuple(digits[start:])
-                p_mat = mcf.convergent_matrix(period, n)
-                star_elems = [_combination(row, basis, m.field) for row in star]
-                v = _combination(p_mat[0], star_elems, m.field) / star_elems[0]
-                return t_mat, star, period, v
-        seen.setdefault(key, []).append(step)
-        states.append(w)
-        digit = tuple(f >> bits for f in key)
-        digits.append(digit)
-        w0 = w[0]
-        w = tuple(
-            tuple(x - d * y for x, y in zip(w[j], w0)) for j, d in zip(range(1, n), digit)
-        ) + (w0,)
-    return None
+    s_diag = tuple(tuple((signs[i] if i == j else 0) for j in range(n)) for i in range(n))
+    digits, states, start, _ = mcf._expand_states(basis, root, s_diag, max_steps)
+    if start is None:
+        return None
+    t_mat = mat_mul(s_diag, mcf.convergent_matrix(digits[:start], n))  # (C^-1 S)^-1 = S C
+    star = states[start]
+    period = tuple(digits[start:])
+    p_mat = mcf.convergent_matrix(period, n)
+    star_elems = [mcf._combination(row, basis, m.field) for row in star]
+    v = mcf._combination(p_mat[0], star_elems, m.field) / star_elems[0]
+    return t_mat, star, period, v
 
 
 # the attractor data of a module has not been computed yet
@@ -346,6 +233,8 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     caller already computed it (None included: the expansion did not
     cycle), so that the expansion runs once per pipeline run.
     """
+    from ..mcf import _combination
+
     field = order.field
     if field.degree < 2:
         raise UnitNotFound("degree-1 orders have only the torsion units +1, -1")

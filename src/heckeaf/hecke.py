@@ -38,7 +38,7 @@ from .errors import (
     NotTotallyReal,
     SchemaError,
 )
-from .exactnum.field import FieldElement, NumberField, enclosures, eval_embedding, make_field
+from .exactnum.field import FieldElement, NumberField, enclosures, make_field
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
 from .exactnum.units import (
@@ -453,13 +453,18 @@ class EigenformAFResult:
         return len(polys) <= 1
 
 
-def _abs_exceeds_one(elem: FieldElement, root) -> bool:
-    """Exact |sigma(elem)| > 1 test (units never have |image| exactly 1)."""
+def _image_and_expanding(elem: FieldElement, root):
+    """The first enclosure of sigma(elem) narrower than 10^-8, and the
+    exact |sigma(elem)| > 1 test (units never have |image| exactly 1),
+    from one enclosure walk."""
+    image = expanding = None
     for lo, hi in enclosures(elem, root):
-        if lo > 1 or hi < -1:
-            return True
-        if -1 < lo and hi < 1:
-            return False
+        if image is None and hi - lo < Fraction(1, 10 ** 8):
+            image = (lo, hi)
+        if expanding is None and (lo > 1 or hi < -1 or -1 < lo and hi < 1):
+            expanding = lo > 1 or hi < -1
+        if image is not None and expanding is not None:
+            return image, expanding
 
 
 def af_of_eigenform(f: NewformData) -> EigenformAFResult:
@@ -491,6 +496,8 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
             group=DimensionGroup(theta=(), root=None, order_unit=(1,)),
         )
 
+    if not field.real_roots:
+        raise NotTotallyReal(f"field {field.minpoly} has no real root")
     order = endomorphism_ring(module)
     emb_index = f.working_embedding_index()
     root = field.real_roots[emb_index]
@@ -508,8 +515,7 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     summaries = []
     if len(field.real_roots) == field.degree:
         for i, r in enumerate(field.real_roots):
-            lo, hi = eval_embedding(unit.element, r, Fraction(1, 10 ** 8))
-            expanding = _abs_exceeds_one(unit.element, r)
+            (lo, hi), expanding = _image_and_expanding(unit.element, r)
             summaries.append(
                 ConjugateSummary(
                     embedding_index=i,

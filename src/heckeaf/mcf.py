@@ -19,8 +19,10 @@ B(d) * (1, theta')^T for the non-negative block
     B(d) = [ 0      1 ]
            [ I_n-1  d ]    (first row (0,...,0,1), last column tail d).
 
-Cycle detection hashes exact states, so periodicity is literal state
-repetition and can never be a floating point artifact.
+Expansions step integer states W over a basis g (v = W g, theta_j =
+v_j / v_0).  Cycle detection compares fingerprints, then the integer
+states exactly, so periodicity is literal state repetition and can never
+be a floating point artifact.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .exactnum.field import (
     FieldElement,
     NumberField,
     RealRootInterval,
+    eval_embedding,
     exact_floor,
     make_field,
     sign_at,
@@ -142,12 +145,140 @@ def jpa_step(theta, root: RealRootInterval):
     return digit, tuple(nxt)
 
 
-def _state_key(theta):
-    return tuple(t.coords for t in theta)
+# fractional bits of the repeat fingerprint floor(2^bits * theta_j)
+_FINGERPRINT_BITS = 64
+
+
+def _combination(row, basis, field) -> FieldElement:
+    """sum_k row_k basis_k for integer coefficients."""
+    acc = field.zero
+    for coef, g in zip(row, basis):
+        if coef:
+            acc = acc + coef * g
+    return acc
+
+
+class _BasisEnclosure:
+    """Integer enclosures a_k <= 2^p sigma(g_k) <= b_k of a basis g of
+    field elements at one real embedding, sharpened on demand.
+
+    An instance lives for one expansion: it refines its own copy of the
+    root interval, so nothing outlives the call that made it.
+    """
+
+    def __init__(self, basis, root: RealRootInterval, prec: int):
+        self._basis = basis
+        self._root = root
+        self._sharpen(prec)
+
+    def _sharpen(self, prec: int) -> None:
+        self._root = self._root.refined(Fraction(1, 1 << (prec + 8)))
+        eps = Fraction(1, 1 << prec)
+        bounds = []
+        for g in self._basis:
+            lo, hi = eval_embedding(g, self._root, eps)
+            bounds.append(((lo.numerator << prec) // lo.denominator,
+                           -((-hi.numerator << prec) // hi.denominator)))
+        self._prec = prec
+        self._bounds = bounds
+
+    def _enclose(self, row):
+        """[lo, hi] with lo <= 2^p sigma(sum_k row_k g_k) <= hi."""
+        lo = hi = 0
+        for c, (a, b) in zip(row, self._bounds):
+            if c > 0:
+                lo += c * a
+                hi += c * b
+            elif c < 0:
+                lo += c * b
+                hi += c * a
+        return lo, hi
+
+    def _is_zero(self, row) -> bool:
+        return _combination(row, self._basis, self._basis[0].field).is_zero()
+
+    def _ratio_floors(self, w, bits, lo0, hi0):
+        key = []
+        for row in w[1:]:
+            lo, hi = self._enclose(row)
+            # the ratio lies in [lo, hi] / [lo0, hi0] with a positive divisor
+            floor_lo = (lo << bits) // (hi0 if lo >= 0 else lo0)
+            floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
+            # a rational ratio may sit on a boundary: 2^bits v_j = floor_hi v_0
+            if floor_lo != floor_hi and not self._is_zero(
+                    [(x << bits) - floor_hi * y for x, y in zip(row, w[0])]):
+                return None
+            key.append(floor_hi)
+        return tuple(key)
+
+    def ratio_floors(self, w, bits: int):
+        """floor(2^bits sigma(v_j) / sigma(v_0)) for j = 1..n-1, where
+        v = W g and sigma(v_0) >= 0; None when v_0 = 0.  Irrational
+        ratios are settled by sharper enclosures, v_0 = 0 and ratios on a
+        boundary by an exact test once the enclosures fail to separate."""
+        while True:
+            lo0, hi0 = self._enclose(w[0])
+            if lo0 > 0:
+                key = self._ratio_floors(w, bits, lo0, hi0)
+                if key is not None:
+                    return key
+            elif self._is_zero(w[0]):
+                return None
+            self._sharpen(2 * self._prec)
+
+
+def _same_direction(w_a, w_b, basis, field) -> bool:
+    """Whether the states v = W_a g and u = W_b g have equal ratios theta,
+    by the exact cross products v_j u_0 == u_j v_0 (no field division)."""
+    v = [_combination(row, basis, field) for row in w_a]
+    u = [_combination(row, basis, field) for row in w_b]
+    return all(v[j] * u[0] == u[j] * v[0] for j in range(1, len(v)))
+
+
+def _expand_states(basis, root: RealRootInterval, w, max_states: int):
+    """Expand theta_j = v_j / v_0 for v = W g, sigma(v_0) > 0 and the
+    other sigma(v_j) >= 0, checking states 0..max_states-1 for a repeat.
+    A step with digit d is the row operation W'_{j-1} = W_j - d_j W_0,
+    W'_{n-1} = W_0, which keeps v = B(d) v' exactly.
+
+    Returns (digits, states, start, terminated): the digits and integer
+    states stepped, the index of the state the next one repeats (None if
+    none does), and whether v_0 reached 0.  The digit is the fingerprint
+    floor(2^F theta_j), F = _FINGERPRINT_BITS, shifted right by F bits;
+    a fingerprint hit counts as a repeat only after _same_direction, so
+    the repeat is the first literal repeat of the field-state expansion.
+    """
+    n = len(basis)
+    field = basis[0].field
+    bits = _FINGERPRINT_BITS
+    enclosure = _BasisEnclosure(basis, root, bits + 32)
+    seen = {}
+    states = []
+    digits = []
+    for step in range(max_states):
+        key = enclosure.ratio_floors(w, bits)
+        if key is None:
+            return digits, states, None, True
+        for start in seen.get(key, ()):
+            if _same_direction(states[start], w, basis, field):
+                return digits, states, start, False
+        if step == max_states - 1:
+            break
+        seen.setdefault(key, []).append(step)
+        states.append(w)
+        digit = tuple(f >> bits for f in key)
+        digits.append(digit)
+        w0 = w[0]
+        w = tuple(
+            tuple(x - d * y for x, y in zip(w[j], w0)) for j, d in zip(range(1, n), digit)
+        ) + (w0,)
+    return digits, states, None, False
 
 
 def jpa_expand(theta, root: RealRootInterval, max_steps: int = DEFAULT_MAX_STEPS) -> JpaExpansion:
-    """Expand theta, detecting exact periodicity by state repetition."""
+    """Expand theta, detecting exact periodicity by state repetition: the
+    states are integer matrices over the basis (1, theta_1, ...), from the
+    identity, and states 0..max_steps are checked for a repeat."""
     theta = tuple(theta)
     if not theta:
         return JpaExpansion(dim=1, preperiod=(), period=(), terminated=True)
@@ -155,21 +286,11 @@ def jpa_expand(theta, root: RealRootInterval, max_steps: int = DEFAULT_MAX_STEPS
     for t in theta:
         if sign_at(t, root) <= 0:
             raise ValueError("jpa_expand needs strictly positive coordinates")
-    seen = {_state_key(theta): 0}
-    digits = []
-    state = theta
-    for step in range(max_steps):
-        digit, nxt = jpa_step(state, root)
-        digits.append(digit)
-        if nxt is None:
-            return JpaExpansion(n, tuple(digits), (), True)
-        key = _state_key(nxt)
-        if key in seen:
-            j = seen[key]
-            return JpaExpansion(n, tuple(digits[:j]), tuple(digits[j:]), False)
-        seen[key] = step + 1
-        state = nxt
-    return JpaExpansion(n, tuple(digits), (), False)
+    basis = (theta[0].field.one,) + theta
+    digits, _, start, terminated = _expand_states(basis, root, mat_identity(n), max_steps + 1)
+    if start is None:
+        return JpaExpansion(n, tuple(digits), (), terminated)
+    return JpaExpansion(n, tuple(digits[:start]), tuple(digits[start:]), False)
 
 
 def regular_cf(x, root: RealRootInterval | None = None,
@@ -377,9 +498,10 @@ def roundtrip_record(a) -> RoundTrip:
     direction of C(D[:j]), as A = C(D) = C(D[:j])^(k/j).  If its first j
     digits are D[:j], the state is back at theta, and the expansion is D[:j]
     repeated, with no earlier repeat (Perron 1907, Satz XII).  No step
-    terminates, as the char poly is irreducible.  A differing digit raises
-    RoundTripMismatch: D is not the canonical expansion of A's Perron
-    vector.
+    terminates, as the char poly is irreducible.  So j steps of the
+    expansion of lam over itself, from W = I, decide it: any other outcome
+    raises RoundTripMismatch, as D is not the canonical expansion of A's
+    Perron vector.
     """
     digits = tuple(bauer_factorize(a))
     u, lam = satz12_eigenvector(a)
@@ -387,12 +509,10 @@ def roundtrip_record(a) -> RoundTrip:
     k = len(digits)
     period = next(digits[:j] for j in range(1, k + 1)
                   if k % j == 0 and digits[:j] * (k // j) == digits)
-    state = lam[1:]
-    for step, expected in enumerate(period):
-        digit, state = jpa_step(state, root)
-        if digit != expected:
-            raise RoundTripMismatch(f"digit {step} of the Perron vector's expansion is "
-                                    f"{digit}, not {expected} of the factorization {digits}")
+    found, _, start, _ = _expand_states(lam, root, mat_identity(len(a)), len(period) + 1)
+    if start != 0 or tuple(found) != period:
+        raise RoundTripMismatch(f"the Perron vector's digits {tuple(found)} do not return to it "
+                                f"as the period {period} of the factorization {digits}")
     return RoundTrip(digits, u, lam, JpaExpansion(len(a), (), period, False))
 
 

@@ -136,7 +136,7 @@ def fingerprint_bits(request, monkeypatch):
     fingerprint is the digit, every state with the same digit collides,
     and each repeat rests on the exact comparison alone."""
     if request.param is not None:
-        monkeypatch.setattr(units, "_FINGERPRINT_BITS", request.param)
+        monkeypatch.setattr(mcf, "_FINGERPRINT_BITS", request.param)
     return request.param
 
 
@@ -174,7 +174,7 @@ def test_level47a_short_expansion_without_fingerprint(monkeypatch):
     f = hecke.load_newform(LEVEL47A.read_text())
     module = hecke.module_of_eigenform(f)
     root = f.field.real_roots[3]
-    monkeypatch.setattr(units, "_FINGERPRINT_BITS", 0)
+    monkeypatch.setattr(mcf, "_FINGERPRINT_BITS", 0)
     got = units._attractor_data(module, root, max_steps=64)
     assert got == reference_attractor_data(module, root, max_steps=64)
 
@@ -209,12 +209,12 @@ def test_random_modules_match_reference(case):
 @given(_full_rank_module())
 def test_random_modules_match_reference_without_fingerprint(case):
     m, root = case
-    original = units._FINGERPRINT_BITS
-    units._FINGERPRINT_BITS = 0
+    original = mcf._FINGERPRINT_BITS
+    mcf._FINGERPRINT_BITS = 0
     try:
         got = units._attractor_data(m, root, 24)
     finally:
-        units._FINGERPRINT_BITS = original
+        mcf._FINGERPRINT_BITS = original
     assert got == reference_attractor_data(m, root, 24)
 
 

@@ -20,8 +20,34 @@ def test_parse_poly():
     assert cli.parse_poly("x^2+x-1") == IntPolynomial((-1, 1, 1))
     assert cli.parse_poly("2x^2+3") == IntPolynomial((3, 0, 2))
     assert cli.parse_poly("-x+5") == IntPolynomial((5, -1))
+    assert cli.parse_poly("2*x^3 - 7") == IntPolynomial((-7, 0, 0, 2))
     with pytest.raises(cli.InputError):
         cli.parse_poly("x^2 + spam")
+
+
+@pytest.mark.parametrize("text", ["+", "-", "x^2-2-", "--x", "x^2+-1", "\u0663x", "x^\u0663",
+                                  "2*", "*x", "x^", "x^2\n",
+                                  pytest.param("1" * 5000 + "x", id="5000-digit-coefficient")])
+def test_parse_poly_rejects_malformed_text(text):
+    with pytest.raises(cli.InputError):
+        cli.parse_poly(text)
+
+
+@pytest.mark.parametrize("poly", ["+", "-", "x^2-2-", "--x", "\u0663x"])
+def test_cf_malformed_poly_is_an_input_error(capsys, poly):
+    code, _, err = run(capsys, "cf", f"--poly={poly}")
+    assert code == 2
+    assert "input error" in err
+
+
+# short: an exponent of k digits builds a polynomial of up to 10^k terms
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="x^0123456789+-* \u0663\u00b2\t", max_size=7) | st.text(max_size=4))
+def test_parse_poly_gives_a_polynomial_or_an_input_error(text):
+    try:
+        assert isinstance(cli.parse_poly(text), IntPolynomial)
+    except cli.InputError:
+        pass
 
 
 def test_cf_rational(capsys):
@@ -251,6 +277,42 @@ def test_af_malformed_fixture_is_rejected_with_a_report(tmp_path, capsys, mutate
     assert code == 2
     assert "fixture rejected" in err
     assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
+
+
+def _level11a():
+    from importlib import resources
+
+    return json.loads(resources.files("heckeaf.fixtures").joinpath("level11a.json").read_text())
+
+
+@pytest.mark.parametrize("field_poly, module, stage", [
+    ([], None, "ReduciblePolynomial"),  # constant
+    ([1, 2], None, "NotMonic"),
+    ([-1, 0, 1], None, "ReduciblePolynomial"),
+    ([1, 2, 1], None, "NotSquarefree"),
+    ([1, 0, 1], [["1", "0"], ["0", "1"]], "NotTotallyReal"),  # x^2 + 1: no real root
+])
+def test_af_bad_coefficient_field_writes_a_report(tmp_path, capsys, field_poly, module, stage):
+    """level11a's rational coefficients over a field that load_newform or
+    the pipeline rejects: exit 3 with a report naming the error."""
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+
+    schema = json.loads(
+        resources.files("heckeaf.schemas").joinpath("run_report.schema.json").read_text()
+    )
+    data = _level11a()
+    data["field_poly"] = field_poly
+    if module is not None:
+        data["module"] = module
+    bad_path = tmp_path / "field.json"
+    bad_path.write_text(json.dumps(data))
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "af", str(bad_path), "--report", str(report_path))
+    assert code == 3
+    payload = json.loads(report_path.read_text())
+    assert payload["error"]["stage"] == stage
+    jsonschema.validate(payload, schema)
 
 
 # short strings over this alphabet keep Fraction's exponents small

@@ -221,7 +221,8 @@ def test_perron_image_of_a_lower_degree_value_is_not_squarefree():
 def test_expanding_questions_match_the_loops(case):
     alpha, root = case
     assume(not alpha.is_rational())
-    assert hecke._abs_exceeds_one(alpha, root) == ref_abs_exceeds_one(alpha, root)
+    assert hecke._image_and_expanding(alpha, root) == (
+        ref_eval_embedding(alpha, root, Fraction(1, 10 ** 8)), ref_abs_exceeds_one(alpha, root))
     rep = _expanding_representative(alpha, root)
     assert rep == ref_expanding_representative(alpha, root)
     assert sign_at(rep - alpha.field.one, root) > 0
@@ -236,7 +237,7 @@ def test_expanding_representative_in_each_region():
         for root in field.real_roots:
             rep = _expanding_representative(alpha, root)
             assert rep == ref_expanding_representative(alpha, root)
-            assert hecke._abs_exceeds_one(alpha, root) == ref_abs_exceeds_one(alpha, root)
+            assert hecke._image_and_expanding(alpha, root)[1] == ref_abs_exceeds_one(alpha, root)
 
 
 @settings(max_examples=30, deadline=None)

@@ -261,6 +261,78 @@ def test_roundtrip_record_carries_what_it_computed(a):
     assert record.expansion == mcf.periodicity_roundtrip(a)
 
 
+# -- the field-state expansion, as it was ----------------------------------
+
+def ref_jpa_expand(theta, root, max_steps):
+    """Exact field-element states stepped by mcf.jpa_step, with repeats
+    found by hashing their coordinates."""
+    theta = tuple(theta)
+    if not theta:
+        return mcf.JpaExpansion(1, (), (), True)
+    n = len(theta) + 1
+    for t in theta:
+        if sign_at(t, root) <= 0:
+            raise ValueError("jpa_expand needs strictly positive coordinates")
+    seen = {tuple(t.coords for t in theta): 0}
+    digits = []
+    state = theta
+    for step in range(max_steps):
+        digit, nxt = mcf.jpa_step(state, root)
+        digits.append(digit)
+        if nxt is None:
+            return mcf.JpaExpansion(n, tuple(digits), (), True)
+        key = tuple(t.coords for t in nxt)
+        if key in seen:
+            j = seen[key]
+            return mcf.JpaExpansion(n, tuple(digits[:j]), tuple(digits[j:]), False)
+        seen[key] = step + 1
+        state = nxt
+    return mcf.JpaExpansion(n, tuple(digits), (), False)
+
+
+_EXPAND_FIELDS = [make_field(IntPolynomial(c)) for c in (
+    (-2, 0, 1), (-1, -1, 1), (-7, 0, 1),            # degree 2
+    (-1, -1, 0, 1), (1, -3, 0, 1), (-2, 0, 0, 1),   # degree 3
+    (1, 0, -10, 0, 1), (-2, 0, 0, 0, 1), (-1, 5, -5, -1, 1),  # degree 4
+)]
+_SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def _expansion_inputs(draw):
+    """theta of 1-3 coordinates, each rational, a rational affine image of
+    an earlier coordinate (Q-dependent), or a generic element, turned
+    positive at a drawn real root when its image is negative."""
+    field = draw(st.sampled_from(_EXPAND_FIELDS))
+    root = draw(st.sampled_from(field.real_roots))
+    theta = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("rational", "dependent", "generic")))
+        if kind == "rational" or (kind == "dependent" and not theta):
+            t = field.from_rational(draw(_SMALL))
+        elif kind == "dependent":
+            t = draw(_SMALL) * draw(st.sampled_from(theta)) + draw(_SMALL)
+        else:
+            t = field.element([draw(_SMALL) for _ in range(field.degree)])
+        theta.append(-t if sign_at(t, root) < 0 else t)
+    return tuple(theta), root, draw(st.sampled_from((5, 20, 60)))
+
+
+def _expansion_outcome(expand, theta, root, max_steps):
+    try:
+        return expand(theta, root, max_steps)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expansion_inputs())
+def test_jpa_expand_matches_the_field_state_loop(case):
+    theta, root, max_steps = case
+    assert (_expansion_outcome(mcf.jpa_expand, theta, root, max_steps)
+            == _expansion_outcome(ref_jpa_expand, theta, root, max_steps))
+
+
 def ref_cycles_agree(p, d) -> bool:
     """Whether two digit cycles generate the same bi-infinite sequence up
     to phase (cyclic rotation after extending to a common length)."""
@@ -281,7 +353,7 @@ def ref_roundtrip_record(a):
     digits = tuple(mcf.bauer_factorize(a))
     u, lam = mcf.satz12_eigenvector(a)
     root = mcf.perron_embedding(u.field)
-    exp = mcf.jpa_expand(lam[1:], root, max(64, 2 * len(digits)))
+    exp = ref_jpa_expand(lam[1:], root, max(64, 2 * len(digits)))
     if not exp.is_periodic() or not ref_cycles_agree(exp.period, digits):
         raise RoundTripMismatch(f"{exp} against {digits}")
     return mcf.RoundTrip(digits, u, lam, exp)
@@ -315,19 +387,22 @@ def test_roundtrip_rejects_in_one_digit_period(monkeypatch):
     """A candidate of the form search on x^3 - x^2 - 2x + 1 with module rows
     (1,0,0), (0,1,0), (0,0,2): 13 Bauer digits, and an expansion that the
     open-ended loop ran for thousands of steps without a repeat."""
-    steps = [0]
-    original = mcf.jpa_step
+    runs, steps = [0], [0]
+    original = mcf._expand_states
 
     def counted(*args):
-        steps[0] += 1
-        return original(*args)
+        result = original(*args)
+        runs[0] += 1
+        steps[0] += len(result[0])
+        return result
 
-    monkeypatch.setattr(mcf, "jpa_step", counted)
+    monkeypatch.setattr(mcf, "_expand_states", counted)
     a = ((19, 26, 10), (34, 47, 18), (32, 44, 17))
     assert len(mcf.bauer_factorize(a)) == 13
     with pytest.raises(RoundTripMismatch):
         mcf.roundtrip_record(a)
-    assert steps[0] <= 13
+    assert runs[0] == 1
+    assert 0 < steps[0] <= 13
 
 
 def test_periodicity_roundtrip_mismatch_is_detected():

@@ -36,6 +36,22 @@ def _count(monkeypatch, name, *modules):
     return calls
 
 
+def _count_steps(monkeypatch):
+    """Wrap the Jacobi-Perron expansion engine; returns a list holding its
+    number of runs and the number of steps (digits) they took."""
+    counts = [0, 0]
+    original = mcf._expand_states
+
+    def counted(*args):
+        result = original(*args)
+        counts[0] += 1
+        counts[1] += len(result[0])
+        return result
+
+    monkeypatch.setattr(mcf, "_expand_states", counted)
+    return counts
+
+
 @pytest.mark.parametrize("label", ["level71a", "level23a"])
 def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     f = hecke.load_fixture(label)
@@ -75,34 +91,37 @@ def test_af_conjugates_runs_the_pipeline_once(monkeypatch, tmp_path, capsys):
 
 def test_quadratic_unit_comes_from_the_shared_expansion(monkeypatch):
     """level23a's unit is the return unit of the one attractor expansion:
-    the unit search makes no Jacobi-Perron field step of its own."""
+    the unit search runs no Jacobi-Perron expansion of its own, and the
+    run expands twice, the attractor and the round trip."""
     f = hecke.load_fixture("level23a")
     attractor = _count(monkeypatch, "_attractor_data", units, hecke)
-    steps = _count(monkeypatch, "jpa_step", mcf, units)
-    steps_in_find_unit = [0]
+    counts = _count_steps(monkeypatch)
+    in_find_unit = [0, 0]
     original = units.find_unit
 
     def counted(*args, **kwargs):
-        before = steps[0]
+        before = list(counts)
         unit = original(*args, **kwargs)
-        steps_in_find_unit[0] += steps[0] - before
+        in_find_unit[0] += counts[0] - before[0]
+        in_find_unit[1] += counts[1] - before[1]
         return unit
 
     monkeypatch.setattr(hecke, "find_unit", counted)
     result = hecke.af_of_eigenform(f)
     assert isinstance(result.af, hecke.StationaryAF)
     assert attractor[0] == 1
-    assert steps_in_find_unit[0] == 0
+    assert counts[0] == 2 and counts[1] > 0
+    assert in_find_unit == [0, 0]
 
 
 def test_attractor_expansion_makes_no_field_step_or_division(monkeypatch):
-    """level47a's 512-step expansion runs on integer row operations with
-    digits read from basis enclosures: no Jacobi-Perron field step and no
+    """level47a's 512-state expansion runs on integer row operations with
+    digits read from basis enclosures: one engine run of 511 steps, and no
     field inverse."""
     f = load_newform(LEVEL47A.read_text())
     module = hecke.module_of_eigenform(f)
     root = f.field.real_roots[f.working_embedding_index()]
-    steps = _count(monkeypatch, "jpa_step", mcf, units)
+    counts = _count_steps(monkeypatch)
     inverse = [0]
     original = FieldElement.inverse
 
@@ -112,7 +131,7 @@ def test_attractor_expansion_makes_no_field_step_or_division(monkeypatch):
 
     monkeypatch.setattr(FieldElement, "inverse", counted)
     assert units._attractor_data(module, root) is None
-    assert steps[0] == 0
+    assert counts == [1, 511]
     assert inverse[0] == 0
 
 
