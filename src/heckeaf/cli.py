@@ -49,6 +49,11 @@ EXIT_PIPELINE = 4
 # sign, digits, x-part, exponent; a '*' stands only between digits and x
 _TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)(?:\*(?=x))?)?(x(?:\^([0-9]+))?)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# the largest exponent parse_poly accepts: it is checked before the dense
+# coefficient tuple is built, so a text like x^100000000 is an input error
+# at once instead of a 10^8-entry tuple.  Fields here are far smaller; the
+# exact kernels are dense and at least quadratic in the degree.
+_MAX_DEGREE = 1000
 
 
 class InputError(Exception):
@@ -56,7 +61,8 @@ class InputError(Exception):
 
 
 def parse_poly(text: str) -> IntPolynomial:
-    """Parse polynomials like x^2-2, x^3 - x - 1, 2x^2+3, 2*x."""
+    """Parse polynomials like x^2-2, x^3 - x - 1, 2x^2+3, 2*x, of degree
+    at most _MAX_DEGREE."""
     s = text.replace(" ", "")
     if not s:
         raise InputError("empty polynomial")
@@ -74,6 +80,8 @@ def parse_poly(text: str) -> IntPolynomial:
             coef = int(digits or 1) * (-1 if sign == "-" else 1)
         except ValueError as exc:  # more digits than int() converts
             raise InputError(f"cannot parse term {chunk!r}: {exc}") from exc
+        if deg > _MAX_DEGREE:
+            raise InputError(f"exponent {deg} in {text!r} exceeds the degree bound {_MAX_DEGREE}")
         coeffs[deg] = coeffs.get(deg, 0) + coef
     top = max(coeffs)
     return IntPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))

@@ -1,28 +1,31 @@
 """Real algebraic number fields with certified embeddings.
 
-A field is Q[x]/(m) for a monic irreducible integer polynomial m.  Elements
-are rational coordinate vectors in the power basis 1, x, ..., x^(n-1).
-Real embeddings are represented by isolating intervals with rational
-endpoints; every numeric question (signs, floors, interval values) is
-answered by walking one refinement sequence, enclosures(a, root): the
-interval values of a over the root interval and over its successive
-refinements to a quarter of the previous width, never by floating point.
+A field is Q[x]/(m) for a monic irreducible integer polynomial m.  An
+element is an integer numerator vector over one positive denominator in
+the power basis 1, x, ..., x^(n-1), in lowest terms (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, 4.2): sums and products
+are integer operations normalized once, and the inverse, norm and trace
+come from the integer multiplication matrix.  Real embeddings are
+represented by isolating intervals with rational endpoints; every
+numeric question (signs, floors, interval values) is answered by walking
+one refinement sequence, enclosures(a, root): the interval values of a
+over the root interval and over its successive refinements to a quarter
+of the previous width, each an interval Horner sum on integers scaled by
+the endpoints' common denominator, never by floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import DivisionByZero, HeckeafError, NotSquarefree
+from .intmat import mat_det
 from .polynomial import (
     IntPolynomial,
     assert_irreducible,
     is_squarefree,
-    pdeg,
-    pmod,
-    pxgcd,
     root_bound,
     sturm_chain,
     sturm_count,
@@ -163,37 +166,63 @@ class NumberField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self.real_roots = tuple(isolate_real_roots(minpoly))
-        # reduction rows: coordinates of x^n .. x^(2n-2)
+        # reduction rows: coordinates of x^n .. x^(2n-2), integers as the
+        # minimal polynomial is monic
         n = self.degree
         rows = []
         if n >= 1:
-            cur = [-Fraction(c) for c in minpoly.coeffs[:-1]]  # x^n
-            rows.append(list(cur))
+            cur = [-c for c in minpoly.coeffs[:-1]]  # x^n
+            rows.append(tuple(cur))
             for _ in range(n - 2):
                 top = cur[-1]
-                shifted = [Fraction(0)] + cur[:-1]
-                cur = [shifted[t] + top * rows[0][t] for t in range(n)]
-                rows.append(list(cur))
-        self._power_rows = tuple(tuple(r) for r in rows)
-        self.zero = FieldElement(self, (Fraction(0),) * n)
-        self.one = FieldElement(self, (Fraction(1),) + (Fraction(0),) * (n - 1))
+                cur = [s + top * r for s, r in zip([0] + cur[:-1], rows[0])]
+                rows.append(tuple(cur))
+        self._power_rows = tuple(rows)
+        self.zero = FieldElement(self, (0,) * n)
+        self.one = FieldElement(self, (1,) + (0,) * (n - 1))
         if n >= 2:
-            self.gen = FieldElement(
-                self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (n - 2)
-            )
+            self.gen = FieldElement(self, (0, 1) + (0,) * (n - 2))
         else:
             # degree 1: the generator is the rational root itself
-            self.gen = FieldElement(self, (Fraction(-minpoly.coeffs[0]),))
+            self.gen = FieldElement(self, (-minpoly.coeffs[0],))
 
     def element(self, coords) -> "FieldElement":
-        cs = tuple(Fraction(c) for c in coords)
+        cs = [Fraction(c) for c in coords]
         if len(cs) > self.degree:
             raise ValueError(f"expected at most {self.degree} coordinates")
-        cs = cs + (Fraction(0),) * (self.degree - len(cs))
-        return FieldElement(self, cs)
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        return FieldElement(self, tuple(num) + (0,) * (self.degree - len(cs)), den)
+
+    def from_integers(self, num, den: int = 1) -> "FieldElement":
+        """The element sum_i num[i] x^i / den, for degree-many integers num
+        and a non-zero integer den, in lowest terms: den > 0 and
+        gcd(num..., den) = 1."""
+        if den < 0:
+            num, den = [-c for c in num], -den
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = [c // g for c in num], den // g
+        return FieldElement(self, tuple(num), den)
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element((Fraction(q),))
+        if not isinstance(q, int):
+            q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
+
+    def mult_rows(self, num):
+        """The integer multiplication matrix of num: row i is x^i * num, so
+        an element num / den has the regular representation rows / den."""
+        rows = [tuple(num)]
+        for _ in range(self.degree - 1):
+            cur = rows[-1]
+            top = cur[-1]
+            cur = (0,) + cur[:-1]
+            if top:
+                cur = tuple(c + top * r for c, r in zip(cur, self._power_rows[0]))
+            rows.append(cur)
+        return rows
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -214,30 +243,38 @@ def make_field(minpoly: IntPolynomial) -> NumberField:
 
 
 class FieldElement:
-    """An element of a NumberField as power-basis coordinates."""
+    """An element of a NumberField: integer power-basis numerators num over
+    one positive denominator den, in lowest terms (gcd(num..., den) = 1),
+    so equal elements have equal (num, den)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coords):
+    def __init__(self, field: NumberField, num: tuple, den: int = 1):
         self.field = field
-        self.coords = tuple(coords)
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -246,60 +283,71 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _plus(self, o, sign):
+        """self + sign * o over the least common denominator."""
+        da, db = self.den, o.den
+        if da == db:
+            num = [x + sign * y for x, y in zip(self.num, o.num)]
+            return self.field.from_integers(num, da)
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        num = [x * sa + y * sb for x, y in zip(self.num, o.num)]
+        return self.field.from_integers(num, da * sa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        field = self.field
+        if isinstance(other, int):
+            g = gcd(other, self.den)
+            return field.from_integers([a * (other // g) for a in self.num], self.den // g)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1) if n > 1 else [Fraction(0)]
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coords):
-                prod[i + j] += a * b
-        out = list(prod[:n]) + [Fraction(0)] * (n - len(prod[:n]))
-        for k in range(n, len(prod)):
+        n = field.degree
+        prod = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(o.num):
+                    prod[i + j] += a * b
+        out = prod[:n]
+        for k, row in enumerate(field._power_rows[: n - 1], start=n):
             c = prod[k]
-            if c == 0:
-                continue
-            row = self.field._power_rows[k - n]
-            for t in range(n):
-                out[t] += c * row[t]
-        return FieldElement(self.field, tuple(out))
+            if c:
+                out = [x + c * r for x, r in zip(out, row)]
+        return field.from_integers(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """By Cramer's rule on the integer multiplication matrix M of num:
+        the inverse's coordinates y solve y M = den e_0, so y_j is den
+        times the cofactor C_(j,0) of M over det M."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        a = list(self.coords)
-        m = self.field.minpoly.rational_coeffs()
-        g, s, _ = pxgcd(a, m)
-        if pdeg(g) != 0:  # pragma: no cover - minpoly is irreducible
-            raise HeckeafError("element not invertible modulo an irreducible polynomial")
-        inv = [c / g[0] for c in s]
-        inv = pmod(inv, m)
-        return self.field.element(inv)
+        m = self.field.mult_rows(self.num)
+        cof = [(-1) ** j * mat_det([row[1:] for i, row in enumerate(m) if i != j])
+               for j in range(len(m))]
+        det = sum(row[0] * c for row, c in zip(m, cof))
+        return self.field.from_integers([self.den * c for c in cof], det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -324,66 +372,48 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and Fraction(self.num[0], self.den) == other
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field.minpoly, self.coords))
+        return hash((self.field.minpoly, self.num, self.den))
 
     def __repr__(self):
         return f"FieldElement{self.coords}"
 
     # -- invariants of the element ------------------------------------------
 
-    def mult_matrix(self):
-        """Rows i: coordinates of x^i * self (the regular representation)."""
-        rows = []
-        cur = self
-        g = self.field.gen
-        for _ in range(self.field.degree):
-            rows.append(cur.coords)
-            cur = cur * g
-        return rows
-
     def norm(self) -> Fraction:
-        return _det_fraction(self.mult_matrix())
+        return Fraction(mat_det(self.field.mult_rows(self.num)), self.den ** self.field.degree)
 
     def trace(self) -> Fraction:
-        rows = self.mult_matrix()
-        return sum(rows[i][i] for i in range(len(rows)))
+        rows = self.field.mult_rows(self.num)
+        return Fraction(sum(row[i] for i, row in enumerate(rows)), self.den)
 
     def min_poly(self) -> IntPolynomial:
         """Minimal polynomial over Q (monic; integer when the element is
         an algebraic integer, which all callers here guarantee)."""
-        n = self.field.degree
-        # find the first linear dependency among 1, a, a^2, ...
+        d = self.degree_over_q()
         powers = [self.field.one]
-        for _ in range(n):
+        for _ in range(d):
             powers.append(powers[-1] * self)
-        for d in range(1, n + 1):
-            rows = [list(powers[k].coords) for k in range(d)]
-            rhs = list(powers[d].coords)
-            sol = _solve_rational(rows, rhs)
-            if sol is not None:
-                coeffs = [-c for c in sol] + [Fraction(1)]
-                if all(c.denominator == 1 for c in coeffs):
-                    return IntPolynomial(tuple(int(c) for c in coeffs))
-                raise ValueError(f"element {self} is not an algebraic integer")
-        raise HeckeafError("no dependency found up to the field degree")
+        sol = _solve_rational([p.coords for p in powers[:d]], powers[d].coords)
+        coeffs = [-c for c in sol] + [Fraction(1)]
+        if all(c.denominator == 1 for c in coeffs):
+            return IntPolynomial(tuple(int(c) for c in coeffs))
+        raise ValueError(f"element {self} is not an algebraic integer")
 
     def degree_over_q(self) -> int:
-        n = self.field.degree
-        powers = [self.field.one]
-        for _ in range(n):
-            powers.append(powers[-1] * self)
-        for d in range(1, n + 1):
-            rows = [list(powers[k].coords) for k in range(d)]
-            rhs = list(powers[d].coords)
-            if _solve_rational(rows, rhs) is not None:
-                return d
-        return n
+        """The rank of 1, a, ..., a^(n-1), which is the degree of a's
+        minimal polynomial; each power's numerators stand for it."""
+        rows = [self.field.one.num]
+        power = self.field.one
+        for _ in range(self.field.degree - 1):
+            power = power * self
+            rows.append(power.num)
+        return _rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +427,7 @@ def enclosures(a: FieldElement, root: RealRootInterval):
     a rational, or another such walk, once the two differ."""
     iv = root
     while True:
-        yield _interval_horner(a.coords, iv.lo, iv.hi)
+        yield _interval_horner(a.num, a.den, iv.lo, iv.hi)
         iv = iv.refined(iv.width / 4)
 
 
@@ -407,18 +437,34 @@ def eval_embedding(a: FieldElement, root: RealRootInterval, eps) -> tuple:
     if eps <= 0:
         raise ValueError("eps must be positive")
     if a.is_rational():
-        v = a.coords[0]
+        v = Fraction(a.num[0], a.den)
         return (v, v)
     return next((lo, hi) for lo, hi in enclosures(a, root) if hi - lo < eps)
 
 
-def _interval_horner(coords, lo, hi):
-    """Evaluate sum coords[i] * t^i over t in [lo, hi], exactly."""
-    cur_lo, cur_hi = Fraction(0), Fraction(0)
-    for c in reversed(coords):
-        cands = (cur_lo * lo, cur_lo * hi, cur_hi * lo, cur_hi * hi)
+def _interval_horner(num, den, lo, hi):
+    """Evaluate sum num[i] t^i / den over t in [lo, hi], exactly.
+
+    Interval Horner on integers: with lo = a / D and hi = b / D over the
+    endpoints' common denominator D, the accumulator after j steps is
+    kept times D^j, so the coefficient added at step j is scaled by D^j,
+    and min and max, which commute with positive scaling, pick the same
+    candidates as over the rationals.  The two endpoints divided by
+    D^(n-1) den are the only Fractions built.
+    """
+    dl, dh = lo.denominator, hi.denominator
+    d = dl * dh // gcd(dl, dh)
+    a = lo.numerator * (d // dl)
+    b = hi.numerator * (d // dh)
+    cur_lo = cur_hi = num[-1]
+    scale = 1
+    for c in num[-2::-1]:
+        scale *= d
+        cands = (cur_lo * a, cur_lo * b, cur_hi * a, cur_hi * b)
+        c *= scale
         cur_lo, cur_hi = min(cands) + c, max(cands) + c
-    return cur_lo, cur_hi
+    scale *= den
+    return Fraction(cur_lo, scale), Fraction(cur_hi, scale)
 
 
 def sign_at(a: FieldElement, root: RealRootInterval) -> int:
@@ -435,8 +481,7 @@ def sign_at(a: FieldElement, root: RealRootInterval) -> int:
 def exact_floor(a: FieldElement, root: RealRootInterval) -> int:
     """The unique k with k <= sigma(a) < k+1."""
     if a.is_rational():
-        v = a.coords[0]
-        return v.numerator // v.denominator
+        return a.num[0] // a.den
     # irrational image: both endpoints eventually share a floor, and the
     # image itself is never an integer, so that floor is the answer
     for lo, hi in enclosures(a, root):
@@ -445,32 +490,27 @@ def exact_floor(a: FieldElement, root: RealRootInterval) -> int:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Q
+# small exact linear algebra
 
-def _det_fraction(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+def _rank(rows) -> int:
+    """Rank over Q of integer row vectors, by fraction-free (Bareiss)
+    elimination: each update is divided exactly by the previous pivot,
+    which keeps the entries minors of the input."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    prev = 1
+    while rows:
+        piv = rows.pop()
+        col = next(j for j, x in enumerate(piv) if x)
+        p = piv[col]
+        rank += 1
+        updated = []
+        for r in rows:
+            new = [(p * x - r[col] * y) // prev for x, y in zip(r, piv)]
+            if any(new):
+                updated.append(new)
+        rows, prev = updated, p
+    return rank
 
 
 def _solve_rational(rows, rhs):

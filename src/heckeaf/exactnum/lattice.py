@@ -9,7 +9,6 @@ basis-change invariance) a plain data comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import NotFullRank
@@ -28,20 +27,18 @@ class ZModule:
         return len(self.rows)
 
     def basis_elements(self) -> tuple:
-        d = Fraction(1, self.den)
-        return tuple(
-            self.field.element([c * d for c in row]) for row in self.rows
-        )
+        return tuple(self.field.from_integers(row, self.den) for row in self.rows)
 
     def contains(self, elem: FieldElement) -> bool:
         return elem.field == self.field and self.coordinates_of(elem) is not None
 
     def coordinates_of(self, elem: FieldElement):
         """Integer coordinates of elem in this basis, or None."""
-        target = [c * self.den for c in elem.coords]
-        if any(t.denominator != 1 for t in target):
+        # elem = num / e in lowest terms: den * elem is integral iff e | den
+        if self.den % elem.den:
             return None
-        rem = [int(t) for t in target]
+        scale = self.den // elem.den
+        rem = [c * scale for c in elem.num]
         coeffs = [0] * len(self.rows)
         for i, row in enumerate(self.rows):
             j = next(k for k, v in enumerate(row) if v != 0)
@@ -70,21 +67,11 @@ def module_from_generators(field: NumberField, gens) -> ZModule:
     when the span has rank below the field degree.
     """
     n = field.degree
-    coord_rows = []
-    for g in gens:
-        if isinstance(g, FieldElement):
-            coord_rows.append(list(g.coords))
-        else:
-            row = [Fraction(c) for c in g]
-            row += [Fraction(0)] * (n - len(row))
-            coord_rows.append(row)
-    if not coord_rows:
+    gens = [g if isinstance(g, FieldElement) else field.element(g) for g in gens]
+    if not gens:
         raise NotFullRank("no generators")
-    den = 1
-    for row in coord_rows:
-        for c in row:
-            den = lcm(den, c.denominator)
-    int_rows = [[int(c * den) for c in row] for row in coord_rows]
+    den = lcm(*(g.den for g in gens))
+    int_rows = [[c * (den // g.den) for c in g.num] for g in gens]
     h, _, rank = row_hnf_transform(int_rows)
     if rank < n:
         raise NotFullRank(f"generators span rank {rank} < {n}")
@@ -106,8 +93,7 @@ def module_intersect(m1: ZModule, m2: ZModule) -> ZModule:
     a = tuple(tuple(x * (d // m1.den) for x in row) for row in m1.rows)
     b = tuple(tuple(x * (d // m2.den) for x in row) for row in m2.rows)
     inter = lattice_intersect(a, b)
-    rows = [[Fraction(x, d) for x in row] for row in inter]
-    return module_from_generators(m1.field, rows)
+    return module_from_generators(m1.field, [m1.field.from_integers(row, d) for row in inter])
 
 
 @dataclass(frozen=True)

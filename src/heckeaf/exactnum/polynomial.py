@@ -22,11 +22,10 @@ class IntPolynomial:
 
     def __post_init__(self):
         cs = tuple(int(c) for c in self.coeffs)
-        if len(cs) == 0:
-            cs = (0,)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        # one slice at the last non-zero coefficient (the constant term of
+        # the zero polynomial)
+        last = next((i for i in range(len(cs) - 1, 0, -1) if cs[i]), 0)
+        object.__setattr__(self, "coeffs", cs[: last + 1] or (0,))
 
     @property
     def degree(self) -> int:

@@ -106,16 +106,13 @@ def _norm_tester(order: OrderRing):
     """Fast exact |norm| == 1 test for integer combinations of the basis.
 
     Uses integer matrices: with d the basis denominator, N(sum c_i g_i) =
-    det(sum c_i * d * M_{g_i}) / d^n.
+    det(sum c_i * d * M_{g_i}) / d^n, where d M_{g_i} is the integer
+    multiplication matrix of the module's HNF row i.
     """
-    basis = order.basis_elements()
-    n = len(basis)
-    d = order.module.den
-    mats = []
-    for g in basis:
-        rows = g.mult_matrix()
-        mats.append([[int(x * d) for x in row] for row in rows])
-    dn = d ** n
+    m = order.module
+    n = m.rank
+    mats = [m.field.mult_rows(row) for row in m.rows]
+    dn = m.den ** n
 
     def is_unit_norm(coords):
         acc = [[0] * n for _ in range(n)]
@@ -312,13 +309,15 @@ def multiplication_matrix(u: FieldElement, m: ZModule):
 
 def _lll_transform(gram):
     """Unimodular U size-reducing the lattice with the given Gram matrix
-    (exact arithmetic, Lovasz condition with delta = 3/4)."""
-    n = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    (exact arithmetic, Lovasz condition with delta = 3/4).
 
-    def inner(i, j):
-        return sum(u[i][a] * g[a][b] * u[j][b] for a in range(n) for b in range(n))
+    The Gram matrix of the current basis, U G U^T, is kept up to date:
+    a row operation or a swap of U is the same operation on its rows and
+    then on its columns, O(n) each, so no inner product is recomputed.
+    """
+    n = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]  # U G U^T
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def gso():
         mu = [[Fraction(0)] * n for _ in range(n)]
@@ -328,10 +327,10 @@ def _lll_transform(gram):
                 if bstar[j] == 0:
                     continue
                 mu[i][j] = (
-                    inner(i, j)
+                    g[i][j]
                     - sum(mu[i][t] * mu[j][t] * bstar[t] for t in range(j))
                 ) / bstar[j]
-            bstar[i] = inner(i, i) - sum(mu[i][t] ** 2 * bstar[t] for t in range(i))
+            bstar[i] = g[i][i] - sum(mu[i][t] ** 2 * bstar[t] for t in range(i))
         return mu, bstar
 
     k = 1
@@ -343,11 +342,19 @@ def _lll_transform(gram):
             q = round(mu[k][j])
             if q:
                 u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                row = [a - q * b for a, b in zip(g[k], g[j])]
+                row[k] -= q * row[j]
+                g[k] = row
+                for t in range(n):
+                    g[t][k] = row[t]
                 mu, bstar = gso()
         if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
             u[k], u[k - 1] = u[k - 1], u[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
             k = max(k - 1, 1)
     return tuple(tuple(row) for row in u)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateSpectrum,
@@ -150,12 +151,15 @@ _FINGERPRINT_BITS = 64
 
 
 def _combination(row, basis, field) -> FieldElement:
-    """sum_k row_k basis_k for integer coefficients."""
-    acc = field.zero
+    """sum_k row_k basis_k for integer coefficients, summed on numerators
+    over the basis' common denominator."""
+    den = lcm(*(g.den for g in basis))
+    acc = [0] * field.degree
     for coef, g in zip(row, basis):
         if coef:
-            acc = acc + coef * g
-    return acc
+            scale = coef * (den // g.den)
+            acc = [x + scale * c for x, c in zip(acc, g.num)]
+    return field.from_integers(acc, den)
 
 
 class _BasisEnclosure:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,25 @@ def test_parse_poly():
 def test_parse_poly_rejects_malformed_text(text):
     with pytest.raises(cli.InputError):
         cli.parse_poly(text)
+
+
+@pytest.mark.parametrize("poly", ["x^100000000", "0x^40000", "x^2+x^1001"])
+def test_exponent_above_the_degree_bound_is_an_input_error(capsys, poly):
+    """The exponent is bounded before any dense coefficient tuple is built:
+    x^100000000 would need 10^8 entries, and 0x^40000 took seconds when
+    the trailing zeros were trimmed one slice at a time."""
+    started = time.perf_counter()
+    with pytest.raises(cli.InputError, match="degree bound"):
+        cli.parse_poly(poly)
+    code, _, err = run(capsys, "cf", f"--poly={poly}")
+    assert code == 2
+    assert "input error" in err
+    assert time.perf_counter() - started < 1
+
+
+def test_parse_poly_accepts_the_degree_bound():
+    assert cli.parse_poly(f"x^{cli._MAX_DEGREE}+1").degree == cli._MAX_DEGREE
+    assert cli.parse_poly(f"0x^{cli._MAX_DEGREE}+1") == IntPolynomial((1,))
 
 
 @pytest.mark.parametrize("poly", ["+", "-", "x^2-2-", "--x", "\u0663x"])

@@ -5,7 +5,9 @@ each question must get the same answer from the walk as from its loop,
 on drawn elements of the level23a, level71a and level47a fields and of
 x^3 - 2 (one real root), at every real root.  The Perron test, which now
 walks the images of the value at every real root, keeps the Sturm
-isolation of the char poly as its reference.
+isolation of the char poly as its reference.  The interval Horner sum,
+which now runs on integers scaled by the endpoints' common denominator,
+keeps its Fraction version as its reference, and the loops run on it.
 """
 
 from fractions import Fraction
@@ -40,6 +42,15 @@ def _field(name):
 
 # -- the eps-restart loops, as they were ------------------------------------
 
+def ref_interval_horner(coords, lo, hi):
+    """Evaluate sum coords[i] * t^i over t in [lo, hi] on Fractions."""
+    cur_lo, cur_hi = Fraction(0), Fraction(0)
+    for c in reversed(coords):
+        cands = (cur_lo * lo, cur_lo * hi, cur_hi * lo, cur_hi * hi)
+        cur_lo, cur_hi = min(cands) + c, max(cands) + c
+    return cur_lo, cur_hi
+
+
 def ref_eval_embedding(a, root, eps):
     eps = Fraction(eps)
     if a.is_rational():
@@ -47,7 +58,7 @@ def ref_eval_embedding(a, root, eps):
         return (v, v)
     iv = root
     while True:
-        lo, hi = _interval_horner(a.coords, iv.lo, iv.hi)
+        lo, hi = ref_interval_horner(a.coords, iv.lo, iv.hi)
         if hi - lo < eps:
             return (lo, hi)
         iv = iv.refined(iv.width / 4)
@@ -58,7 +69,7 @@ def ref_sign_at(a, root):
         return 0
     iv = root
     while True:
-        lo, hi = _interval_horner(a.coords, iv.lo, iv.hi)
+        lo, hi = ref_interval_horner(a.coords, iv.lo, iv.hi)
         if lo > 0:
             return 1
         if hi < 0:
@@ -72,7 +83,7 @@ def ref_exact_floor(a, root):
         return v.numerator // v.denominator
     iv = root
     while True:
-        lo, hi = _interval_horner(a.coords, iv.lo, iv.hi)
+        lo, hi = ref_interval_horner(a.coords, iv.lo, iv.hi)
         flo = lo.numerator // lo.denominator
         fhi = hi.numerator // hi.denominator
         if flo == fhi:
@@ -165,6 +176,20 @@ def test_sign_floor_and_interval_match_the_loops(case):
         assert eval_embedding(a, root, eps) == ref_eval_embedding(a, root, eps)
 
 
+_ENDPOINTS = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_element_at_root(), _ENDPOINTS, _ENDPOINTS)
+def test_integer_horner_matches_the_fraction_horner(case, p, q):
+    """The same Fraction pair as the Fraction Horner, on drawn elements
+    and drawn intervals (a point interval included), not only on root
+    intervals."""
+    a, _ = case
+    lo, hi = min(p, q), max(p, q)
+    assert _interval_horner(a.num, a.den, lo, hi) == ref_interval_horner(a.coords, lo, hi)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_element_at_root())
 def test_dominance_matches_the_loop(case):
@@ -183,7 +208,7 @@ def _perron_verdicts(value, root):
     """(_is_top_real_root, ref_is_perron_image) on value and its integer
     multiplication matrix A, as make_nonnegative's power of the unit is on
     A^k; NotSquarefree stands for the verdict of a call that raised it."""
-    a = [[int(x) for x in row] for row in value.mult_matrix()]
+    a = value.field.mult_rows(value.num)
     verdicts = []
     for test in (lambda: _is_top_real_root(value, a, root),
                  lambda: ref_is_perron_image(value, root, charpoly(a))):

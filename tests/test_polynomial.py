@@ -22,6 +22,14 @@ def P(*coeffs):
     return IntPolynomial(tuple(coeffs))
 
 
+def test_trailing_zeros_are_trimmed_in_one_slice():
+    assert P().coeffs == (0,)
+    assert P(0, 0, 0).coeffs == (0,)
+    assert P(0, 3, 0, 0).coeffs == (0, 3)
+    # quadratic trimming, one slice per zero, took seconds on this
+    assert P(5, *([0] * 200_000)).coeffs == (5,)
+
+
 def test_basic_structure():
     p = P(-5, 0, 1)
     assert p.degree == 2

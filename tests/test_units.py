@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from heckeaf.errors import NonnegativeFormNotFound, NotEndomorphism, UnitNotFound
 from heckeaf.exactnum import (
@@ -327,3 +327,85 @@ def test_lll_transform_is_unimodular(module):
     whether or not the trace form is definite."""
     u = _lll_transform(trace_gram(module.basis_elements()))
     assert mat_det(u) in (1, -1)
+
+
+def _ref_lll_transform(gram):
+    """_lll_transform as it was, recomputing every inner product from U and
+    G on each Gram-Schmidt pass: the reference for the kept U G U^T."""
+    n = len(gram)
+    g = [[Fraction(x) for x in row] for row in gram]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def inner(i, j):
+        return sum(u[i][a] * g[a][b] * u[j][b] for a in range(n) for b in range(n))
+
+    def gso():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        bstar = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(i):
+                if bstar[j] == 0:
+                    continue
+                mu[i][j] = (
+                    inner(i, j)
+                    - sum(mu[i][t] * mu[j][t] * bstar[t] for t in range(j))
+                ) / bstar[j]
+            bstar[i] = inner(i, i) - sum(mu[i][t] ** 2 * bstar[t] for t in range(i))
+        return mu, bstar
+
+    k = 1
+    guard = 0
+    while k < n and guard < 1000:
+        guard += 1
+        mu, bstar = gso()
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                mu, bstar = gso()
+        if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            k = max(k - 1, 1)
+    return tuple(tuple(row) for row in u)
+
+
+# totally real fields of degree 2 to 5 (definite trace forms) and x^3 - 2
+# and x^4 - 2 (indefinite ones)
+_GRAM_FIELDS = [make_field(IntPolynomial(c)) for c in (
+    (-5, 0, 1), (1, -2, -1, 1), (1, 0, -10, 0, 1), (1, 3, -3, -4, 1, 1),
+    (-2, 0, 0, 1), (-2, 0, 0, 0, 1))]
+
+
+@st.composite
+def _trace_gram(draw):
+    field = draw(st.sampled_from(_GRAM_FIELDS))
+    n = field.degree
+    rows = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(mat_det(rows) != 0)
+    den = draw(st.integers(1, 3))
+    module = module_from_generators(field, [[Fraction(x, den) for x in row] for row in rows])
+    return trace_gram(module.basis_elements())
+
+
+@st.composite
+def _integer_gram(draw):
+    """The Gram matrix B B^T of random integer rows B, singular ones
+    included (some b*_j = 0 there)."""
+    n = draw(st.integers(2, 5))
+    b = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    return [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_trace_gram(), _integer_gram()))
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 1]])  # rows e1, e1, e2: b*_1 = 0
+def test_lll_transform_matches_the_recomputing_reference(gram):
+    """Keeping U G U^T current under each row operation and swap gives the
+    U of recomputing every inner product, on trace forms of degree 2 to 5
+    (definite and indefinite) and on random integer Gram matrices, where
+    some b*_j vanish."""
+    assert _lll_transform(gram) == _ref_lll_transform(gram)

@@ -227,3 +227,22 @@ def test_level47a_walks_each_enclosure_once(monkeypatch):
         hecke.af_of_eigenform(f)
     assert counts["refined"] < 300
     assert counts["degree_over_q"] <= 34
+
+
+def test_level47a_builds_few_fractions(monkeypatch):
+    """Field elements are integer numerators over one denominator, and
+    interval Horner sums run on scaled integers: one level47a run of
+    af_of_eigenform builds under 20 000 Fractions (40 039 with Fraction
+    coordinates), counted by wrapping Fraction.__new__."""
+    f = load_newform(LEVEL47A.read_text())
+    built = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert built[0] < 20_000

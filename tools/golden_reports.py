@@ -3,8 +3,11 @@
 
 One report per bundled fixture at each of its real embeddings, once
 plain and once with `--conjugates` (file stem suffix `.conjugates`),
-plus level47a (from perfbench/data) at its default embedding, where the
-pipeline ends in NonnegativeFormNotFound with exit code 4.  The
+plus level47a (from perfbench/data) at each of its four real
+embeddings: `level47a` at its default embedding 3 and `level47a@0`,
+`@1` and `@2` at the others.  Each ends in NonnegativeFormNotFound with
+exit code 4, so the reports pin the high-precision enclosure walks of
+all four real roots.  The
 `timings` block is dropped, so a report is a pure function of the code
 and the fixture; any change to these bytes is a change of behaviour.
 
@@ -44,7 +47,10 @@ def golden_cases():
             fixture = dict(data, embedding_index=i)
             cases.append((f"{name}@{i}", fixture, ()))
             cases.append((f"{name}@{i}.conjugates", fixture, ("--conjugates",)))
-    cases.append(("level47a", json.loads(LEVEL47A.read_text()), ()))
+    level47a = json.loads(LEVEL47A.read_text())
+    for i in range(3):
+        cases.append((f"level47a@{i}", dict(level47a, embedding_index=i), ()))
+    cases.append(("level47a", level47a, ()))
     return cases
 
 
