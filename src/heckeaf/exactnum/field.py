@@ -22,14 +22,7 @@ from math import gcd, lcm
 
 from ..errors import DivisionByZero, HeckeafError, NotSquarefree
 from .intmat import mat_det
-from .polynomial import (
-    IntPolynomial,
-    assert_irreducible,
-    is_squarefree,
-    root_bound,
-    sturm_chain,
-    sturm_count,
-)
+from .polynomial import IntPolynomial, assert_irreducible, root_bound, sturm_chain, sturm_count
 
 
 @dataclass(frozen=True)
@@ -119,12 +112,15 @@ def isolate_real_roots(poly: IntPolynomial) -> list:
     """Disjoint isolating intervals for all real roots, ascending.
 
     Requires a squarefree polynomial; uses Sturm's theorem plus bisection.
+    The integer Sturm chain (sturm_chain) ends in gcd(p, p') up to a
+    scalar, so it also decides squarefreeness, and its signs at each cut
+    are integer Horner sums.
     """
     if poly.degree == 0:
         return []
-    if not is_squarefree(poly):
+    chain = sturm_chain(poly.coeffs)
+    if len(chain[-1]) > 1:
         raise NotSquarefree(str(poly))
-    chain = sturm_chain(poly.rational_coeffs())
     bound = root_bound(poly)
     lo, hi = -bound, bound
 

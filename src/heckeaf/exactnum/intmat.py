@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import HeckeafError
 from .polynomial import IntPolynomial
 
 
@@ -160,35 +159,25 @@ def lattice_intersect(a_rows, b_rows):
 def charpoly(a) -> IntPolynomial:
     """Characteristic polynomial det(xI - A), exact.
 
-    Computed by interpolation through integer determinant evaluations.
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18, 1984):
+    with A_k the trailing principal submatrix from row k on, split as
+    [[a, R], [C, A_(k+1)]], the coefficients of det(xI - A_k), highest
+    first, are a lower triangular Toeplitz matrix with first column
+    1, -a, -R C, -R A_(k+1) C, ..., -R A_(k+1)^(n-k-2) C applied to those
+    of det(xI - A_(k+1)).  Only integer products.
     """
     n = len(a)
-    pts = list(range(n + 1))
-    vals = []
-    for t in pts:
-        m = [[(t if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-        vals.append(mat_det(m))
-    # Lagrange interpolation at 0..n
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, (xi, yi) in enumerate(zip(pts, vals)):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = 1
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        f = Fraction(yi, denom)
-        for k, c in enumerate(basis):
-            coeffs[k] += c * f
-    if any(c.denominator != 1 for c in coeffs):  # pragma: no cover - det(xI - A) is integral
-        raise HeckeafError(f"non-integral characteristic polynomial {coeffs}")
-    return IntPolynomial(tuple(int(c) for c in coeffs))
+    vec = [1]  # det(xI - A_n) of the empty trailing block
+    for k in range(n - 1, -1, -1):
+        rest = range(k + 1, n)
+        toeplitz = [1, -a[k][k]]
+        col = [a[i][k] for i in rest]  # C, then A_(k+1)^j C
+        for _ in rest:
+            toeplitz.append(-sum(a[k][j] * c for j, c in zip(rest, col)))
+            col = [sum(a[i][j] * c for j, c in zip(rest, col)) for i in rest]
+        vec = [sum(toeplitz[i - j] * vec[j] for j in range(min(i + 1, len(vec))))
+               for i in range(len(vec) + 1)]
+    return IntPolynomial(tuple(reversed(vec)))
 
 
 def is_primitive(a) -> bool:

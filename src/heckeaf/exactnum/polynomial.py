@@ -3,6 +3,14 @@
 Polynomials are stored densely, lowest degree first.  Integer polynomials
 get a small wrapper type (IntPolynomial); throwaway rational polynomials
 are plain lists of Fractions.  Everything here is exact.
+
+Field construction runs on integers: the Sturm chain is a primitive
+pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), its signs at a
+rational m/d are read off integer Horner sums scaled by powers of d, the
+squarefree test is the chain's last member, and irreducibility is decided
+by integer division (trial factors) and arithmetic mod p.  Only the dense
+helpers on lists of Fractions (padd, psub, pmul, pdivmod, pmonic), which
+the Smith form over Q[x] in afalg uses, stay rational.
 """
 
 from __future__ import annotations
@@ -42,15 +50,16 @@ class IntPolynomial:
         return self.coeffs == (0,)
 
     def evaluate(self, x):
-        acc = Fraction(0) if isinstance(x, Fraction) else 0
+        """The value at x; at a Fraction m/d, d^n p(m/d) is a Horner sum on
+        integers, and the one Fraction built is that sum over d^n."""
+        if isinstance(x, Fraction):
+            m, d = x.numerator, x.denominator
+            acc, power = _scaled_horner(self.coeffs, m, d)
+            return Fraction(acc, power)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial((0,))
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def rational_coeffs(self) -> list:
         return [Fraction(c) for c in self.coeffs]
@@ -144,73 +153,73 @@ def pdivmod(p, q):
     return ptrim(quo), ptrim(rem)
 
 
-def pmod(p, q):
-    return pdivmod(p, q)[1]
-
-
 def pmonic(p):
     if pis_zero(p):
         return [Fraction(0)]
     return pscale(p, Fraction(1) / p[-1])
 
 
-def pgcd(p, q):
-    """Monic gcd over Q."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    while not pis_zero(b):
-        a, b = b, pmod(a, b)
-    return pmonic(a)
-
-
-def pxgcd(p, q):
-    """Extended gcd over Q: returns (g, s, t) with s*p + t*q = g, g monic."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    sa, sb = [Fraction(1)], [Fraction(0)]
-    ta, tb = [Fraction(0)], [Fraction(1)]
-    while not pis_zero(b):
-        quo, rem = pdivmod(a, b)
-        a, b = b, rem
-        sa, sb = sb, psub(sa, pmul(quo, sb))
-        ta, tb = tb, psub(ta, pmul(quo, tb))
-    if pis_zero(a):
-        return a, sa, ta
-    lead = a[-1]
-    inv = Fraction(1) / lead
-    return pscale(a, inv), pscale(sa, inv), pscale(ta, inv)
-
-
-def pderiv(p):
-    if len(p) <= 1:
-        return [Fraction(0)]
-    return ptrim([Fraction(i) * p[i] for i in range(1, len(p))])
-
-
-def peval(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def is_squarefree(p: IntPolynomial) -> bool:
-    g = pgcd(p.rational_coeffs(), pderiv(p.rational_coeffs()))
-    return pdeg(g) == 0
-
-
 # ---------------------------------------------------------------------------
 # Sturm sequences and sign bookkeeping
 
+def _scaled_horner(coeffs, m, d):
+    """(d^k p(m/d), d^k) for the coefficients of p, degree k, lowest first:
+    a Horner sum on integers, each coefficient scaled by a power of d."""
+    acc = 0
+    power = 1
+    for c in reversed(coeffs):
+        acc = acc * m + c * power
+        power *= d
+    return acc, power // d
+
+
+def _primitive(p):
+    """p divided by its positive content."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _neg_prem(a, b):
+    """-|lc b|^(deg a - deg b + 1) (a mod b): a positive multiple of the
+    negated remainder over Q, on integers, for deg a >= deg b >= 1."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    steps = len(a) - db
+    for shift in range(steps - 1, -1, -1):
+        # rem <- lead rem - top x^shift b, which cancels the top coefficient
+        top = rem.pop()
+        rem = [lead * c for c in rem]
+        for i in range(db):
+            rem[shift + i] -= top * b[i]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    # lead^steps has the sign of lead when steps is odd
+    return [-c for c in rem] if lead > 0 or steps % 2 == 0 else rem
+
+
 def sturm_chain(p):
-    """Sturm chain of a squarefree rational polynomial."""
-    chain = [list(p), pderiv(p)]
-    while not pis_zero(chain[-1]) and pdeg(chain[-1]) > 0:
-        rem = pmod(chain[-2], chain[-1])
-        if pis_zero(rem):
+    """Sturm chain of the integer polynomial with trimmed coefficients p,
+    lowest first: p, p' and then the negated pseudo-remainders, each
+    divided by its positive content.  Every member is a positive rational
+    multiple of the classical chain's member over Q, so the signs are the
+    same; the last member is gcd(p, p') up to a scalar."""
+    chain = [_primitive(list(p))]
+    deriv = [i * c for i, c in enumerate(p)][1:]
+    if not any(deriv):
+        return chain
+    chain.append(_primitive(deriv))
+    while len(chain[-1]) > 1:
+        rem = _neg_prem(chain[-2], chain[-1])
+        if not any(rem):
             break
-        chain.append(pscale(rem, Fraction(-1)))
-    return [c for c in chain if not pis_zero(c)]
+        chain.append(_primitive(rem))
+    return chain
+
+
+def is_squarefree(p: IntPolynomial) -> bool:
+    """Whether gcd(p, p'), the last member of the Sturm chain, is constant."""
+    return p.degree < 1 or len(sturm_chain(p.coeffs)[-1]) == 1
 
 
 def sign_variations(values):
@@ -219,10 +228,15 @@ def sign_variations(values):
 
 
 def sturm_count(chain, a, b):
-    """Number of real roots in (a, b] for the squarefree polynomial."""
-    va = sign_variations([peval(c, a) for c in chain])
-    vb = sign_variations([peval(c, b) for c in chain])
-    return va - vb
+    """Number of real roots in (a, b] for the squarefree polynomial.
+
+    The sign of a member at m/d is that of the integer d^k c(m/d)."""
+    return _variations_at(chain, a) - _variations_at(chain, b)
+
+
+def _variations_at(chain, x):
+    m, d = x.numerator, x.denominator  # an int x reads as x / 1
+    return sign_variations([_scaled_horner(c, m, d)[0] for c in chain])
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -366,6 +380,19 @@ def _binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _divides_monic(q, p):
+    """Whether the monic integer polynomial q divides p, by long division
+    on integers (q monic keeps every quotient coefficient integral)."""
+    rem = list(p)
+    dq = len(q) - 1
+    for shift in range(len(p) - 1 - dq, -1, -1):
+        top = rem.pop()
+        if top:
+            for i in range(dq):
+                rem[shift + i] -= top * q[i]
+    return not any(rem)
+
+
 def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_000):
     """Search for a monic integer factor with degree in candidate_degrees.
 
@@ -375,7 +402,6 @@ def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_00
     a factor or None; raises IrreducibilityUndecided when the pruned
     search space still exceeds the budget.
     """
-    pr = poly.rational_coeffs()
     r_bound = root_bound(poly)
     c0 = poly.coeffs[0]
     for d in sorted(candidate_degrees):
@@ -397,10 +423,9 @@ def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_00
         def rec(idx, partial):
             if idx == 0:
                 for c in consts:
-                    cand = [Fraction(c)] + [Fraction(x) for x in partial] + [Fraction(1)]
-                    _, rem = pdivmod(pr, cand)
-                    if pis_zero(rem):
-                        return IntPolynomial((c,) + tuple(partial) + (1,))
+                    cand = (c,) + partial + (1,)
+                    if _divides_monic(cand, poly.coeffs):
+                        return IntPolynomial(cand)
                 return None
             b = bounds[idx - 1]
             for val in range(-b, b + 1):
@@ -440,7 +465,7 @@ def assert_irreducible(poly: IntPolynomial) -> None:
         raise ReduciblePolynomial(f"{poly} has root 0")
     for k in _divisors(c0):
         for r in (k, -k):
-            if poly.evaluate(Fraction(r)) == 0:
+            if poly.evaluate(r) == 0:
                 raise ReduciblePolynomial(f"{poly} has rational root {r}")
     if n <= 3:
         return  # no rational root and degree <= 3: irreducible

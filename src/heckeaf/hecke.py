@@ -185,6 +185,11 @@ def load_newform(source) -> NewformData:
     if module_rows is not None:
         if not isinstance(module_rows, list) or not all(isinstance(r, list) for r in module_rows):
             raise SchemaError("module must be a list of rows")
+        for idx, row in enumerate(module_rows, start=1):
+            if len(row) > field.degree:
+                raise SchemaError(
+                    f"module row {idx} has {len(row)} coordinates, more than the degree {field.degree}"
+                )
         module_rows = tuple(tuple(_parse_rational(x) for x in row) for row in module_rows)
     embedding_index = data.get("embedding_index")
     if embedding_index is not None:

@@ -299,6 +299,22 @@ def test_af_malformed_fixture_is_rejected_with_a_report(tmp_path, capsys, mutate
     assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
 
 
+def test_af_module_row_longer_than_the_degree_is_rejected(tmp_path, capsys):
+    """A module row with more coordinates than the field degree is a schema
+    error (exit 2, rejection report), not a ValueError from the field."""
+    from importlib import resources
+
+    data = json.loads(resources.files("heckeaf.fixtures").joinpath("level71a.json").read_text())
+    data["module"] = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]]
+    bad_path = tmp_path / "long_rows.json"
+    bad_path.write_text(json.dumps(data))
+    report_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "af", str(bad_path), "--report", str(report_path))
+    assert code == 2
+    assert "module row 1 has 4 coordinates" in err
+    assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
+
+
 def _level11a():
     from importlib import resources
 

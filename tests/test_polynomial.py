@@ -9,9 +9,6 @@ from heckeaf.exactnum.polynomial import (
     is_irreducible,
     is_squarefree,
     pdivmod,
-    pgcd,
-    pxgcd,
-    pmul,
     root_bound,
     sturm_chain,
     sturm_count,
@@ -35,7 +32,8 @@ def test_basic_structure():
     assert p.degree == 2
     assert p.is_monic()
     assert p.evaluate(Fraction(3)) == 4
-    assert p.derivative() == P(0, 2)
+    assert p.evaluate(3) == 4
+    assert p.evaluate(Fraction(1, 2)) == Fraction(-19, 4)
     assert str(p) == "x^2 - 5"
     assert str(P(-1, -1, 1)) == "x^2 - x - 1"
 
@@ -88,28 +86,23 @@ def test_rational_poly_division_and_gcd():
     q, r = pdivmod(a, b)
     assert r == [Fraction(0)]
     assert q == [Fraction(-1), Fraction(1)]
-    g = pgcd(a, b)
-    assert g == [Fraction(1), Fraction(1)]
-    g2, s, t = pxgcd(a, [Fraction(c) for c in (1, 0, 1)])
-    # x^2-1 and x^2+1 are coprime
-    assert g2 == [Fraction(1)]
-    lhs = pmul(s, a)
-    rhs = pmul(t, [Fraction(c) for c in (1, 0, 1)])
-    total = [x + y for x, y in zip(
-        lhs + [Fraction(0)] * (max(len(lhs), len(rhs)) - len(lhs)),
-        rhs + [Fraction(0)] * (max(len(lhs), len(rhs)) - len(rhs)))]
-    assert total[0] == 1 and all(c == 0 for c in total[1:])
+    # the integer Sturm chain ends in gcd(p, p') up to a scalar: (x^2 - 1)
+    # (x + 1) has gcd x + 1 with its derivative; x^2 + 1 and 6x^2 - 2 are
+    # squarefree, their chains end in the constants -1 and 1
+    assert sturm_chain(P(-1, -1, 1, 1).coeffs)[-1] == [1, 1]
+    assert sturm_chain(P(1, 0, 1).coeffs) == [[1, 0, 1], [0, 1], [-1]]
+    assert sturm_chain(P(-2, 0, 6).coeffs) == [[-1, 0, 3], [0, 1], [1]]
 
 
 def test_sturm_counts_match_known_roots():
     p = P(-5, 0, 1)
-    chain = sturm_chain(p.rational_coeffs())
+    chain = sturm_chain(p.coeffs)
     b = root_bound(p)
     assert sturm_count(chain, -b, b) == 2
     assert sturm_count(chain, Fraction(0), b) == 1
     assert sturm_count(chain, Fraction(3), b) == 0
 
     q = P(1, 0, 1)  # no real roots
-    chain = sturm_chain(q.rational_coeffs())
+    chain = sturm_chain(q.coeffs)
     b = root_bound(q)
     assert sturm_count(chain, -b, b) == 0

@@ -246,3 +246,22 @@ def test_level47a_builds_few_fractions(monkeypatch):
     with pytest.raises(NonnegativeFormNotFound):
         hecke.af_of_eigenform(f)
     assert built[0] < 20_000
+
+
+def test_field_construction_builds_few_fractions(monkeypatch):
+    """The char poly, the Sturm chain, its signs at the bisection cuts and
+    the irreducibility checks run on integers: building the Perron field of
+    the 4x4 block product of the digits (0,1,3), (4,0,5), (1,1,2) makes
+    under 100 Fractions (726 with Fraction polynomials), counted by
+    wrapping Fraction.__new__."""
+    a = mcf.convergent_matrix(((0, 1, 3), (4, 0, 5), (1, 1, 2)))
+    built = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    field.make_field(intmat.charpoly(a))
+    assert built[0] < 100
