@@ -12,22 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import ShapeMismatch
 from .exactnum.field import FieldElement, RealRootInterval, sign_at
-from .exactnum.intmat import charpoly, mat_is_nonnegative
-from .exactnum.polynomial import (
-    IntPolynomial,
-    padd,
-    pdeg,
-    pdivmod,
-    pis_zero,
-    pmonic,
-    pmul,
-    psub,
-)
+from .exactnum.intmat import charpoly, mat_det, mat_is_nonnegative, row_hnf_transform
+from .exactnum.polynomial import IntPolynomial
 from .mcf import JpaExpansion, convergent_matrix, jpa_block, perron_embedding, satz12_eigenvector
 
 VERDICT_COMPANION = "companion"
@@ -165,89 +155,21 @@ def cone_contains(group: DimensionGroup, x) -> bool:
 # ---------------------------------------------------------------------------
 # companionship of period matrices
 
-def _invariant_factors(a):
-    """Invariant factors of xI - A over Q[x] (Smith normal form), monic,
-    constant factors dropped.  Matrices are similar over Q iff these agree."""
-    n = len(a)
-    m = [[[Fraction(-a[i][j])] if i != j else [Fraction(-a[i][j]), Fraction(1)]
-          for j in range(n)] for i in range(n)]
-    factors = []
-    top = 0
-    while top < n:
-        best = None
-        for i in range(top, n):
-            for j in range(top, n):
-                if not pis_zero(m[i][j]) and (
-                    best is None or pdeg(m[i][j]) < pdeg(m[best[0]][best[1]])
-                ):
-                    best = (i, j)
-        if best is None:  # pragma: no cover - xI - A is nonsingular
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = m[top][top]
-        dirty = False
-        for i in range(top + 1, n):
-            if not pis_zero(m[i][top]):
-                q, _ = pdivmod(m[i][top], pivot)
-                if not pis_zero(q):
-                    for j in range(top, n):
-                        m[i][j] = psub(m[i][j], pmul(q, m[top][j]))
-                if not pis_zero(m[i][top]):
-                    dirty = True
-        for j in range(top + 1, n):
-            if not pis_zero(m[top][j]):
-                q, _ = pdivmod(m[top][j], pivot)
-                if not pis_zero(q):
-                    for i in range(top, n):
-                        m[i][j] = psub(m[i][j], pmul(q, m[i][top]))
-                if not pis_zero(m[top][j]):
-                    dirty = True
-        if dirty:
-            continue  # remainders of smaller degree appeared; re-pick pivot
-        offender = None
-        for i in range(top + 1, n):
-            for j in range(top + 1, n):
-                if not pis_zero(m[i][j]):
-                    _, r = pdivmod(m[i][j], pivot)
-                    if not pis_zero(r):
-                        offender = i
-                        break
-            if offender is not None:
-                break
-        if offender is not None:
-            # fold the offending row in; the next pass shrinks the pivot
-            for j in range(top, n):
-                m[top][j] = padd(m[top][j], m[offender][j])
-            continue
-        factors.append(pmonic(pivot))
-        top += 1
-    return [f for f in factors if pdeg(f) >= 1]
-
-
-def _integer_conjugator_search(b1, b2, bound: int = 10):
-    """Unimodular integer T with T b2 = b1 T and entries bounded, or None.
-
-    The solution space of the Sylvester equation is an integer lattice;
-    small combinations of its basis are scanned for determinant +-1.
-    """
+def _sylvester(b1, b2):
+    """The matrix whose left integer kernel is {X : X b2 = b1 X}, X
+    vectorized row-major: row (a, k) holds the coefficients of X[a][k] in
+    the entries (i, j) of X b2 - b1 X."""
     n = len(b1)
-    # matrix of X -> X B2 - B1 X acting on row-major vectorized X
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                row[i * n + k] += b2[k][j]
-                row[k * n + j] -= b1[i][k]
-            rows.append(row)
-    # integer kernel: solutions viewed as the left kernel of the transpose
-    transposed = [tuple(r[i] for r in rows) for i in range(n * n)]
-    from .exactnum.intmat import kernel_basis, mat_det
+    return [tuple((b2[k][j] if a == i else 0) - (b1[i][a] if k == j else 0)
+                  for i in range(n) for j in range(n))
+            for a in range(n) for k in range(n)]
 
-    kernel = kernel_basis(transposed)
+
+def _integer_conjugator_search(kernel, n: int, bound: int = 10):
+    """Unimodular integer T with entries bounded, or None, from a basis
+    of the integer solutions T of T b2 = b1 T: small combinations of the
+    basis are scanned for determinant +-1.
+    """
     dim = len(kernel)
     if dim == 0:
         return None
@@ -279,6 +201,12 @@ def companion_check(b1, b2) -> str:
     similar_over_Q when an integer unimodular conjugator is found; and
     undetermined_Z_similarity when they are Q-similar but the bounded
     integer search is inconclusive.
+
+    Similarity over Q is decided by ranks (Byrnes & Gauger, Linear and
+    Multilinear Algebra 5, 1977): b1 and b2 are similar exactly when the
+    solution spaces of X b1 = b1 X, X b2 = b1 X and X b2 = b2 X have
+    equal dimensions.  One Hermite form of the (b1, b2) matrix gives its
+    rank and the integer solutions the conjugator search scans.
     """
     b1 = tuple(tuple(int(x) for x in row) for row in b1)
     b2 = tuple(tuple(int(x) for x in row) for row in b2)
@@ -287,10 +215,11 @@ def companion_check(b1, b2) -> str:
         raise ShapeMismatch("matrices must be square and of equal size")
     if charpoly(b1) != charpoly(b2):
         return VERDICT_DISTINCT
-    if _invariant_factors(b1) != _invariant_factors(b2):
+    _, u, rank = row_hnf_transform(_sylvester(b1, b2))
+    if not (row_hnf_transform(_sylvester(b1, b1))[2] == rank
+            == row_hnf_transform(_sylvester(b2, b2))[2]):
         return VERDICT_COMPANION
-    t = _integer_conjugator_search(b1, b2)
-    if t is not None:
+    if _integer_conjugator_search(u[rank:], n) is not None:
         return VERDICT_SIMILAR_Q
     return VERDICT_UNDETERMINED
 

@@ -140,7 +140,13 @@ def _print_expansion(exp: JpaExpansion) -> None:
 # ---------------------------------------------------------------------------
 # cf
 
+def _check_step_budget(max_steps: int) -> None:
+    if max_steps < 0:
+        raise InputError(f"--max-steps must be non-negative, got {max_steps}")
+
+
 def cmd_cf(args) -> int:
+    _check_step_budget(args.max_steps)
     if args.value is not None:
         x = parse_rational(args.value)
         if x <= 0:
@@ -183,6 +189,7 @@ def _parse_theta(text: str, field):
 
 
 def cmd_jpa(args) -> int:
+    _check_step_budget(args.max_steps)
     field = make_field(parse_poly(args.poly))
     if not field.real_roots:
         raise HeckeafError(f"{args.poly} has no real roots")

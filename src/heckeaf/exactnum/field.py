@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ..errors import DivisionByZero, HeckeafError, NotSquarefree
-from .intmat import mat_det
-from .polynomial import IntPolynomial, assert_irreducible, root_bound, sturm_chain, sturm_count
+from .intmat import kernel_basis, mat_det
+from .polynomial import IntPolynomial, irreducible_sturm_chain, root_bound, sturm_chain, sturm_count
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,12 @@ def isolate_real_roots(poly: IntPolynomial) -> list:
     chain = sturm_chain(poly.coeffs)
     if len(chain[-1]) > 1:
         raise NotSquarefree(str(poly))
+    return _isolate(poly, chain)
+
+
+def _isolate(poly: IntPolynomial, chain) -> list:
+    """isolate_real_roots of the squarefree poly of degree >= 1, with its
+    Sturm chain."""
     bound = root_bound(poly)
     lo, hi = -bound, bound
 
@@ -154,14 +160,15 @@ def isolate_real_roots(poly: IntPolynomial) -> list:
 
 
 class NumberField:
-    """Q[x]/(minpoly) for a monic irreducible integer polynomial."""
+    """Q[x]/(minpoly) for a monic irreducible integer polynomial, which
+    the constructor certifies; the one Sturm chain that certifies it
+    squarefree also isolates the real roots."""
 
-    def __init__(self, minpoly: IntPolynomial, _checked: bool = False):
-        if not _checked:
-            assert_irreducible(minpoly)
+    def __init__(self, minpoly: IntPolynomial):
+        chain = irreducible_sturm_chain(minpoly)
         self.minpoly = minpoly
         self.degree = minpoly.degree
-        self.real_roots = tuple(isolate_real_roots(minpoly))
+        self.real_roots = tuple(_isolate(minpoly, chain))
         # reduction rows: coordinates of x^n .. x^(2n-2), integers as the
         # minimal polynomial is monic
         n = self.degree
@@ -231,11 +238,11 @@ class NumberField:
 
 
 def make_field(minpoly: IntPolynomial) -> NumberField:
-    """Construct the field, verifying monicity and irreducibility."""
+    """The field of minpoly, an IntPolynomial or its coefficients, lowest
+    first; NumberField verifies monicity and irreducibility."""
     if not isinstance(minpoly, IntPolynomial):
         minpoly = IntPolynomial(tuple(minpoly))
-    assert_irreducible(minpoly)
-    return NumberField(minpoly, _checked=True)
+    return NumberField(minpoly)
 
 
 class FieldElement:
@@ -389,17 +396,22 @@ class FieldElement:
         return Fraction(sum(row[i] for i, row in enumerate(rows)), self.den)
 
     def min_poly(self) -> IntPolynomial:
-        """Minimal polynomial over Q (monic; integer when the element is
-        an algebraic integer, which all callers here guarantee)."""
+        """Minimal polynomial over Q, for an algebraic integer, which all
+        callers here guarantee; ValueError otherwise.
+
+        With d the degree, 1, a, ..., a^d over a common denominator span
+        a rank-d lattice, so their integer relations are the multiples of
+        one primitive c; the polynomial is integral and monic exactly when
+        c_d = +-1."""
         d = self.degree_over_q()
         powers = [self.field.one]
         for _ in range(d):
             powers.append(powers[-1] * self)
-        sol = _solve_rational([p.coords for p in powers[:d]], powers[d].coords)
-        coeffs = [-c for c in sol] + [Fraction(1)]
-        if all(c.denominator == 1 for c in coeffs):
-            return IntPolynomial(tuple(int(c) for c in coeffs))
-        raise ValueError(f"element {self} is not an algebraic integer")
+        den = lcm(*(p.den for p in powers))
+        (c,) = kernel_basis([[x * (den // p.den) for x in p.num] for p in powers])
+        if c[-1] not in (1, -1):
+            raise ValueError(f"element {self} is not an algebraic integer")
+        return IntPolynomial(tuple(x * c[-1] for x in c))
 
     def degree_over_q(self) -> int:
         """The rank of 1, a, ..., a^(n-1), which is the degree of a's
@@ -508,40 +520,3 @@ def _rank(rows) -> int:
         rows, prev = updated, p
     return rank
 
-
-def _solve_rational(rows, rhs):
-    """Solve x * rows = rhs for a row vector x over Q; None if inconsistent.
-
-    rows is a list of k row vectors (length n), rhs a length-n vector.
-    """
-    k = len(rows)
-    n = len(rhs)
-    # transpose to solve rows^T * x^T = rhs^T column-wise
-    aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(rhs[i])] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        piv = None
-        for rr in range(r, n):
-            if aug[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for rr in range(n):
-            if rr != r and aug[rr][c] != 0:
-                f = aug[rr][c]
-                aug[rr] = [v - f * w for v, w in zip(aug[rr], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    # consistency
-    for rr in range(r, n):
-        if aug[rr][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for row_idx, c in enumerate(piv_cols):
-        x[c] = aug[row_idx][k]
-    return x

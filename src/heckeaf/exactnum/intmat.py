@@ -127,11 +127,6 @@ def row_hnf_transform(rows):
     return h, tuple(tuple(row) for row in u), rank
 
 
-def row_hnf(rows):
-    h, _, _ = row_hnf_transform(rows)
-    return h
-
-
 def kernel_basis(rows):
     """Basis of the left integer kernel {x : x * rows = 0} (saturated)."""
     _, u, rank = row_hnf_transform(rows)

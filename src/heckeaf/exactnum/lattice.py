@@ -116,12 +116,6 @@ class OrderRing:
     def contains(self, elem: FieldElement) -> bool:
         return self.module.contains(elem)
 
-    def is_multiplicatively_closed(self) -> bool:
-        basis = self.module.basis_elements()
-        return all(
-            self.module.contains(a * b) for a in basis for b in basis
-        )
-
 
 def endomorphism_ring(m: ZModule) -> OrderRing:
     """The coefficient order {alpha : alpha * m is contained in m}.

@@ -1,16 +1,13 @@
-"""Integer and rational polynomial arithmetic.
+"""Integer polynomial arithmetic.
 
-Polynomials are stored densely, lowest degree first.  Integer polynomials
-get a small wrapper type (IntPolynomial); throwaway rational polynomials
-are plain lists of Fractions.  Everything here is exact.
-
-Field construction runs on integers: the Sturm chain is a primitive
-pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), its signs at a
-rational m/d are read off integer Horner sums scaled by powers of d, the
-squarefree test is the chain's last member, and irreducibility is decided
-by integer division (trial factors) and arithmetic mod p.  Only the dense
-helpers on lists of Fractions (padd, psub, pmul, pdivmod, pmonic), which
-the Smith form over Q[x] in afalg uses, stay rational.
+Polynomials are stored densely, lowest degree first, as IntPolynomial or
+as plain lists of integers inside the kernels.  Everything here is exact
+and runs on integers: the Sturm chain is a primitive pseudo-remainder
+sequence (Knuth, TAOCP vol. 2, 4.6.1), its signs at a rational m/d are
+read off integer Horner sums scaled by powers of d, the squarefree test is
+the chain's last member, and irreducibility is decided by integer
+division (trial factors) and arithmetic mod p.  The only Fractions built
+are values at rational points and the Cauchy root bound.
 """
 
 from __future__ import annotations
@@ -61,9 +58,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def rational_coeffs(self) -> list:
-        return [Fraction(c) for c in self.coeffs]
-
     def __str__(self) -> str:
         terms = []
         for i in range(self.degree, -1, -1):
@@ -80,83 +74,6 @@ class IntPolynomial:
             else:
                 terms.append(("+ " if c > 0 else "- ") + term)
         return " ".join(terms) if terms else "0"
-
-
-# ---------------------------------------------------------------------------
-# dense rational polynomial helpers (lists of Fraction, lowest degree first)
-
-def ptrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def pdeg(p):
-    return len(p) - 1
-
-
-def pis_zero(p):
-    return all(c == 0 for c in p)
-
-
-def padd(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return ptrim(out)
-
-
-def psub(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] -= c
-    return ptrim(out)
-
-
-def pmul(p, q):
-    if pis_zero(p) or pis_zero(q):
-        return [Fraction(0)]
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return ptrim(out)
-
-
-def pscale(p, s):
-    return ptrim([c * s for c in p])
-
-
-def pdivmod(p, q):
-    """Exact division with remainder over Q."""
-    if pis_zero(q):
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-    dq = pdeg(q)
-    lead = q[-1]
-    while not pis_zero(rem) and pdeg(rem) >= dq:
-        shift = pdeg(rem) - dq
-        factor = rem[-1] / lead
-        quo[shift] += factor
-        for i in range(len(q)):
-            rem[shift + i] -= factor * q[i]
-        ptrim(rem)
-    return ptrim(quo), ptrim(rem)
-
-
-def pmonic(p):
-    if pis_zero(p):
-        return [Fraction(0)]
-    return pscale(p, Fraction(1) / p[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +298,19 @@ def _binomial(n: int, k: int) -> int:
 
 
 def _divides_monic(q, p):
-    """Whether the monic integer polynomial q divides p, by long division
-    on integers (q monic keeps every quotient coefficient integral)."""
+    """The quotient p / q, lowest first, when the monic integer polynomial
+    q divides p, else None: long division on integers (q monic keeps every
+    quotient coefficient integral)."""
     rem = list(p)
     dq = len(q) - 1
+    quo = []
     for shift in range(len(p) - 1 - dq, -1, -1):
         top = rem.pop()
+        quo.append(top)
         if top:
             for i in range(dq):
                 rem[shift + i] -= top * q[i]
-    return not any(rem)
+    return None if any(rem) else quo[::-1]
 
 
 def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_000):
@@ -424,7 +344,7 @@ def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_00
             if idx == 0:
                 for c in consts:
                     cand = (c,) + partial + (1,)
-                    if _divides_monic(cand, poly.coeffs):
+                    if _divides_monic(cand, poly.coeffs) is not None:
                         return IntPolynomial(cand)
                 return None
             b = bounds[idx - 1]
@@ -440,24 +360,37 @@ def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_00
     return None
 
 
+def irreducible_sturm_chain(poly: IntPolynomial) -> list:
+    """The Sturm chain of poly, once poly is certified monic, squarefree
+    (the chain's last member is constant) and irreducible over Q; raises
+    ReduciblePolynomial, NotMonic or NotSquarefree otherwise."""
+    if poly.degree < 1:
+        raise ReduciblePolynomial("constant polynomial")
+    if not poly.is_monic():
+        raise NotMonic(f"leading coefficient is {poly.leading}, expected 1")
+    chain = sturm_chain(poly.coeffs)
+    if len(chain[-1]) > 1:
+        raise NotSquarefree(str(poly))
+    if poly.degree > 1:
+        _assert_no_factor(poly)
+    return chain
+
+
 def assert_irreducible(poly: IntPolynomial) -> None:
-    """Raise ReduciblePolynomial or NotSquarefree if poly fails; otherwise
-    certify irreducibility over Q.
+    """Raise ReduciblePolynomial, NotMonic or NotSquarefree if poly fails;
+    otherwise certify irreducibility over Q."""
+    irreducible_sturm_chain(poly)
+
+
+def _assert_no_factor(poly: IntPolynomial) -> None:
+    """Raise ReduciblePolynomial unless the monic squarefree poly, of
+    degree >= 2, is irreducible over Q.
 
     Strategy: rational root check, then reduction mod p witnesses, then a
     degree-pattern intersection, falling back to a bounded search for an
     explicit integer factor.
     """
     n = poly.degree
-    if n < 1:
-        raise ReduciblePolynomial("constant polynomial")
-    if not poly.is_monic():
-        raise NotMonic(f"leading coefficient is {poly.leading}, expected 1")
-    if n == 1:
-        return
-    if not is_squarefree(poly):
-        raise NotSquarefree(str(poly))
-
     # rational roots: for a monic polynomial these are integer divisors of
     # the constant term
     c0 = poly.coeffs[0]
@@ -492,7 +425,6 @@ def assert_irreducible(poly: IntPolynomial) -> None:
     factor = _trial_factor_search(poly, candidates)
     if factor is not None:
         raise ReduciblePolynomial(f"{poly} has factor {factor}")
-    return
 
 
 def is_irreducible(poly: IntPolynomial) -> bool:

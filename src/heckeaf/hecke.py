@@ -345,18 +345,7 @@ def verify_eigenform(f: NewformData, max_prime: int = HECKE_CHECK_BOUND) -> Eige
 
 
 # ---------------------------------------------------------------------------
-# coefficient field, conjugates, module
-
-def coefficient_field(f: NewformData) -> NumberField:
-    """The field of the coefficients, with a primitive-coefficient check."""
-    n = f.field.degree
-    for cm in f.coeffs:
-        if cm.degree_over_q() == n:
-            return f.field
-    if n == 1:
-        return f.field  # the rationals generate themselves
-    raise NotGenerated("no stored coefficient generates the coefficient field")
-
+# conjugates, module
 
 @dataclass(frozen=True)
 class ConjugateFamily:

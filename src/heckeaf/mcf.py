@@ -414,6 +414,14 @@ def satz12_eigenvector(a):
     Returns (u, lam): u is the image of x in Q[x]/(char A) at the dominant
     embedding, lam an exact eigenvector with lam_1 = 1, positive at that
     embedding, satisfying A lam = u lam symbolically.
+
+    lam is column 0 of adj(uI - A), scaled.  With char A = sum c_k x^k,
+    the adjugate is sum u^k B_k with B_(n-1) = I and B_(k-1) = A B_k + c_k I,
+    as (xI - A) adj(xI - A) = char A (x) I; so its column 0 is
+    sum u^k b_k, with b_(n-1) = e_0 and b_(k-1) = A b_k + c_k e_0, integer
+    vectors.  Coordinate j is the field element with power-basis
+    numerators b_0[j], ..., b_(n-1)[j]; coordinate 0 has b_(n-1)[0] = 1,
+    so it is not zero, and one inverse scales it to 1.
     """
     a = tuple(tuple(int(x) for x in row) for row in a)
     n = len(a)
@@ -433,14 +441,15 @@ def satz12_eigenvector(a):
     root = perron_embedding(field)
     u = field.gen
 
-    # nullspace of (A - u I) over the field, normalized to lam_1 = 1
-    m = [[field.from_rational(a[i][j]) - (u if i == j else field.zero)
-          for j in range(n)] for i in range(n)]
-    lam = _nullspace_vector(m, field)
-    if lam[0].is_zero():  # pragma: no cover - Perron vector has lam_1 != 0
-        raise DegenerateSpectrum("eigenvector has vanishing first coordinate")
-    inv = lam[0].inverse()
-    lam = tuple(v * inv for v in lam)
+    b = [1] + [0] * (n - 1)
+    bs = [b]  # b_(n-1), ..., b_0
+    for c in reversed(cp.coeffs[1:n]):
+        b = [sum(x * y for x, y in zip(row, b)) for row in a]
+        b[0] += c
+        bs.append(b)
+    adj = [field.from_integers([bk[j] for bk in reversed(bs)]) for j in range(n)]
+    inv = adj[0].inverse()
+    lam = tuple(v * inv for v in adj)
     # symbolic residual check: A lam = u lam
     for i in range(n):
         acc = field.zero
@@ -452,35 +461,6 @@ def satz12_eigenvector(a):
         if sign_at(v, root) <= 0:
             raise DegenerateSpectrum("Perron eigenvector is not positive")
     return u, lam
-
-
-def _nullspace_vector(m, field: NumberField):
-    """One nonzero kernel vector of a singular square matrix over the field."""
-    n = len(m)
-    rows = [list(r) for r in m]
-    piv_of_col = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        piv_of_col[c] = r
-        r += 1
-    free = next((c for c in range(n) if c not in piv_of_col), None)
-    if free is None:
-        raise DegenerateSpectrum("matrix is nonsingular; no eigenvector")
-    vec = [field.zero] * n
-    vec[free] = field.one
-    for c, pr in piv_of_col.items():
-        vec[c] = -rows[pr][free]
-    return tuple(vec)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from heckeaf import afalg, mcf
 from heckeaf.errors import ShapeMismatch
 from heckeaf.exactnum import IntPolynomial, make_field
-from heckeaf.exactnum.intmat import charpoly
+from heckeaf.exactnum.intmat import charpoly, mat_inverse_fraction, mat_mul
 
-from util import admissible_digits
+from util import admissible_digits, random_unimodular
+
+X = sympy.symbols("x")
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +130,152 @@ def test_undetermined_z_similarity():
     assert verdict in (afalg.VERDICT_UNDETERMINED, afalg.VERDICT_SIMILAR_Q)
     # and for this classical pair the classes really are distinct
     assert verdict == afalg.VERDICT_UNDETERMINED
+
+
+# -- Q-similarity against the Smith form over Q[x] ---------------------------------
+
+def _trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _psub_mul(p, q, r):
+    """p - q r over Q, trimmed."""
+    out = list(p) + [Fraction(0)] * max(0, len(q) + len(r) - 1 - len(p))
+    for i, a in enumerate(q):
+        for j, b in enumerate(r):
+            out[i + j] -= a * b
+    return _trim(out)
+
+
+def _pdivmod(p, q):
+    rem = list(p)
+    quo = [Fraction(0)] * max(1, len(p) - len(q) + 1)
+    while any(rem) and len(rem) >= len(q):
+        shift = len(rem) - len(q)
+        factor = rem[-1] / q[-1]
+        quo[shift] += factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        _trim(rem)
+    return _trim(quo), rem
+
+
+def ref_invariant_factors(a):
+    """Invariant factors of xI - A over Q[x], monic, constants dropped: the
+    Smith normal form on Fraction polynomials that decided Q-similarity
+    before the commutant ranks did."""
+    n = len(a)
+    m = [[[Fraction(-a[i][j])] + ([Fraction(1)] if i == j else []) for j in range(n)]
+         for i in range(n)]
+    factors = []
+    top = 0
+    while top < n:
+        bi, bj = min(((i, j) for i in range(top, n) for j in range(top, n) if any(m[i][j])),
+                     key=lambda ij: len(m[ij[0]][ij[1]]))
+        m[top], m[bi] = m[bi], m[top]
+        for row in m:
+            row[top], row[bj] = row[bj], row[top]
+        pivot = m[top][top]
+        dirty = False
+        for i in range(top + 1, n):
+            q, _ = _pdivmod(m[i][top], pivot)
+            for j in range(top, n):
+                m[i][j] = _psub_mul(m[i][j], q, m[top][j])
+            dirty |= any(m[i][top])
+        for j in range(top + 1, n):
+            q, _ = _pdivmod(m[top][j], pivot)
+            for i in range(top, n):
+                m[i][j] = _psub_mul(m[i][j], q, m[i][top])
+            dirty |= any(m[top][j])
+        if dirty:
+            continue  # remainders of smaller degree appeared; re-pick the pivot
+        offender = next((i for i in range(top + 1, n) for j in range(top + 1, n)
+                         if any(_pdivmod(m[i][j], pivot)[1])), None)
+        if offender is not None:
+            # fold the offending row in; the next pass shrinks the pivot
+            m[top] = [_psub_mul(x, [Fraction(-1)], y) for x, y in zip(m[top], m[offender])]
+            continue
+        factors.append([c / pivot[-1] for c in pivot])
+        top += 1
+    return [f for f in factors if len(f) > 1]
+
+
+def sympy_invariant_factors(a):
+    from sympy.matrices.normalforms import invariant_factors
+
+    m = X * sympy.eye(len(a)) - sympy.Matrix(a)
+    out = [sympy.Poly(f, X).monic() for f in invariant_factors(m, domain=sympy.QQ[X])]
+    return [[Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+            for f in out if f.degree() >= 1]
+
+
+# x - 1, x + 1, x - 2, x^2 - x - 1, x^2 + 1, lowest first
+_FACTORS = ((-1, 1), (1, 1), (-2, 1), (-1, -1, 1), (1, 0, 1))
+
+
+def _block(group, rng):
+    """A Jordan block for a group of equal linear factors (sometimes), else
+    the companion matrix of the group's product."""
+    k = len(group)
+    if len(group[0]) == 2 and len(set(group)) == 1 and rng.random() < 0.5:
+        return [[-group[0][0] if i == j else int(j == i + 1) for j in range(k)]
+                for i in range(k)]
+    poly = (1,)
+    for f in group:
+        poly = tuple(sum(poly[i] * f[t - i] for i in range(len(poly)) if 0 <= t - i < len(f))
+                     for t in range(len(poly) + len(f) - 1))
+    d = len(poly) - 1
+    return [[int(i == j + 1) if j < d - 1 else -poly[i] for j in range(d)] for i in range(d)]
+
+
+def _drawn_matrix(factors, rng):
+    """A unimodular conjugate of a block-diagonal matrix whose blocks
+    split the factors into random groups."""
+    order = list(factors)
+    rng.shuffle(order)
+    groups, start = [], 0
+    while start < len(order):
+        end = rng.randint(start + 1, len(order))
+        groups.append(order[start:end])
+        start = end
+    n = sum(len(f) - 1 for f in factors)
+    b = [[0] * n for _ in range(n)]
+    at = 0
+    for group in groups:
+        blk = _block(group, rng)
+        for i, row in enumerate(blk):
+            b[at + i][at:at + len(row)] = row
+        at += len(blk)
+    u = random_unimodular(n, rng, steps=6)
+    u_inv = tuple(tuple(int(x) for x in row) for row in mat_inverse_fraction(u))
+    return mat_mul(mat_mul(u, tuple(map(tuple, b))), u_inv)
+
+
+def test_companion_verdict_matches_the_smith_form():
+    """companion_check calls a pair with equal char polys companion
+    exactly when sympy's invariant factors of xI - A over Q[x], and those
+    of the Fraction Smith form it replaced, differ; both outcomes occur."""
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        pool = [f for f in _FACTORS[:rng.randint(1, len(_FACTORS))]]
+        factors = []
+        while sum(len(f) - 1 for f in factors) < n:
+            fits = [f for f in pool if len(f) - 1 <= n - sum(len(g) - 1 for g in factors)]
+            factors.append(rng.choice(fits or [_FACTORS[0]]))
+        b1, b2 = _drawn_matrix(factors, rng), _drawn_matrix(factors, rng)
+        assert charpoly(b1) == charpoly(b2)
+        similar = sympy_invariant_factors(b1) == sympy_invariant_factors(b2)
+        for b in (b1, b2):
+            assert ref_invariant_factors(b) == sympy_invariant_factors(b)
+        verdict = afalg.companion_check(b1, b2)
+        assert (verdict != afalg.VERDICT_COMPANION) == similar
+        assert verdict != afalg.VERDICT_DISTINCT
+        outcomes.add(similar)
+    assert outcomes == {True, False}
 
 
 def test_charpoly_invariant_under_digit_rotation():

@@ -96,6 +96,27 @@ def test_cf_domain_and_input_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("cf", "--poly", "x^2-2", "--root", "1"),
+    ("cf", "355/113"),
+    ("jpa", "--poly", "x^2-x-1", "--theta", "0,1", "--root", "1"),
+])
+def test_negative_step_budget_is_an_input_error(monkeypatch, capsys, argv):
+    """A negative --max-steps is refused before any field is built; a
+    budget of 0 still runs and reports an empty expansion."""
+    def no_field(poly):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(cli, "make_field", no_field)
+    code, out, err = run(capsys, *argv, "--max-steps", "-1")
+    assert code == 2
+    assert "input error: --max-steps" in err and out == ""
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv, "--max-steps", "0")
+    assert code == 0
+    assert "within 0 steps" in out
+
+
 def test_jpa_golden(capsys):
     code, out, _ = run(capsys, "jpa", "--poly", "x^2-x-1", "--theta", "0,1", "--root", "1")
     assert code == 0

@@ -240,8 +240,8 @@ def test_load_names_the_failure_the_pairwise_scan_names(label):
 
 
 def test_coefficient_field(f11, f23):
-    assert hecke.coefficient_field(f11).degree == 1
-    field = hecke.coefficient_field(f23)
+    assert f11.field.degree == 1
+    field = f23.field
     assert field.degree == 2
     order = endomorphism_ring(hecke.module_of_eigenform(f23))
     # Z[c(2)] for the root c(2) of x^2 + x - 1: the maximal order, disc 5

@@ -193,6 +193,25 @@ def test_invariants_match_the_fraction_reference(case):
             a.min_poly()
 
 
+@settings(max_examples=80, deadline=None)
+@given(_elements(1))
+def test_min_poly_matches_sympy(case):
+    """sympy's minimal polynomial of the same polynomial in a root of the
+    field polynomial: primitive over Z, so a.min_poly() exists exactly
+    when its leading coefficient is 1, and then the two agree."""
+    field, (a,) = case
+    x = sympy.symbols("x")
+    root = sympy.CRootOf(sympy.Poly(list(reversed(field.minpoly.coeffs)), x), 0)
+    expr = sympy.AlgebraicNumber(root, [sympy.Rational(c.numerator, c.denominator)
+                                        for c in reversed(a.coords)])
+    want = sympy.Poly(sympy.minimal_polynomial(expr, x), x)
+    if want.LC() == 1:
+        assert a.min_poly() == IntPolynomial(tuple(int(c) for c in reversed(want.all_coeffs())))
+    else:
+        with pytest.raises(ValueError):
+            a.min_poly()
+
+
 def test_subfield_elements_have_lower_degree():
     """In Q(sqrt 2 + sqrt 3), x^2 = 5 + 2 sqrt 6 has degree 2 and min poly
     x^2 - 10 x + 1; rationals have degree 1."""

@@ -11,7 +11,7 @@ from heckeaf.exactnum import (
     module_from_generators,
     module_intersect,
 )
-from heckeaf.exactnum.intmat import row_hnf, row_hnf_transform, mat_mul, mat_det
+from heckeaf.exactnum.intmat import row_hnf_transform, mat_mul, mat_det
 
 from util import random_unimodular, random_element
 
@@ -28,7 +28,7 @@ def test_hnf_is_canonical_and_unimodular():
     assert mat_det(u) in (1, -1)
     assert mat_mul(u, tuple(tuple(r) for r in rows))[:rank] == h
     # uniqueness: reordering generators leaves the form unchanged
-    assert row_hnf([[1, 1], [2, 0]]) == h
+    assert row_hnf_transform([[1, 1], [2, 0]])[0] == h
 
 
 def test_module_examples(sqrt5):
@@ -112,7 +112,6 @@ def test_order_closure_property(sqrt5):
     for gens in ([sqrt5.one, phi], [sqrt5.one, sqrt5.gen]):
         m = module_from_generators(sqrt5, gens)
         o = endomorphism_ring(m)
-        assert o.is_multiplicatively_closed()
         basis = o.basis_elements()
         for a in basis:
             for b in basis:

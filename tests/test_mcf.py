@@ -3,7 +3,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from heckeaf import mcf
 from heckeaf.errors import (
@@ -221,6 +222,57 @@ def test_satz12_eigen_residual_and_positivity():
             assert acc == u * lam[i]
         for v in lam:
             assert sign_at(v, root) > 0
+
+
+def ref_perron_vector(a, u):
+    """The kernel vector of A - uI by Gauss-Jordan over the field, scaled
+    to lam_1 = 1: the elimination the adjugate column replaced."""
+    n = len(a)
+    field = u.field
+    rows = [[field.from_rational(a[i][j]) - (u if i == j else 0) for j in range(n)]
+            for i in range(n)]
+    pivot_row = {}
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivot_row[c] = r
+        r += 1
+    free = next(c for c in range(n) if c not in pivot_row)
+    vec = [field.zero] * n
+    vec[free] = field.one
+    for c, pr in pivot_row.items():
+        vec[c] = -rows[pr][free]
+    inv = vec[0].inverse()
+    return tuple(v * inv for v in vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_satz12_matches_the_field_elimination(n, length, seed):
+    """The adjugate column is the Gauss-Jordan kernel vector exactly, and
+    A lam = x lam holds modulo the char poly in sympy's Q[x]."""
+    a = mcf.convergent_matrix(admissible_digits(random.Random(seed), n, length), n)
+    try:
+        u, lam = mcf.satz12_eigenvector(a)
+    except ReducibleCharPoly:
+        assume(False)
+    assert lam == ref_perron_vector(a, u)
+    x = sympy.symbols("x")
+    chi = sympy.Poly(list(reversed(charpoly(a).coeffs)), x)
+    polys = [sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                       for c in v.coords])), x, domain="QQ") for v in lam]
+    for i in range(n):
+        lhs = sum((a[i][j] * polys[j] for j in range(n)), sympy.Poly(0, x, domain="QQ"))
+        assert (lhs - x * polys[i]).rem(chi).is_zero
 
 
 def test_satz12_rejects_imprimitive():

@@ -7,8 +7,8 @@ from heckeaf.exactnum.polynomial import (
     IntPolynomial,
     assert_irreducible,
     is_irreducible,
+    _divides_monic,
     is_squarefree,
-    pdivmod,
     root_bound,
     sturm_chain,
     sturm_count,
@@ -80,12 +80,11 @@ def test_non_monic_and_squarefree_guards():
     assert is_squarefree(P(-4, 0, 1))
 
 
-def test_rational_poly_division_and_gcd():
-    a = [Fraction(c) for c in (-1, 0, 1)]       # x^2 - 1
-    b = [Fraction(c) for c in (1, 1)]           # x + 1
-    q, r = pdivmod(a, b)
-    assert r == [Fraction(0)]
-    assert q == [Fraction(-1), Fraction(1)]
+def test_monic_poly_division_and_gcd():
+    # x^2 - 1 = (x + 1)(x - 1); x + 2 leaves the remainder 3
+    assert _divides_monic((1, 1), (-1, 0, 1)) == [-1, 1]
+    assert _divides_monic((2, 1), (-1, 0, 1)) is None
+    assert _divides_monic((1, 1, 1), (1, 2, 3, 2, 1)) == [1, 1, 1]
     # the integer Sturm chain ends in gcd(p, p') up to a scalar: (x^2 - 1)
     # (x + 1) has gcd x + 1 with its derivative; x^2 + 1 and 6x^2 - 2 are
     # squarefree, their chains end in the constants -1 and 1

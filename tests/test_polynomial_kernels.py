@@ -21,10 +21,6 @@ from heckeaf.exactnum.polynomial import (
     _trial_factor_search,
     assert_irreducible,
     is_squarefree,
-    pdivmod,
-    pis_zero,
-    pmonic,
-    pscale,
     root_bound,
     sign_variations,
     sturm_chain,
@@ -36,6 +32,23 @@ X = sympy.symbols("x")
 
 
 # -- the Fraction references ----------------------------------------------------
+
+def ref_coeffs(poly):
+    return [Fraction(c) for c in poly.coeffs]
+
+
+def ref_rem(p, q):
+    """p mod q over Q by long division, trimmed to its degree."""
+    rem = list(p)
+    while any(rem) and len(rem) >= len(q):
+        shift = len(rem) - len(q)
+        factor = rem[-1] / q[-1]
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        while len(rem) > 1 and rem[-1] == 0:
+            rem.pop()
+    return rem
+
 
 def ref_deriv(p):
     if len(p) <= 1:
@@ -53,19 +66,20 @@ def ref_eval(p, x):
 def ref_sturm_chain(p):
     """The classical chain over Q: p, p', then -(a mod b)."""
     chain = [list(p), ref_deriv(p)]
-    while not pis_zero(chain[-1]) and len(chain[-1]) > 1:
-        _, rem = pdivmod(chain[-2], chain[-1])
-        if pis_zero(rem):
+    while any(chain[-1]) and len(chain[-1]) > 1:
+        rem = ref_rem(chain[-2], chain[-1])
+        if not any(rem):
             break
-        chain.append(pscale(rem, Fraction(-1)))
-    return [c for c in chain if not pis_zero(c)]
+        chain.append([-c for c in rem])
+    return [c for c in chain if any(c)]
 
 
 def ref_is_squarefree(poly):
-    a, b = poly.rational_coeffs(), ref_deriv(poly.rational_coeffs())
-    while not pis_zero(b):
-        a, b = b, pdivmod(a, b)[1]
-    return len(pmonic(a)) == 1
+    """Whether the Euclidean gcd of poly and poly' over Q is constant."""
+    a, b = ref_coeffs(poly), ref_deriv(ref_coeffs(poly))
+    while any(b):
+        a, b = b, ref_rem(a, b)
+    return len(a) == 1
 
 
 def ref_sturm_count(chain, a, b):
@@ -78,7 +92,7 @@ def ref_isolate_real_roots(poly):
     if poly.degree == 0:
         return []
     assert ref_is_squarefree(poly)
-    chain = ref_sturm_chain(poly.rational_coeffs())
+    chain = ref_sturm_chain(ref_coeffs(poly))
     bound = root_bound(poly)
     out = []
     stack = [(-bound, bound, ref_sturm_count(chain, -bound, bound))]
@@ -141,7 +155,7 @@ def test_integer_sturm_chain_has_the_signs_of_the_fraction_chain(poly, points):
     """Each integer member is a positive multiple of the Fraction member:
     same length, same degrees, same sign at every rational."""
     chain = sturm_chain(poly.coeffs)
-    ref = ref_sturm_chain(poly.rational_coeffs())
+    ref = ref_sturm_chain(ref_coeffs(poly))
     assert [len(c) for c in chain] == [len(c) for c in ref]
     assert all(type(x) is int for c in chain for x in c)
     for x in points:
@@ -164,7 +178,7 @@ def test_sturm_chain_across_a_degree_gap(coeffs):
     Fraction chain's signs, and the isolating intervals are the same."""
     poly = IntPolynomial(coeffs)
     chain = sturm_chain(poly.coeffs)
-    ref = ref_sturm_chain(poly.rational_coeffs())
+    ref = ref_sturm_chain(ref_coeffs(poly))
     assert any(len(a) - len(b) >= 2 for a, b in zip(chain[1:], chain[2:]))
     assert [len(c) for c in chain] == [len(c) for c in ref]
     for x in [Fraction(k, 4) for k in range(-20, 21)]:
@@ -196,8 +210,8 @@ def test_isolate_real_roots_matches_the_fraction_bisection(poly):
 def test_fraction_evaluation_is_one_scaled_horner_sum():
     p = IntPolynomial((7, -3, 0, 2))
     for x in (Fraction(-7, 3), Fraction(5, 8), Fraction(4), Fraction(0)):
-        assert p.evaluate(x) == ref_eval(p.rational_coeffs(), x)
-        assert p.evaluate(x.numerator) == ref_eval(p.rational_coeffs(), x.numerator)
+        assert p.evaluate(x) == ref_eval(ref_coeffs(p), x)
+        assert p.evaluate(x.numerator) == ref_eval(ref_coeffs(p), x.numerator)
 
 
 _MONIC_QUADRATIC = st.tuples(st.integers(-12, 12), st.integers(-12, 12))

@@ -12,7 +12,7 @@ import pytest
 
 from heckeaf import afalg, cli, hecke, mcf
 from heckeaf.errors import NonnegativeFormNotFound
-from heckeaf.exactnum import field, intmat, units
+from heckeaf.exactnum import field, intmat, polynomial, units
 from heckeaf.exactnum.field import FieldElement, RealRootInterval
 from heckeaf.exactnum.lattice import endomorphism_ring
 from heckeaf.hecke import load_newform
@@ -61,7 +61,7 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     factorize = _count(monkeypatch, "bauer_factorize", mcf, units, hecke, afalg)
     inverse = _count(monkeypatch, "mat_inverse_fraction", intmat, units, hecke)
     char_poly = _count(monkeypatch, "charpoly", intmat, units, mcf)
-    isolate = _count(monkeypatch, "isolate_real_roots", field)
+    isolate = _count(monkeypatch, "_isolate", field)
     result = hecke.af_of_eigenform(f)
     assert isinstance(result.af, hecke.StationaryAF)
     assert attractor[0] == 1
@@ -254,7 +254,7 @@ def test_field_construction_builds_few_fractions(monkeypatch):
     the 4x4 block product of the digits (0,1,3), (4,0,5), (1,1,2) makes
     under 100 Fractions (726 with Fraction polynomials), counted by
     wrapping Fraction.__new__."""
-    a = mcf.convergent_matrix(((0, 1, 3), (4, 0, 5), (1, 1, 2)))
+    a = _BLOCK_PRODUCT
     built = [0]
     original = Fraction.__new__
 
@@ -265,3 +265,31 @@ def test_field_construction_builds_few_fractions(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     field.make_field(intmat.charpoly(a))
     assert built[0] < 100
+
+
+_BLOCK_PRODUCT = mcf.convergent_matrix(((0, 1, 3), (4, 0, 5), (1, 1, 2)))
+
+
+def test_field_construction_builds_one_sturm_chain(monkeypatch):
+    """The Sturm chain that certifies the Perron field's polynomial
+    squarefree also isolates its real roots: one chain per field, where
+    checking and isolating separately built two."""
+    chains = _count(monkeypatch, "sturm_chain", polynomial, field)
+    field.make_field(intmat.charpoly(_BLOCK_PRODUCT))
+    assert chains[0] == 1
+
+
+def test_perron_eigenvector_makes_one_field_inverse(monkeypatch):
+    """The eigenvector is column 0 of adj(uI - A), an integer recurrence
+    in A and the char poly's coefficients; the one field inverse scales
+    lam_1 to 1, where Gauss-Jordan over the field made one per pivot."""
+    inverse = [0]
+    original = FieldElement.inverse
+
+    def counted(self):
+        inverse[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    mcf.satz12_eigenvector(_BLOCK_PRODUCT)
+    assert inverse[0] == 1

@@ -37,7 +37,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from heckeaf.exactnum.field import make_field
-from heckeaf.exactnum.polynomial import IntPolynomial, is_irreducible, pdivmod, pis_zero
+from heckeaf.exactnum.polynomial import IntPolynomial, _divides_monic, is_irreducible
 
 COEFF_COUNT = 200
 PRIME_CHECK_BOUND = 13
@@ -157,18 +157,14 @@ def _find_monic_factor(poly, coeff_bound=25):
     or None.  The constant term must divide the polynomial's constant."""
     const = abs(poly.coeffs[0])
     divisors = [d for d in range(1, const + 1) if const % d == 0]
-    rational = poly.rational_coeffs()
     for deg in range(1, poly.degree // 2 + 1):
         for c0 in divisors:
             for signed_c0 in (c0, -c0):
                 for mid in product(range(-coeff_bound, coeff_bound + 1), repeat=deg - 1):
-                    cand = [Fraction(signed_c0)] + [Fraction(x) for x in mid] + [Fraction(1)]
-                    quo, rem = pdivmod(rational, cand)
-                    if pis_zero(rem):
-                        return (
-                            IntPolynomial(tuple(int(x) for x in cand)),
-                            IntPolynomial(tuple(int(x) for x in quo)),
-                        )
+                    cand = (signed_c0,) + mid + (1,)
+                    quo = _divides_monic(cand, poly.coeffs)
+                    if quo is not None:
+                        return IntPolynomial(cand), IntPolynomial(tuple(quo))
     return None
 
 
