@@ -190,12 +190,22 @@ class NumberField:
             self.gen = FieldElement(self, (-minpoly.coeffs[0],))
 
     def element(self, coords) -> "FieldElement":
-        cs = [Fraction(c) for c in coords]
-        if len(cs) > self.degree:
+        """The element with power-basis coordinates coords (ints, or values
+        Fraction accepts), zero-padded to the degree."""
+        return self.from_ratios(
+            [(c, 1) if type(c) is int else Fraction(c).as_integer_ratio() for c in coords]
+        )
+
+    def from_ratios(self, pairs) -> "FieldElement":
+        """The element sum_i (p_i / q_i) x^i for at most degree-many pairs
+        (p_i, q_i) in lowest terms with q_i > 0.  Its numerators over the
+        lcm of the q_i are in lowest terms too: each prime power of the lcm
+        divides some q_i exactly, and p_i is prime to it."""
+        if len(pairs) > self.degree:
             raise ValueError(f"expected at most {self.degree} coordinates")
-        den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs]
-        return FieldElement(self, tuple(num) + (0,) * (self.degree - len(cs)), den)
+        den = lcm(*(q for _, q in pairs))
+        num = tuple(p * (den // q) for p, q in pairs)
+        return FieldElement(self, num + (0,) * (self.degree - len(num)), den)
 
     def from_integers(self, num, den: int = 1) -> "FieldElement":
         """The element sum_i num[i] x^i / den, for degree-many integers num

@@ -17,6 +17,7 @@ equal-characteristic-polynomial claim checkable literally.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -61,7 +62,7 @@ class NewformData:
     weight: int
     field: NumberField
     coeffs: tuple  # c(1) .. c(M) as FieldElements
-    module_rows: tuple | None = None
+    module_rows: tuple | None = None  # explicit module generators as FieldElements
     embedding_index: int | None = None
 
     @property
@@ -82,13 +83,32 @@ class NewformData:
         return len(self.field.real_roots) - 1  # largest real root
 
 
-def _parse_rational(s) -> Fraction:
-    if type(s) not in (int, str):  # bool is an int subclass, not a JSON integer
+# the coordinate grammar of the fixture schema, matched in full
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(s) -> tuple:
+    """A fixture coordinate as (numerator, denominator) in lowest terms with
+    denominator > 0: a JSON integer, or a string of the schema grammar
+    -?[0-9]+(/[0-9]+)? in ASCII digits.  Any other spelling (whitespace, a
+    plus sign, underscores, decimals, exponents, non-ASCII digits) and a zero
+    denominator are a SchemaError."""
+    if type(s) is int:  # bool is an int subclass, not a JSON integer
+        return s, 1
+    if type(s) is not str:
         raise SchemaError(f"expected a rational string, got {type(s).__name__}")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise SchemaError(f"cannot parse rational {s!r}: not of the form -?[0-9]+(/[0-9]+)?")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"cannot parse rational {s!r}: {exc}") from exc
+        num = int(m[1])
+        den = 1 if m[2] is None else int(m[2])
+    except ValueError as exc:  # more digits than int() converts
+        raise SchemaError(f"cannot parse rational of {len(s)} characters: {exc}") from exc
+    if den == 0:
+        raise SchemaError(f"cannot parse rational {s!r}: zero denominator")
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _primes_up_to(bound: int):
@@ -149,7 +169,7 @@ def load_newform(source) -> NewformData:
     if isinstance(source, (str, bytes)):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"a fixture is a JSON object, not a {type(data).__name__}")
@@ -178,7 +198,7 @@ def load_newform(source) -> NewformData:
     for idx, row in enumerate(an, start=1):
         if not isinstance(row, list) or len(row) > field.degree:
             raise SchemaError(f"coefficient {idx} has a bad coordinate vector")
-        coeffs.append(field.element([_parse_rational(x) for x in row]))
+        coeffs.append(field.from_ratios([_parse_rational(x) for x in row]))
     coeffs = tuple(coeffs)
 
     module_rows = data.get("module")
@@ -190,7 +210,9 @@ def load_newform(source) -> NewformData:
                 raise SchemaError(
                     f"module row {idx} has {len(row)} coordinates, more than the degree {field.degree}"
                 )
-        module_rows = tuple(tuple(_parse_rational(x) for x in row) for row in module_rows)
+        module_rows = tuple(
+            field.from_ratios([_parse_rational(x) for x in row]) for row in module_rows
+        )
     embedding_index = data.get("embedding_index")
     if embedding_index is not None:
         if type(embedding_index) is not int or not (

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckeaf import cli, hecke
-from heckeaf.errors import DegenerateSpectrum, HeckeafError, NotEndomorphism, ReducibleCharPoly
+from heckeaf.errors import (
+    DegenerateSpectrum,
+    HeckeafError,
+    NotEndomorphism,
+    ReducibleCharPoly,
+    SchemaError,
+)
 from heckeaf.exactnum import IntPolynomial
 
 
@@ -318,6 +324,81 @@ def test_af_malformed_fixture_is_rejected_with_a_report(tmp_path, capsys, mutate
     assert code == 2
     assert "fixture rejected" in err
     assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
+
+
+@pytest.mark.parametrize("token", [
+    '"1e100000000"',  # Fraction would build a 100-million-digit integer
+    '"' + "1" * 5000 + '"',  # past int()'s digit limit, as a string
+    "1" * 5000,  # and as a JSON integer
+])
+def test_af_oversized_coordinate_is_rejected_at_once(tmp_path, capsys, token):
+    """c(151) of level23a enters no Hecke relation checked on load, so only
+    the coordinate grammar and the digit limit stand between such a
+    coordinate and the pipeline."""
+    data = _level23a()
+    data["an"][150][0] = "PLACEHOLDER"
+    bad_path = tmp_path / "oversized.json"
+    bad_path.write_text(json.dumps(data).replace('"PLACEHOLDER"', token))
+    report_path = tmp_path / "report.json"
+    started = time.perf_counter()
+    code, _, err = run(capsys, "af", str(bad_path), "--report", str(report_path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "fixture rejected" in err
+    assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
+
+
+def test_af_equal_spellings_give_the_same_report(tmp_path, capsys):
+    """level23a spelled with unreduced fractions and JSON integers loads the
+    same coefficients and gives the same af report apart from timings."""
+    data = _level23a()
+    spelled = {"2": "4/2", "-2": "-6/3", "0": "0/7"}
+    respelled = dict(data, an=[[spelled.get(x, int(x)) for x in row] for row in data["an"]])
+    assert {"4/2", "-6/3", "0/7"} <= {x for row in respelled["an"] for x in row}
+    original = hecke.load_newform(json.dumps(data))
+    variant = hecke.load_newform(json.dumps(respelled))
+    assert [(c.num, c.den) for c in variant.coeffs] == [(c.num, c.den) for c in original.coeffs]
+    texts = []
+    for name, fixture in (("original", data), ("respelled", respelled)):
+        source = tmp_path / f"{name}.json"
+        source.write_text(json.dumps(fixture))
+        target = tmp_path / f"{name}_report.json"
+        code, _, _ = run(capsys, "af", str(source), "--report", str(target))
+        assert code == 0
+        report = json.loads(target.read_text())
+        del report["timings"]
+        texts.append(cli.report_json(report))
+    assert texts[0] == texts[1]
+
+
+_COORDINATE_TEXT = st.text(alphabet="0123456789-/ +_.e\n٣１", max_size=8) | st.from_regex(
+    r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COORDINATE_TEXT)
+def test_schema_and_loader_agree_on_coordinate_strings(s):
+    """The loader accepts a coordinate string only if the fixture schema
+    does.  The schema's pattern is wider in two places: python-jsonschema
+    matches it with re.search, whose $ also matches before a final newline,
+    and it does not exclude a zero denominator."""
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+
+    schema = json.loads(
+        resources.files("heckeaf.schemas").joinpath("newform_fixture.schema.json").read_text()
+    )
+    item = jsonschema.Draft7Validator(schema["properties"]["an"]["items"]["items"])
+    try:
+        hecke._parse_rational(s)
+        loaded = True
+    except SchemaError:
+        loaded = False
+    if loaded:
+        assert item.is_valid(s)
+    elif item.is_valid(s):
+        assert s.endswith("\n") or int(s.partition("/")[2] or 1) == 0
 
 
 def test_af_module_row_longer_than_the_degree_is_rejected(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
 import random
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckeaf import afalg, hecke, mcf
 from heckeaf.errors import (
@@ -19,6 +22,8 @@ from heckeaf.exactnum import IntPolynomial, eval_embedding, make_field, module_f
 from heckeaf.exactnum.lattice import endomorphism_ring
 
 from util import random_unimodular
+
+LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,96 @@ def test_load_rejects_bad_weight_and_schema():
     bad["field_poly"] = [-4, 0, 1]
     with pytest.raises(ReduciblePolynomial):
         hecke.load_newform(bad)
+
+
+def _schema_coordinate_pattern():
+    from importlib import resources
+
+    schema = json.loads(
+        resources.files("heckeaf.schemas").joinpath("newform_fixture.schema.json").read_text()
+    )
+    return schema["properties"]["an"]["items"]["items"]["pattern"]
+
+
+# matched with re.fullmatch, so its ^ and $ add nothing and a trailing
+# newline does not match
+SCHEMA_PATTERN = _schema_coordinate_pattern()
+
+_DIGIT_RUNS = st.text(alphabet="0123456789", min_size=1, max_size=60)
+_GRAMMAR_STRINGS = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "-"]),
+    _DIGIT_RUNS | st.sampled_from(["0", "00", "007"]),
+    st.none() | _DIGIT_RUNS | st.sampled_from(["0", "000", "1", "01"]),
+)
+
+
+def _fraction_or_none(s):
+    try:
+        return Fraction(s).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _parsed_or_none(s):
+    try:
+        return hecke._parse_rational(s)
+    except SchemaError:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GRAMMAR_STRINGS | st.integers() | st.integers(-10 ** 80, 10 ** 80))
+def test_parse_rational_matches_fraction_on_the_grammar(s):
+    """On the schema grammar and on JSON integers the coordinate parser
+    gives Fraction's (numerator, denominator), or both refuse (a zero
+    denominator)."""
+    assert _parsed_or_none(s) == _fraction_or_none(s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789-/ +_.e\n٣１", max_size=8))
+def test_parse_rational_rejects_every_string_outside_the_grammar(s):
+    if re.fullmatch(SCHEMA_PATTERN, s):
+        assert _parsed_or_none(s) == _fraction_or_none(s)
+    else:
+        with pytest.raises(SchemaError):
+            hecke._parse_rational(s)
+
+
+# spellings that Fraction, and so the loader before it parsed the schema
+# grammar, accepted
+@pytest.mark.parametrize("s", [
+    " 3", "3 ", "3\n", "\t3", "+3", "+1/2", "1_000", "1/2_0", "1.5", ".5", "1.",
+    "1e3", "1E3", "-1.5e-3", "٣", "１",
+])
+def test_spellings_outside_the_grammar_are_schema_errors(s):
+    assert _fraction_or_none(s) is not None
+    with pytest.raises(SchemaError):
+        hecke._parse_rational(s)
+
+
+def _reference_coefficients(data):
+    """(num, den) of each an row by Fraction: numerators over the lcm of the
+    coordinate denominators, zero-padded to the degree."""
+    degree = len(data["field_poly"]) - 1
+    out = []
+    for row in data["an"]:
+        coords = [Fraction(x) for x in row]
+        den = lcm(*(c.denominator for c in coords))
+        num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        out.append((num + (0,) * (degree - len(num)), den))
+    return out
+
+
+@pytest.mark.parametrize("name", ["level11a", "level23a", "level71a", "level71b", "level47a"])
+def test_loaded_coefficients_equal_the_fraction_parse(name):
+    if name == "level47a":
+        data = json.loads(LEVEL47A.read_text())
+    else:
+        data = fixture_dict(name)
+    f = hecke.load_newform(data)
+    assert [(c.num, c.den) for c in f.coeffs] == _reference_coefficients(data)
 
 
 def test_hecke_apply_examples(f11):

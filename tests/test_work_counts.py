@@ -293,3 +293,26 @@ def test_perron_eigenvector_makes_one_field_inverse(monkeypatch):
     monkeypatch.setattr(FieldElement, "inverse", counted)
     mcf.satz12_eigenvector(_BLOCK_PRODUCT)
     assert inverse[0] == 1
+
+
+@pytest.mark.parametrize("name", ["level11a", "level23a", "level71a", "level71b", "level47a"])
+def test_loading_a_fixture_builds_no_fraction_per_coefficient(monkeypatch, name):
+    """The coordinates of the schema grammar parse straight to integers: a
+    load makes a few Fractions (the field's real-root isolation), not one
+    per coordinate (405 to 1620 when each went through Fraction(str))."""
+    if name == "level47a":
+        text = LEVEL47A.read_text()
+    else:
+        from importlib import resources
+
+        text = resources.files("heckeaf.fixtures").joinpath(f"{name}.json").read_text()
+    calls = [0]
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    load_newform(text)
+    assert calls[0] < 50

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Median in-process wall time of the three stages of `heckeaf af`.
+
+For each fixture (a bundled name or a path, with an optional `@i` that
+sets the embedding index) the script runs, REPEATS times after one
+untimed warm-up run:
+
+  load    read the fixture file and `load_newform` it (parse and verify)
+  af      `af_of_eigenform` (a typed pipeline failure ends the stage)
+  report  `build_report` plus `report_json`
+
+and prints the median of each stage in milliseconds.  The fixture is
+written with its embedding index to a temporary file first, so the read
+is a plain file read, as in `heckeaf af <path>`.
+
+Usage: python3 tools/stage_times.py level23a level71a@2 perfbench/data/level47a.json
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from heckeaf.cli import build_report, report_json  # noqa: E402
+from heckeaf.errors import HeckeafError  # noqa: E402
+from heckeaf.hecke import af_of_eigenform, load_newform  # noqa: E402
+
+REPEATS = 11
+
+
+def fixture_text(spec: str) -> str:
+    """The fixture text of `name[@i]`, with embedding_index i written in."""
+    name, _, index = spec.partition("@")
+    path = Path(name)
+    if path.exists():
+        text = path.read_text()
+    else:
+        text = resources.files("heckeaf.fixtures").joinpath(f"{name}.json").read_text()
+    if not index:
+        return text
+    return json.dumps(dict(json.loads(text), embedding_index=int(index)))
+
+
+def stage_times(path: Path):
+    """One run of the three stages on the fixture file: their wall times."""
+    started = perf_counter()
+    f = load_newform(path.read_text())
+    loaded = perf_counter()
+    result = error = None
+    try:
+        result = af_of_eigenform(f)
+    except HeckeafError as exc:
+        error = {"stage": type(exc).__name__, "message": str(exc)}
+    computed = perf_counter()
+    report_json(build_report(f, result=result, error=error, timings={"total_s": "0"}))
+    return loaded - started, computed - loaded, perf_counter() - computed
+
+
+def main(specs) -> int:
+    if not specs:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    print(f"{'fixture':<32} {'load ms':>9} {'af ms':>9} {'report ms':>9}   (median of {REPEATS})")
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in specs:
+            path = Path(tmp) / "fixture.json"
+            path.write_text(fixture_text(spec))
+            stage_times(path)
+            runs = [stage_times(path) for _ in range(REPEATS)]
+            medians = [statistics.median(column) * 1e3 for column in zip(*runs)]
+            print(f"{spec:<32} " + " ".join(f"{m:>9.3f}" for m in medians))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
