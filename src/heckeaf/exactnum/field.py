@@ -190,11 +190,9 @@ class NumberField:
             self.gen = FieldElement(self, (-minpoly.coeffs[0],))
 
     def element(self, coords) -> "FieldElement":
-        """The element with power-basis coordinates coords (ints, or values
-        Fraction accepts), zero-padded to the degree."""
-        return self.from_ratios(
-            [(c, 1) if type(c) is int else Fraction(c).as_integer_ratio() for c in coords]
-        )
+        """The element with power-basis coordinates coords (values Fraction
+        accepts), zero-padded to the degree."""
+        return self.from_ratios([Fraction(c).as_integer_ratio() for c in coords])
 
     def from_ratios(self, pairs) -> "FieldElement":
         """The element sum_i (p_i / q_i) x^i for at most degree-many pairs

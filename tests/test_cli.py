@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -326,14 +327,20 @@ def test_af_malformed_fixture_is_rejected_with_a_report(tmp_path, capsys, mutate
     assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
 
 
+# int()'s digit limit is set per process (PYTHONINTMAXSTRDIGITS, -X
+# int_max_str_digits); 0 turns it off, and then nothing bounds a digit run
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_PAST_DIGIT_LIMIT = pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="int() digit limit is off")
+
+
 @pytest.mark.parametrize("token", [
     '"1e100000000"',  # Fraction would build a 100-million-digit integer
-    '"' + "1" * 5000 + '"',  # past int()'s digit limit, as a string
-    "1" * 5000,  # and as a JSON integer
+    pytest.param('"' + "1" * (_DIGIT_LIMIT + 1) + '"', marks=_PAST_DIGIT_LIMIT),  # as a string
+    pytest.param("1" * (_DIGIT_LIMIT + 1), marks=_PAST_DIGIT_LIMIT),  # and as a JSON integer
 ])
 def test_af_oversized_coordinate_is_rejected_at_once(tmp_path, capsys, token):
     """c(151) of level23a enters no Hecke relation checked on load, so only
-    the coordinate grammar and the digit limit stand between such a
+    the coordinate grammar and int()'s digit limit stand between such a
     coordinate and the pipeline."""
     data = _level23a()
     data["an"][150][0] = "PLACEHOLDER"
