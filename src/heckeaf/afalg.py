@@ -18,7 +18,7 @@ from .errors import ShapeMismatch
 from .exactnum.field import FieldElement, RealRootInterval, sign_at
 from .exactnum.intmat import charpoly, mat_det, mat_is_nonnegative, row_hnf_transform
 from .exactnum.polynomial import IntPolynomial
-from .mcf import JpaExpansion, convergent_matrix, jpa_block, perron_embedding, satz12_eigenvector
+from .mcf import JpaExpansion, convergent_matrix, jpa_block, satz12_eigenvector
 
 VERDICT_COMPANION = "companion"
 VERDICT_SIMILAR_Q = "similar_over_Q"
@@ -67,19 +67,11 @@ class StationaryAF:
 
     period_matrix: tuple
     digits: tuple               # the digit cycle generating period_matrix
-    perron_value: FieldElement  # the generator of Q[x]/(char period_matrix)
+    char_poly: IntPolynomial    # of period_matrix, irreducible
 
     @property
     def rank(self) -> int:
         return len(self.period_matrix)
-
-    @property
-    def char_poly(self) -> IntPolynomial:
-        return self.perron_value.field.minpoly
-
-    @property
-    def perron_root(self) -> RealRootInterval:
-        return perron_embedding(self.perron_value.field)
 
 
 def af_from_expansion(expansion: JpaExpansion):
@@ -95,8 +87,7 @@ def af_from_expansion(expansion: JpaExpansion):
         return TrivialAF()
     if expansion.is_periodic():
         b = convergent_matrix(expansion.period, n)
-        u, _ = satz12_eigenvector(b)
-        return StationaryAF(b, tuple(expansion.period), u)
+        return StationaryAF(b, tuple(expansion.period), satz12_eigenvector(b)[0].field.minpoly)
     mats = tuple(jpa_block(d, n) for d in expansion.digits)
     counts = (n,) * (len(mats) + 1)
     return BratteliDiagram(counts, mats, complete=expansion.terminated)
@@ -277,8 +268,7 @@ def parse_bratteli_json(text: str):
             fits = False
         if not fits:
             raise ShapeMismatch("digits do not multiply to the period matrix")
-        u, _ = satz12_eigenvector(b)
-        return StationaryAF(b, digits, u)
+        return StationaryAF(b, digits, satz12_eigenvector(b)[0].field.minpoly)
     if kind == "finite":
         return BratteliDiagram(
             tuple(data["vertex_counts"]),

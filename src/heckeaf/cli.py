@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .afalg import TrivialAF, af_from_expansion, export_bratteli
+from .afalg import TrivialAF, _matrix_strings, af_from_expansion, export_bratteli
 from .errors import (
     HeckeafError,
     HeckeRelationViolated,
@@ -33,6 +33,7 @@ from .errors import (
 from .exactnum.field import make_field, sign_at
 from .exactnum.polynomial import IntPolynomial
 from .hecke import (
+    _parse_rational,
     af_of_eigenform,
     bundled_fixture_names,
     companion_of_conjugates,
@@ -87,11 +88,11 @@ def parse_poly(text: str) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs.get(d, 0) for d in range(top + 1)))
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> tuple:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse rational {text!r}: {exc}") from exc
+        return _parse_rational(text)
+    except SchemaError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def parse_matrix(text: str):
@@ -148,7 +149,7 @@ def _check_step_budget(max_steps: int) -> None:
 def cmd_cf(args) -> int:
     _check_step_budget(args.max_steps)
     if args.value is not None:
-        x = parse_rational(args.value)
+        x = Fraction(*parse_rational(args.value))
         if x <= 0:
             raise HeckeafError(f"need a positive value, got {x}")
         exp = regular_cf(x, max_terms=args.max_steps)
@@ -184,7 +185,7 @@ def _parse_theta(text: str, field):
             raise InputError(
                 f"coordinate vector {part!r} too long for degree {field.degree}"
             )
-        out.append(field.element(coords))
+        out.append(field.from_ratios(coords))
     return tuple(out)
 
 
@@ -243,10 +244,6 @@ def _fixture_path_or_name(text: str):
 
 def _poly_strings(poly: IntPolynomial):
     return [str(c) for c in poly.coeffs]
-
-
-def _matrix_strings(m):
-    return [[str(x) for x in row] for row in m]
 
 
 def _expansion_payload(exp: JpaExpansion):

@@ -293,10 +293,6 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def _binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def _divides_monic(q, p):
     """The quotient p / q, lowest first, when the monic integer polynomial
     q divides p, else None: long division on integers (q monic keeps every
@@ -328,9 +324,9 @@ def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_00
         consts = [s * k for k in _divisors(c0) for s in (1, -1)]
         bounds = []
         for j in range(1, d):  # coefficient of x^(d-j), j = 1..d-1
-            b = _binomial(d, j) * (r_bound ** j)
+            b = math.comb(d, j) * (r_bound ** j)
             bounds.append(int(b) + 1)
-        const_bound = _binomial(d, d) * (r_bound ** d)
+        const_bound = r_bound ** d
         consts = [c for c in consts if abs(c) <= const_bound]
         space = len(consts)
         for b in bounds:

@@ -8,7 +8,8 @@ the multiplier ring); when that expansion does not cycle within budget, a
 bounded deterministic enumeration over the order's basis takes over.
 multiplication_matrix writes the unit action on a full module as an
 integer matrix, and make_nonnegative hunts for a power/basis change
-making that matrix entrywise non-negative with a canonical digit cycle.
+making that matrix entrywise non-negative with a canonical digit cycle,
+checked on the Perron data the unit and the module basis already give.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from itertools import permutations, product
 from typing import TYPE_CHECKING
 
 from ..errors import (
-    DegenerateSpectrum,
-    IrreducibilityUndecided,
     NonnegativeFormNotFound,
     NotEndomorphism,
     NotFactorizable,
     NotSquarefree,
-    ReducibleCharPoly,
     RoundTripMismatch,
     UnitNotFound,
 )
@@ -36,7 +34,8 @@ from .field import (
     eval_embedding,
     sign_at,
 )
-from .intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
+from .intmat import (charpoly, is_primitive, mat_det, mat_identity, mat_inverse_fraction,
+                     mat_mul, mat_pow)
 from .lattice import OrderRing, ZModule
 
 if TYPE_CHECKING:
@@ -433,11 +432,13 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     image is negative so that the spectral radius of A' is sigma_e(u)^k
     (this is verified, not assumed).  The candidates at power k are all
     conjugate to A^k: _is_top_real_root decides at the first of them
-    whether sigma_e(u^k) is their Perron root.  A candidate is kept only if its
-    Bauer digit cycle is the canonical expansion of its own Perron vector,
-    which the stationary pipeline needs downstream; the round trip that
-    showed this (digits, Perron data, expansion) is returned in the
-    Realization, so callers need not compute any of it again.
+    whether sigma_e(u^k) is their Perron root (and that u^k has full
+    degree, so their char poly is irreducible).  A candidate is kept only
+    if it is primitive and its Bauer digit cycle is the canonical
+    expansion of its own Perron vector (mcf.check_period, returned in the
+    Realization).  Its Perron data lie in the unit's field: A g = u g for
+    the module basis g, so the candidate has the Perron root u^k at root
+    and the eigenvector P^T B^-1 g, scaled to lam_0 = 1.
 
     No B is inverted here: the attractor expansion and the LLL step
     already hold each inverse.  Since P^-1 = P^T, the candidate
@@ -467,7 +468,8 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     if attractor is not None:
         bases.append(attractor[:2])
     bases.append((ident, ident))
-    u_lll = _lll_transform(trace_gram(m.basis_elements()))
+    basis = m.basis_elements()  # g
+    u_lll = _lll_transform(trace_gram(basis))
     # U is a product of unimodular row operations: its inverse is integral
     inv = tuple(tuple(int(x) for x in row) for row in mat_inverse_fraction(u_lll))
     if u_lll != ident:
@@ -493,9 +495,17 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
                 if not perron:
                     continue
                 try:
-                    roundtrip = mcf.roundtrip_record(cand)
-                except (RoundTripMismatch, NotFactorizable, DegenerateSpectrum,
-                        ReducibleCharPoly, IrreducibilityUndecided):
+                    digits = tuple(mcf.bauer_factorize(cand))
+                except NotFactorizable:
+                    continue
+                if not is_primitive(cand):
+                    continue  # the Perron root may be non-simple
+                lam = [sign * mcf._combination(base_inv[i], basis, m.field)
+                       for sign, i in zip(signs, q)]  # P^T B^-1 g
+                scale = lam[0].inverse()
+                try:
+                    roundtrip = mcf.check_period(digits, u_pow, tuple(v * scale for v in lam), root)
+                except RoundTripMismatch:
                     continue  # the candidate's digit cycle is not canonical
                 transform = _times_signed_permutation(base, q, signs)
                 return Realization(cand, k, transform, roundtrip)

@@ -7,11 +7,12 @@ coefficient field), checks the Hecke relations on load, and drives the chain
     -> action matrix -> non-negative form -> block factorization
     -> stationary AF descriptor / dimension group,
 
-with the degree-1 case collapsing to the trivial algebra.  Conjugate
-eigenforms share their coordinate data: conjugation is a change of the
-working real embedding, so the conjugate comparison reuses the base
-result (the action matrix is coordinate-identical), which makes the
-equal-characteristic-polynomial claim checkable literally.
+with the degree-1 case collapsing to the trivial algebra.  The round trip
+expands the non-negative form's Perron eigenvector T^-1 g in the fixture's
+own field, the only number field a run builds.  Conjugate eigenforms share
+their coordinate data: conjugation is a change of the working real
+embedding, so the conjugate comparison reuses the base result (the action
+matrix is coordinate-identical), making the equal char poly claim literal.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
     SchemaError,
 )
 from .exactnum.field import FieldElement, NumberField, enclosures, make_field
+from .exactnum.intmat import charpoly
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
 from .exactnum.units import (
@@ -497,7 +499,7 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     attractor expansion feeds both the unit search (when the order's
     module is the module itself) and the non-negative form search, and
     the realization returned by make_nonnegative carries its round-trip
-    record (Bauer digits, Perron value and eigenvector, expansion).
+    record (digits, Perron value u^k and eigenvector in f's field, expansion).
 
     Conjugate data: the action of the conjugated unit on the conjugated
     module has the same integer matrix in coordinates, so per-conjugate
@@ -525,8 +527,8 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     matrix_a = multiplication_matrix(unit.element, module)
     realization = make_nonnegative(matrix_a, unit, module, root, attractor=attractor)
     roundtrip = realization.roundtrip
-    af = StationaryAF(realization.matrix, roundtrip.digits, roundtrip.perron_value)
-    group = dimension_group(roundtrip.eigenvector[1:], af.perron_root)
+    af = StationaryAF(realization.matrix, roundtrip.digits, charpoly(realization.matrix))
+    group = dimension_group(roundtrip.eigenvector[1:], root)
 
     summaries = []
     if len(field.real_roots) == field.degree:

@@ -466,8 +466,8 @@ def satz12_eigenvector(a):
 @dataclass(frozen=True)
 class RoundTrip:
     """What the round trip of a non-negative unimodular matrix A found:
-    its Bauer digits, satz12_eigenvector's (u, lam) and the expansion of
-    lam's ratios, purely periodic with the digits' shortest period."""
+    its Bauer digits, Perron value u and eigenvector lam (lam_0 = 1) and the
+    expansion of lam's ratios, purely periodic with the digits' shortest period."""
 
     digits: tuple
     perron_value: FieldElement
@@ -475,29 +475,34 @@ class RoundTrip:
     expansion: JpaExpansion
 
 
-def roundtrip_record(a) -> RoundTrip:
-    """Check that the Perron vector of A expands with A's Bauer digits D.
+def check_period(digits, u: FieldElement, lam, root: RealRootInterval) -> RoundTrip:
+    """Check that A's Perron vector lam, lam_0 = 1, expands with A's digits D.
 
     With j the shortest period of D, theta = lam[1:] is the Perron
     direction of C(D[:j]), as A = C(D) = C(D[:j])^(k/j).  If its first j
     digits are D[:j], the state is back at theta, and the expansion is D[:j]
     repeated, with no earlier repeat (Perron 1907, Satz XII).  No step
-    terminates, as the char poly is irreducible.  So j steps of the
+    terminates, as theta is irrational.  So j steps at root of the
     expansion of lam over itself, from W = I, decide it: any other outcome
     raises RoundTripMismatch, as D is not the canonical expansion of A's
     Perron vector.
     """
-    digits = tuple(bauer_factorize(a))
-    u, lam = satz12_eigenvector(a)
-    root = perron_embedding(u.field)
     k = len(digits)
     period = next(digits[:j] for j in range(1, k + 1)
                   if k % j == 0 and digits[:j] * (k // j) == digits)
-    found, _, start, _ = _expand_states(lam, root, mat_identity(len(a)), len(period) + 1)
+    found, _, start, _ = _expand_states(lam, root, mat_identity(len(lam)), len(period) + 1)
     if start != 0 or tuple(found) != period:
         raise RoundTripMismatch(f"the Perron vector's digits {tuple(found)} do not return to it "
                                 f"as the period {period} of the factorization {digits}")
-    return RoundTrip(digits, u, lam, JpaExpansion(len(a), (), period, False))
+    return RoundTrip(digits, u, lam, JpaExpansion(len(lam), (), period, False))
+
+
+def roundtrip_record(a) -> RoundTrip:
+    """check_period for a bare matrix A, with satz12_eigenvector's Perron
+    data in Q[x]/(char A)."""
+    digits = tuple(bauer_factorize(a))
+    u, lam = satz12_eigenvector(a)
+    return check_period(digits, u, lam, perron_embedding(u.field))
 
 
 def periodicity_roundtrip(a) -> JpaExpansion:

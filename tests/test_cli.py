@@ -104,6 +104,33 @@ def test_cf_domain_and_input_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("cf", "1e300000"),
+    ("jpa", "--poly", "x^2-2", "--theta", "1e5000,1"),
+    ("cf", "1" * 5000),
+    ("jpa", "--poly", "x^2-2", "--theta", "0," + "1" * 5000),
+] + [("cf", text) for text in ("1.5", " 7/3 ", "+3", "3e2", "7/0", "1_000")]
+  + [("jpa", "--poly", "x^2-2", "--theta", text) for text in ("1.5,1", "0, 1", "+1,1", "1,2e1")])
+def test_command_line_rationals_take_the_fixture_grammar(capsys, argv):
+    """cf and jpa --theta read rationals by the fixture coordinate grammar
+    -?[0-9]+(/[0-9]+)?: an exponent is refused before any integer is
+    built, and a digit run past int()'s limit is an input error too."""
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 2
+    assert "input error: cannot parse rational" in err and out == ""
+
+
+def test_command_line_rationals_in_the_grammar(capsys):
+    code, out, _ = run(capsys, "cf", "0/5")
+    assert code == 3
+    code, out, _ = run(capsys, "cf", "710/226")
+    assert code == 0 and "[3, 7, 16] (terminating)" in out
+    code, out, _ = run(capsys, "jpa", "--poly", "x^2-x-1", "--theta", "0/3,2/2", "--root", "1")
+    assert code == 0 and "preperiod [], period [1]" in out
+
+
+@pytest.mark.parametrize("argv", [
     ("cf", "--poly", "x^2-2", "--root", "1"),
     ("cf", "355/113"),
     ("jpa", "--poly", "x^2-x-1", "--theta", "0,1", "--root", "1"),
@@ -380,32 +407,31 @@ def test_af_equal_spellings_give_the_same_report(tmp_path, capsys):
 
 _COORDINATE_TEXT = st.text(alphabet="0123456789-/ +_.e\n٣１", max_size=8) | st.from_regex(
     r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True
-)
+) | st.sampled_from(["1/0", "1/00", "-3/000", "3\n", "1/0\n", "1/01", "-0", "0/7"])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_COORDINATE_TEXT)
 def test_schema_and_loader_agree_on_coordinate_strings(s):
-    """The loader accepts a coordinate string only if the fixture schema
-    does.  The schema's pattern is wider in two places: python-jsonschema
-    matches it with re.search, whose $ also matches before a final newline,
-    and it does not exclude a zero denominator."""
+    """The loader accepts an `an` or `module` coordinate string exactly when
+    the fixture schema does (for strings within int()'s digit limit, past which only
+    the loader refuses): the pattern ends in (?![\\s\\S]), not $, which
+    under python-jsonschema's re.search also matches before a final
+    newline, and its denominator has a non-zero digit."""
     jsonschema = pytest.importorskip("jsonschema")
     from importlib import resources
 
     schema = json.loads(
         resources.files("heckeaf.schemas").joinpath("newform_fixture.schema.json").read_text()
     )
-    item = jsonschema.Draft7Validator(schema["properties"]["an"]["items"]["items"])
     try:
         hecke._parse_rational(s)
         loaded = True
     except SchemaError:
         loaded = False
-    if loaded:
-        assert item.is_valid(s)
-    elif item.is_valid(s):
-        assert s.endswith("\n") or int(s.partition("/")[2] or 1) == 0
+    for key in ("an", "module"):
+        item = jsonschema.Draft7Validator(schema["properties"][key]["items"]["items"])
+        assert item.is_valid(s) == loaded
 
 
 def test_af_module_row_longer_than_the_degree_is_rejected(tmp_path, capsys):

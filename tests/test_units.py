@@ -1,10 +1,21 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from heckeaf.errors import NonnegativeFormNotFound, NotEndomorphism, UnitNotFound
+from heckeaf import hecke
+from heckeaf.errors import (
+    DegenerateSpectrum,
+    NonnegativeFormNotFound,
+    NotEndomorphism,
+    NotFactorizable,
+    RoundTripMismatch,
+    UnitNotFound,
+)
 from heckeaf.exactnum import (
     IntPolynomial,
     endomorphism_ring,
@@ -302,6 +313,68 @@ def test_make_nonnegative_realization_is_consistent(poly):
     period = r.roundtrip.expansion.period
     assert r.roundtrip.expansion.preperiod == ()
     assert period * (len(digits) // len(period)) == digits
+
+
+LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
+
+
+def _roundtrip_candidates(monkeypatch, f):
+    """The candidates make_nonnegative takes to the round trip in one
+    af_of_eigenform run, in order, and the run's result (None when the
+    form search finds no realization)."""
+    cands = []
+    original = mcf.bauer_factorize
+
+    def recorded(a):
+        cands.append(a)
+        return original(a)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mcf, "bauer_factorize", recorded)
+        try:
+            result = hecke.af_of_eigenform(f)
+        except NonnegativeFormNotFound:
+            result = None
+    return cands, result
+
+
+@pytest.mark.parametrize("spec", ["level23a@0", "level23a@1", "level71a@0", "level71a@1",
+                                  "level71a@2", "level71b@0", "level71b@1", "level71b@2",
+                                  "level47a@0", "level47a@2"])
+def test_roundtrip_in_the_unit_field_matches_the_bare_matrix_roundtrip(monkeypatch, spec):
+    """Every candidate the form search rejects, the round trip of the bare
+    matrix (its own Perron field) rejects too; the accepted one has that
+    round trip's digits, expansion, char poly and eigenvector images.
+    level47a's form search fails: at @0 on 576 candidates (552 that do not
+    factorize, 24 whose digits are not canonical), at @2 on 288 that do
+    not factorize; at @1 and @3 no candidate reaches the round trip."""
+    name, index = spec.split("@")
+    f = hecke.load_newform(LEVEL47A.read_text()) if name == "level47a" else hecke.load_fixture(name)
+    f = dataclasses.replace(f, embedding_index=int(index))
+    cands, result = _roundtrip_candidates(monkeypatch, f)
+    if name != "level47a":
+        assert cands[-1] == result.nonneg_matrix
+        record = mcf.roundtrip_record(result.nonneg_matrix)
+        assert record.digits == result.digits
+        assert record.expansion == result.expansion
+        assert record.perron_value.field.minpoly == result.af.char_poly
+        root = result.group.root
+        perron = mcf.perron_embedding(record.perron_value.field)
+        eps = Fraction(1, 10 ** 30)
+        for got, want in zip(result.group.theta, record.eigenvector[1:]):
+            lo, hi = eval_embedding(got, root, eps)
+            lo2, hi2 = eval_embedding(want, perron, eps)
+            assert lo <= hi2 and lo2 <= hi
+        cands = cands[:-1]
+    rejections = Counter()
+    for cand in cands:
+        with pytest.raises((NotFactorizable, DegenerateSpectrum, RoundTripMismatch)) as exc:
+            mcf.roundtrip_record(cand)
+        rejections[exc.type.__name__] += 1
+    if name == "level47a":
+        assert result is None
+        assert rejections == {"0": {"NotFactorizable": 552, "RoundTripMismatch": 24},
+                              "2": {"NotFactorizable": 288}}[index]
 
 
 # a totally real cubic (positive definite trace form) and x^3 - 2, whose

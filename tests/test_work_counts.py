@@ -52,6 +52,20 @@ def _count_steps(monkeypatch):
     return counts
 
 
+def _count_fields(monkeypatch):
+    """Wrap NumberField.__init__ with a counter; returns a one-item list
+    holding the number of fields built."""
+    built = [0]
+    original = field.NumberField.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        original(self, *args)
+
+    monkeypatch.setattr(field.NumberField, "__init__", counted)
+    return built
+
+
 @pytest.mark.parametrize("label", ["level71a", "level23a"])
 def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     f = hecke.load_fixture(label)
@@ -60,22 +74,48 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     eigenvector = _count(monkeypatch, "satz12_eigenvector", mcf, units, hecke, afalg)
     factorize = _count(monkeypatch, "bauer_factorize", mcf, units, hecke, afalg)
     inverse = _count(monkeypatch, "mat_inverse_fraction", intmat, units, hecke)
-    char_poly = _count(monkeypatch, "charpoly", intmat, units, mcf)
+    char_poly = _count(monkeypatch, "charpoly", intmat, units, mcf, hecke)
+    make = _count(monkeypatch, "make_field", field, mcf, hecke)
     isolate = _count(monkeypatch, "_isolate", field)
+    fields = _count_fields(monkeypatch)
     result = hecke.af_of_eigenform(f)
     assert isinstance(result.af, hecke.StationaryAF)
     assert attractor[0] == 1
-    assert roundtrip[0] == 1
-    # the round trip's record carries the digits and the Perron data
-    assert eigenvector[0] == 1
+    # the round trip takes the Perron data from the unit and the module
+    # basis: no matrix is certified again, and no second field is built
+    assert roundtrip[0] == 0
+    assert eigenvector[0] == 0
     assert factorize[0] == 1
     # one inverse for the LLL basis; the attractor expansion carries its
     # basis change and that change's inverse as integer matrices
     assert inverse[0] == 1
-    # the accepted candidate's char poly and its roots, for its Perron
-    # field; the Perron test walks the unit's images instead
+    # the accepted candidate's char poly, for the report; the Perron test
+    # walks the unit's images instead
     assert char_poly[0] == 1
-    assert isolate[0] == 1
+    assert make[0] == 0
+    assert isolate[0] == 0
+    assert fields[0] == 0
+
+
+_EMBEDDINGS = ["level11a@0", "level23a@0", "level23a@1", "level71a@0", "level71a@1",
+               "level71a@2", "level71b@0", "level71b@1", "level71b@2", "level47a@0",
+               "level47a@1", "level47a@2", "level47a@3"]
+
+
+@pytest.mark.parametrize("spec", _EMBEDDINGS)
+def test_af_of_eigenform_builds_no_number_field(monkeypatch, spec):
+    """The fixture's field is the only field of an af run: the pipeline,
+    failing or not, builds none, at every embedding of every bundled
+    fixture and of level47a."""
+    name, index = spec.split("@")
+    f = load_newform(LEVEL47A.read_text()) if name == "level47a" else hecke.load_fixture(name)
+    f = dataclasses.replace(f, embedding_index=int(index))
+    fields = _count_fields(monkeypatch)
+    try:
+        hecke.af_of_eigenform(f)
+    except NonnegativeFormNotFound:
+        pass
+    assert fields[0] == 0
 
 
 def test_af_conjugates_runs_the_pipeline_once(monkeypatch, tmp_path, capsys):
