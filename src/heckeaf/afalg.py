@@ -11,6 +11,7 @@ the cone decided by exact sign evaluation of the defining functional.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -254,14 +255,39 @@ def _export_json(obj) -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integers(value, depth: int, what: str):
+    """JSON lists nested depth deep around integers or integer strings (as
+    export_bratteli writes them) as nested tuples of ints."""
+    if depth:
+        if not isinstance(value, list):
+            raise ShapeMismatch(f"{what}: expected a list, found a {type(value).__name__}")
+        return tuple(_integers(v, depth - 1, what) for v in value)
+    if type(value) is not int and not (type(value) is str and _INTEGER.fullmatch(value)):
+        raise ShapeMismatch(f"{what} entries must be integers or integer strings, not {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:  # more digits than int() converts
+        raise ShapeMismatch(f"{what} has an entry too long: {exc}") from exc
+
+
 def parse_bratteli_json(text: str):
-    data = json.loads(text)
+    """The descriptor export_bratteli(obj, "json") wrote; ShapeMismatch
+    for any text that is not such a payload."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        raise ShapeMismatch(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ShapeMismatch(f"a diagram is a JSON object, not a {type(data).__name__}")
     kind = data.get("type")
     if kind == "trivial":
         return TrivialAF()
     if kind == "stationary":
-        b = tuple(tuple(int(x) for x in row) for row in data["period_matrix"])
-        digits = tuple(tuple(int(x) for x in d) for d in data["digits"])
+        b = _integers(data.get("period_matrix"), 2, "period_matrix")
+        digits = _integers(data.get("digits"), 2, "digits")
         try:
             fits = convergent_matrix(digits, len(b)) == b
         except ValueError:  # a digit of the wrong length or sign
@@ -271,11 +297,11 @@ def parse_bratteli_json(text: str):
         return StationaryAF(b, digits, satz12_eigenvector(b)[0].field.minpoly)
     if kind == "finite":
         return BratteliDiagram(
-            tuple(data["vertex_counts"]),
-            tuple(tuple(tuple(int(x) for x in row) for row in m) for m in data["matrices"]),
+            _integers(data.get("vertex_counts"), 1, "vertex_counts"),
+            _integers(data.get("matrices"), 3, "matrices"),
             complete=data.get("complete", True),
         )
-    raise ValueError(f"unknown diagram type {kind!r}")
+    raise ShapeMismatch(f"unknown diagram type {kind!r}")
 
 
 def _export_dot(obj, stationary_levels: int) -> str:

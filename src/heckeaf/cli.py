@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .afalg import TrivialAF, _matrix_strings, af_from_expansion, export_bratteli
+from .afalg import TrivialAF, _integers, _matrix_strings, af_from_expansion, export_bratteli
 from .errors import (
     HeckeafError,
     HeckeRelationViolated,
@@ -28,6 +28,7 @@ from .errors import (
     NotNormalized,
     RoundTripMismatch,
     SchemaError,
+    ShapeMismatch,
     UnitNotFound,
 )
 from .exactnum.field import make_field, sign_at
@@ -49,7 +50,6 @@ EXIT_PIPELINE = 4
 
 # sign, digits, x-part, exponent; a '*' stands only between digits and x
 _TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)(?:\*(?=x))?)?(x(?:\^([0-9]+))?)?")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
 # the largest exponent parse_poly accepts: it is checked before the dense
 # coefficient tuple is built, so a text like x^100000000 is an input error
 # at once instead of a 10^8-entry tuple.  Fields here are far smaller; the
@@ -104,15 +104,11 @@ def parse_matrix(text: str):
             raise InputError(f"no such matrix file: {text}")
         stripped = path.read_text()
     try:
-        data = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+        rows = _integers(json.loads(stripped), 2, "matrix")
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise InputError(f"matrix is not valid JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise InputError("matrix must be a JSON list of rows")
-    for x in (entry for row in data for entry in row):
-        if type(x) is not int and not (isinstance(x, str) and _INT_RE.fullmatch(x)):
-            raise InputError(f"matrix entries must be integers or integer strings, not {x!r}")
-    rows = tuple(tuple(int(x) for x in row) for row in data)
+    except ShapeMismatch as exc:
+        raise InputError(str(exc)) from exc
     if not rows or any(len(r) != len(rows) for r in rows):
         raise InputError("matrix must be square and non-empty")
     return rows

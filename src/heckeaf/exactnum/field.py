@@ -75,7 +75,7 @@ class RealRootInterval:
                 mid, a, b, d = 2 * a + b, 3 * a, 3 * b, 3 * d
                 scaled = _scaled_coeffs(self.poly.coeffs, d)
                 v = _scaled_value(scaled, mid, k)
-                if v == 0:  # pragma: no cover - two exact roots is impossible
+                if v == 0:  # an interval built by hand may hold two roots
                     raise HeckeafError("isolating interval contains two roots")
             if (1 if v > 0 else -1) == sign_lo:
                 a = mid
@@ -126,16 +126,9 @@ def isolate_real_roots(poly: IntPolynomial) -> list:
 
 def _isolate(poly: IntPolynomial, chain) -> list:
     """isolate_real_roots of the squarefree poly of degree >= 1, with its
-    Sturm chain."""
+    Sturm chain; Cauchy's root_bound is strict, so +-bound are not roots."""
     bound = root_bound(poly)
     lo, hi = -bound, bound
-
-    def endpoints_ok(a, b):
-        return poly.evaluate(a) != 0 and poly.evaluate(b) != 0
-
-    if not endpoints_ok(lo, hi):  # pragma: no cover - the root bound is strict
-        raise HeckeafError(f"root bound {bound} of {poly} is a root")
-
     out = []
     stack = [(lo, hi, sturm_count(chain, lo, hi))]
     while stack:

@@ -31,7 +31,6 @@ from .afalg import (
     dimension_group,
 )
 from .errors import (
-    HeckeafError,
     HeckeRelationViolated,
     InsufficientCoefficients,
     ModuleNotStable,
@@ -231,15 +230,10 @@ def load_newform(source) -> NewformData:
         return coeffs[m - 1]
 
     if any(c(m) != c(q) * c(m // q) for m, q in _coprime_splits(count)):
-        for m in range(2, count + 1):
-            for n in range(2, count // m + 1):
-                if gcd(m, n) == 1 and c(m) * c(n) != c(m * n):
-                    raise HeckeRelationViolated(
-                        f"c({m})c({n}) != c({m * n})", m=m, n=n
-                    )
-        raise HeckeafError(  # pragma: no cover - excluded by the proof above
-            "the coprime splits and the pairwise scan disagree"
-        )
+        # by the proof above some coprime pair fails: name the first one
+        m, n = next((m, n) for m in range(2, count + 1) for n in range(2, count // m + 1)
+                    if gcd(m, n) == 1 and c(m) * c(n) != c(m * n))
+        raise HeckeRelationViolated(f"c({m})c({n}) != c({m * n})", m=m, n=n)
     for p in _primes_up_to(count):
         r = 1
         while p ** (r + 1) <= count:

@@ -316,6 +316,31 @@ def test_import_rejects_digits_that_do_not_give_the_matrix(digits):
         afalg.parse_bratteli_json(text)
 
 
+_STATIONARY = {"type": "stationary", "period_matrix": [["0", "1"], ["1", "1"]], "digits": [["1"]]}
+_FINITE = {"type": "finite", "vertex_counts": [1, 2], "matrices": [[["1"], ["1"]]]}
+
+
+@pytest.mark.parametrize("payload", [
+    [_STATIONARY],  # a JSON list, not an object
+    {k: v for k, v in _STATIONARY.items() if k != "period_matrix"},
+    {k: v for k, v in _STATIONARY.items() if k != "digits"},
+    {k: v for k, v in _FINITE.items() if k != "vertex_counts"},
+    {k: v for k, v in _FINITE.items() if k != "matrices"},
+    dict(_STATIONARY, period_matrix=[["0", "1"], ["1", "x"]]),
+    dict(_STATIONARY, digits=[["1.0"]]),
+    dict(_STATIONARY, digits=["1"]),
+    dict(_FINITE, vertex_counts=[1, "two"]),
+    dict(_FINITE, matrices=[[["1"], [True]]]),
+    {"type": "cyclic"},
+])
+def test_import_rejects_a_payload_that_is_not_a_diagram(payload):
+    """Each payload is _STATIONARY or _FINITE, both diagrams, with one fault."""
+    assert afalg.parse_bratteli_json(json.dumps(_STATIONARY)).period_matrix == ((0, 1), (1, 1))
+    assert afalg.parse_bratteli_json(json.dumps(_FINITE)).vertex_counts == (1, 2)
+    with pytest.raises(ShapeMismatch):
+        afalg.parse_bratteli_json(json.dumps(payload))
+
+
 def test_dot_export():
     e = mcf.JpaExpansion(2, (), ((1,),), False)
     af = afalg.af_from_expansion(e)

@@ -206,9 +206,19 @@ def test_factor_stall_prints_partial(capsys):
     assert "partial" in err
 
 
+# int()'s digit limit is set per process (PYTHONINTMAXSTRDIGITS, -X
+# int_max_str_digits); 0 turns it off, and then nothing bounds a digit run
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_PAST_DIGIT_LIMIT = pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="int() digit limit is off")
+
+
 @pytest.mark.parametrize("matrix", ["[[true, 1], [1, 2]]", "[[1.5, 1], [1, 1]]",
                                     '[["2.0", 1], [1, 1]]', '[["2_0", 1], [1, 1]]',
-                                    '[["two", 1], [1, 1]]', '["12"]'])
+                                    '[["two", 1], [1, 1]]', '["12"]',
+                                    pytest.param('[["' + "1" * (_DIGIT_LIMIT + 1) + '", 1], [1, 1]]',
+                                                 marks=_PAST_DIGIT_LIMIT, id="string-past-digit-limit"),
+                                    pytest.param("[[" + "1" * (_DIGIT_LIMIT + 1) + ", 1], [1, 1]]",
+                                                 marks=_PAST_DIGIT_LIMIT, id="integer-past-digit-limit")])
 def test_factor_rejects_non_integer_entries(capsys, matrix):
     code, out, err = run(capsys, "factor", matrix)
     assert code == 2
@@ -352,12 +362,6 @@ def test_af_malformed_fixture_is_rejected_with_a_report(tmp_path, capsys, mutate
     assert code == 2
     assert "fixture rejected" in err
     assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
-
-
-# int()'s digit limit is set per process (PYTHONINTMAXSTRDIGITS, -X
-# int_max_str_digits); 0 turns it off, and then nothing bounds a digit run
-_DIGIT_LIMIT = sys.get_int_max_str_digits()
-_PAST_DIGIT_LIMIT = pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="int() digit limit is off")
 
 
 @pytest.mark.parametrize("token", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heckeaf.errors import DivisionByZero, NotSquarefree, ReduciblePolynomial
+from heckeaf.errors import DivisionByZero, HeckeafError, NotSquarefree, ReduciblePolynomial
 from heckeaf.exactnum import (
     IntPolynomial,
     eval_embedding,
@@ -252,6 +252,14 @@ def test_integer_bisection_nudges_off_a_rational_root():
         assert got.lo < 0 < got.hi
     got = iv.refined(Fraction(1))
     assert (got.lo, got.hi) == (Fraction(-1, 3), Fraction(1, 3))
+
+
+def test_refined_rejects_an_interval_holding_two_rational_roots():
+    """(2x - 1)(3x - 1) on (0, 1) is no isolating interval: the midpoint
+    1/2 is a root, and so is the cut 1/3 that replaces it."""
+    iv = RealRootInterval(IntPolynomial((1, -5, 6)), Fraction(0), Fraction(1))
+    with pytest.raises(HeckeafError, match="two roots"):
+        iv.refined(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("max_width", [Fraction(0), Fraction(-1)])

@@ -258,14 +258,17 @@ def ref_perron_vector(a, u):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 10 ** 6))
 def test_satz12_matches_the_field_elimination(n, length, seed):
-    """The adjugate column is the Gauss-Jordan kernel vector exactly, and
-    A lam = x lam holds modulo the char poly in sympy's Q[x]."""
+    """The adjugate column is the Gauss-Jordan kernel vector exactly, it is
+    positive at the Perron embedding, and A lam = x lam holds modulo the
+    char poly in sympy's Q[x]."""
     a = mcf.convergent_matrix(admissible_digits(random.Random(seed), n, length), n)
     try:
         u, lam = mcf.satz12_eigenvector(a)
     except ReducibleCharPoly:
         assume(False)
     assert lam == ref_perron_vector(a, u)
+    root = mcf.perron_embedding(u.field)
+    assert all(sign_at(v, root) > 0 for v in lam)
     x = sympy.symbols("x")
     chi = sympy.Poly(list(reversed(charpoly(a).coeffs)), x)
     polys = [sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
@@ -311,6 +314,16 @@ def test_roundtrip_record_carries_what_it_computed(a):
     assert (record.perron_value, record.eigenvector) == mcf.satz12_eigenvector(a)
     assert record.perron_value.field.minpoly == charpoly(a)
     assert record.expansion == mcf.periodicity_roundtrip(a)
+
+
+def test_check_period_rejects_a_negative_leading_coordinate():
+    """The expansion needs sigma(lam_0) > 0; a negated Perron vector ends in
+    the error jpa_expand gives a non-positive coordinate, instead of
+    sharpening the enclosure of lam_0 forever."""
+    u, lam = mcf.satz12_eigenvector(((0, 1), (1, 1)))
+    root = mcf.perron_embedding(u.field)
+    with pytest.raises(ValueError, match="positive"):
+        mcf.check_period(((1,),), u, tuple(-v for v in lam), root)
 
 
 # -- the field-state expansion, as it was ----------------------------------

@@ -202,6 +202,7 @@ def test_is_squarefree_matches_the_fraction_gcd(coeffs):
 @given(_squarefree_poly())
 def test_isolate_real_roots_matches_the_fraction_bisection(poly):
     got = isolate_real_roots(poly)
+    assert poly.evaluate(root_bound(poly)) != 0 and poly.evaluate(-root_bound(poly)) != 0
     assert [(iv.lo, iv.hi) for iv in got] == ref_isolate_real_roots(poly)
     assert all(isinstance(iv, RealRootInterval) and iv.poly == poly for iv in got)
     assert len(got) == len(sympy.Poly(poly.coeffs[::-1], X).real_roots())
