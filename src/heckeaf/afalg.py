@@ -296,10 +296,13 @@ def parse_bratteli_json(text: str):
             raise ShapeMismatch("digits do not multiply to the period matrix")
         return StationaryAF(b, digits, satz12_eigenvector(b)[0].field.minpoly)
     if kind == "finite":
+        complete = data.get("complete", True)
+        if type(complete) is not bool:
+            raise ShapeMismatch(f"complete must be true or false, not {complete!r}")
         return BratteliDiagram(
             _integers(data.get("vertex_counts"), 1, "vertex_counts"),
             _integers(data.get("matrices"), 3, "matrices"),
-            complete=data.get("complete", True),
+            complete=complete,
         )
     raise ShapeMismatch(f"unknown diagram type {kind!r}")
 

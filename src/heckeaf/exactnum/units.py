@@ -1,11 +1,11 @@
 """Units of orders, unit action matrices, and non-negative realizations.
 
-find_unit searches for a non-torsion unit expanding at a chosen real
-embedding.  In every degree it first takes the return unit of the
-Jacobi-Perron expansion of the order's own basis ratios (in degree 2 the
-regular continued fraction, whose period gives the fundamental unit of
-the multiplier ring); when that expansion does not cycle within budget, a
-bounded deterministic enumeration over the order's basis takes over.
+find_unit finds a unit dominant at a chosen real embedding, or raises
+UnitNotFound.  It first takes the return unit of the Jacobi-Perron
+expansion of the order's own basis ratios (in degree 2 the regular
+continued fraction, whose period gives the fundamental unit of the
+multiplier ring); when that expansion does not cycle within budget, it
+enumerates coordinate vectors by max-norm shells under one budget.
 multiplication_matrix writes the unit action on a full module as an
 integer matrix, and make_nonnegative hunts for a power/basis change
 making that matrix entrywise non-negative with a canonical digit cycle,
@@ -96,8 +96,8 @@ def _exceeds_other_images(v: FieldElement, root: RealRootInterval) -> bool:
 # ---------------------------------------------------------------------------
 # the unit search: the attractor return unit, else a bounded enumeration
 
-# the enumeration's coordinate bounds, and its budget of tested candidates
-_COORD_ROUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+# the enumeration's budget of tested candidates: whole max-norm shells 1, 2,
+# 3, ... while the next fits (up to 39, 12, 6, 3 at degree 3, 4, 5, 6)
 _MAX_CANDIDATES = 500_000
 
 
@@ -155,11 +155,6 @@ def _expanding_representative(alpha: FieldElement, root: RealRootInterval):
             return -alpha.inverse()
 
 
-def _unit_sort_key(u: FieldElement, root: RealRootInterval):
-    lo, _ = eval_embedding(u, root, Fraction(1, 10 ** 12))
-    return (lo, u.coords)
-
-
 def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = None):
     """Expand the module's own basis ratios to their periodic tail.
 
@@ -211,19 +206,32 @@ _NOT_COMPUTED = object()
 
 def find_unit(order: OrderRing, root: RealRootInterval,
               attractor=_NOT_COMPUTED) -> UnitElement:
-    """A non-torsion unit u of the order with sigma_e(u) > 1.
+    """A unit u of the order, of the field's degree and dominant at root:
+    sigma_e(u) > 1 exceeds |sigma_j(u)| at every other real embedding j.
 
     The order's own basis ratios are expanded first (_attractor_data):
     when that expansion cycles, the Perron value of one trip around the
     cycle is a unit of the order and is the one the downstream block
-    factorization can realize.  In degree 2 the expansion is the regular
-    continued fraction of a reduced quadratic irrational, and one period
-    gives the fundamental unit of the order.  The return unit is verified
-    exactly (unit norm, it and its inverse in the order, image > 1).
-    When the expansion does not cycle within budget, a bounded
-    enumeration over coordinate shells looks for expanding units
-    directly, preferring field generators that dominate at the
-    embedding, smallest image first.
+    factorization can realize (dominant, as the Perron root of a cycle
+    product some power of which is positive; Perron 1907).  In degree 2
+    the expansion is the regular continued fraction of a reduced
+    quadratic irrational, and one period gives the fundamental unit of
+    the order.  The return unit is verified exactly (unit norm, it and
+    its inverse in the order, image > 1).  When the expansion does not
+    cycle within budget, the shells of max-norm 1, 2, 3, ... are tested
+    while the next whole shell fits in _MAX_CANDIDATES: the first one
+    holding a dominant unit gives its one of smallest image, and else
+    UnitNotFound names the candidates tested and the max-norm done.
+
+    A non-dominant u with sigma_e(u) > 1 is never realized, so it is not
+    returned.  If u has lower degree, so has every u^k: _is_top_real_root
+    raises NotSquarefree.  If only u^2 has, so have even k, and at odd k
+    the real images +-sigma_e(u)^k tie in modulus: no candidate is
+    primitive with Perron root sigma_e(u^k).  Else some real |sigma_j(u)|
+    > sigma_e(u): a u^k of lower degree raises NotSquarefree, and at full
+    degree a non-negative candidate's Perron root is a real image of u^k
+    above sigma_e(u^k), so _is_top_real_root is false.  Returning u would
+    relabel a unit-stage failure as NonnegativeFormNotFound/NotSquarefree.
 
     attractor, when given, is _attractor_data(order.module, root) as the
     caller already computed it (None included: the expansion did not
@@ -252,37 +260,25 @@ def find_unit(order: OrderRing, root: RealRootInterval,
 
     basis = order.basis_elements()
     is_unit_norm = _norm_tester(order)
-    tested = 0
-    fallback = None
-    for bound in _COORD_ROUNDS:
-        shell_size = (2 * bound + 1) ** n - (2 * bound - 1) ** n
-        if tested + shell_size > _MAX_CANDIDATES:
-            break
-        reps = []
+    tested = bound = 0
+    while tested + (2 * bound + 3) ** n - (2 * bound + 1) ** n <= _MAX_CANDIDATES:
+        bound += 1
+        dominant = []
         for coords in _shell(bound, n):
             tested += 1
             if not is_unit_norm(coords):
                 continue
             alpha = _combination(coords, basis, field)
-            if not alpha.is_rational():
-                reps.append((_expanding_representative(alpha, root), int(alpha.norm())))
-        if not reps:
-            continue
-        preferred = [
-            (rep, nrm) for rep, nrm in reps
-            if rep.degree_over_q() == n and _dominant_of_full_degree(rep, root)
-        ]
-        if preferred:
-            best, nrm = min(preferred, key=lambda t: _unit_sort_key(t[0], root))
-            return UnitElement(best, nrm, order)
-        if fallback is None:
-            fallback = min(reps, key=lambda t: _unit_sort_key(t[0], root))
-    if fallback is not None:
-        return UnitElement(fallback[0], fallback[1], order)
-    raise UnitNotFound(
-        f"no unit with image > 1 found within coordinate bound {_COORD_ROUNDS[-1]} "
-        f"({tested} candidates tested)"
-    )
+            if not alpha.is_rational() and alpha.degree_over_q() == n:
+                rep = _expanding_representative(alpha, root)
+                if _dominant_of_full_degree(rep, root):
+                    dominant.append(rep)
+        if dominant:
+            best = min(dominant, key=lambda u: (
+                eval_embedding(u, root, Fraction(1, 10 ** 12))[0], u.coords))
+            return UnitElement(best, int(best.norm()), order)
+    raise UnitNotFound(f"no unit dominant at the embedding among {tested} candidates, "
+                       f"every coordinate vector of max-norm <= {bound}")
 
 
 # ---------------------------------------------------------------------------

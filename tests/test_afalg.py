@@ -331,6 +331,8 @@ _FINITE = {"type": "finite", "vertex_counts": [1, 2], "matrices": [[["1"], ["1"]
     dict(_STATIONARY, digits=["1"]),
     dict(_FINITE, vertex_counts=[1, "two"]),
     dict(_FINITE, matrices=[[["1"], [True]]]),
+    dict(_FINITE, complete="no"),
+    dict(_FINITE, complete=1),
     {"type": "cyclic"},
 ])
 def test_import_rejects_a_payload_that_is_not_a_diagram(payload):

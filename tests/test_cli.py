@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from heckeaf.errors import (
     SchemaError,
 )
 from heckeaf.exactnum import IntPolynomial
+
+LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
 
 
 def run(capsys, *argv):
@@ -293,6 +296,31 @@ def test_af_domain_error_writes_report(tmp_path, capsys, monkeypatch, error):
     assert "injected" in err
     payload = json.loads(path.read_text())
     assert payload["error"] == {"stage": error.__name__, "message": "injected"}
+    jsonschema.validate(payload, schema)
+
+
+def test_af_spent_unit_budget_writes_a_unit_stage_report(tmp_path, capsys, monkeypatch):
+    """level47a's expansion does not cycle, so its unit comes from the
+    enumeration: with no budget, the run ends at the unit stage, exit 4,
+    and the report names the stage and the search's counters."""
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib import resources
+
+    from heckeaf.exactnum import units
+
+    schema = json.loads(
+        resources.files("heckeaf.schemas").joinpath("run_report.schema.json").read_text()
+    )
+    monkeypatch.setattr(units, "_MAX_CANDIDATES", 0)
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "af", str(LEVEL47A), "--report", str(path))
+    assert code == 4
+    payload = json.loads(path.read_text())
+    assert payload["error"] == {
+        "stage": "UnitNotFound",
+        "message": "no unit dominant at the embedding among 0 candidates, "
+                   "every coordinate vector of max-norm <= 0",
+    }
     jsonschema.validate(payload, schema)
 
 

@@ -1,7 +1,7 @@
 import dataclasses
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from pathlib import Path
 
 import pytest
@@ -28,15 +28,20 @@ from heckeaf.exactnum import (
     eval_embedding,
 )
 from heckeaf.exactnum.intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
+from heckeaf.exactnum import units
 from heckeaf.exactnum.units import (
     UnitElement,
+    _dominant_of_full_degree,
     _lll_transform,
     _nonnegative_conjugates,
+    _shell,
     _signed_conjugates,
     _times_signed_permutation,
     trace_gram,
 )
 from heckeaf import mcf
+
+LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +92,109 @@ def test_find_unit_degree_one():
     order = endomorphism_ring(module_from_generators(field, [field.one]))
     with pytest.raises(UnitNotFound):
         find_unit(order, field.real_roots[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_shells_cover_every_vector_once(n, b):
+    """The shells of max-norm 1..b hold every nonzero integer vector of
+    max-norm <= b exactly once, shell k those of max-norm exactly k."""
+    for k in range(1, b + 1):
+        assert all(max(map(abs, v)) == k for v in _shell(k, n))
+    got = Counter(chain.from_iterable(_shell(k, n) for k in range(1, b + 1)))
+    want = set(product(range(-b, b + 1), repeat=n)) - {(0,) * n}
+    assert set(got) == want and set(got.values()) == {1}
+
+
+def _max_norm_found_at(u, order):
+    """The max-norm of the coordinate vector the enumeration found u as:
+    u is that vector's element or its inverse, up to sign."""
+    return min(max(map(abs, order.module.coordinates_of(v))) for v in (u, u.inverse()))
+
+
+@pytest.fixture(scope="module")
+def sqrt2_plus_sqrt3():
+    """Z[alpha] for alpha = sqrt2 + sqrt3, root of x^4 - 10x^2 + 1.  The
+    unit alpha is not dominant anywhere: alpha^2 = 5 + 2 sqrt6 has degree
+    2.  The shells of max-norm 1 and 2 (624 vectors) hold no dominant
+    unit, the shell of max-norm 3 does."""
+    field = make_field(IntPolynomial((1, 0, -10, 0, 1)))
+    gens = [field.one]
+    for _ in range(3):
+        gens.append(gens[-1] * field.gen)
+    order = endomorphism_ring(module_from_generators(field, gens))
+    assert order.module == module_from_generators(field, gens)
+    assert not is_dominant_at(field.gen, field.real_roots[-1])
+    return field, order
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_spent_unit_budget_raises_unit_not_found(monkeypatch, sqrt2_plus_sqrt3, index):
+    """With no dominant unit in the shells that fit the budget, the search
+    raises with its counters instead of returning a non-dominant unit."""
+    field, order = sqrt2_plus_sqrt3
+    monkeypatch.setattr(units, "_MAX_CANDIDATES", 624)
+    with pytest.raises(UnitNotFound, match=r"among 624 candidates, .* max-norm <= 2$"):
+        find_unit(order, field.real_roots[index], attractor=None)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_unit_search_reaches_the_shell_of_max_norm_three(monkeypatch, sqrt2_plus_sqrt3, index):
+    """The next budget fits the shell of max-norm 3, which holds a dominant
+    unit at every embedding.  The search tests each vector up to it once."""
+    field, order = sqrt2_plus_sqrt3
+    root = field.real_roots[index]
+    monkeypatch.setattr(units, "_MAX_CANDIDATES", 2400)
+    tested = Counter()
+    norm_tester = units._norm_tester
+
+    def recorded(order):
+        is_unit_norm = norm_tester(order)
+
+        def counted(coords):
+            tested[coords] += 1
+            return is_unit_norm(coords)
+        return counted
+
+    monkeypatch.setattr(units, "_norm_tester", recorded)
+    u = find_unit(order, root, attractor=None)
+    assert set(tested) == set(product(range(-3, 4), repeat=4)) - {(0,) * 4}
+    assert set(tested.values()) == {1}
+    assert _max_norm_found_at(u.element, order) == 3
+    assert u.element.degree_over_q() == 4 and _dominant_of_full_degree(u.element, root)
+    assert u.norm == u.element.norm() == 1
+    assert order.contains(u.element) and order.contains(u.element.inverse())
+
+
+@pytest.mark.parametrize("poly", [(-1, -1, 0, 1), (3, -5, 0, 1), (1, -2, -1, 1), (-2, 0, 0, 1)])
+def test_enumerated_unit_is_dominant_and_carries_its_own_norm(poly):
+    """In odd degree the expanding sign of a unit flips its norm: the norm
+    recorded is that of the unit returned."""
+    field = make_field(IntPolynomial(poly))
+    gens = [field.one, field.gen, field.gen * field.gen]
+    order = endomorphism_ring(module_from_generators(field, gens))
+    for root in field.real_roots:
+        u = find_unit(order, root, attractor=None)
+        assert u.norm == u.element.norm()
+        assert u.element.degree_over_q() == 3 and _dominant_of_full_degree(u.element, root)
+
+
+@pytest.mark.parametrize("spec", ["level23a@0", "level23a@1", "level71a@0", "level71a@1",
+                                  "level71a@2", "level71b@0", "level71b@1", "level71b@2",
+                                  "level47a@0", "level47a@1", "level47a@2", "level47a@3"])
+def test_pipeline_units_are_dominant(spec):
+    """The bundled fixtures take the attractor's return unit; level47a,
+    whose expansion does not cycle, a unit from the shell of max-norm 1."""
+    name, index = spec.split("@")
+    f = hecke.load_newform(LEVEL47A.read_text()) if name == "level47a" else hecke.load_fixture(name)
+    module = hecke.module_of_eigenform(f)
+    root = f.field.real_roots[int(index)]
+    order = endomorphism_ring(module)
+    u = find_unit(order, root)
+    assert u.element.degree_over_q() == f.field.degree
+    assert _dominant_of_full_degree(u.element, root)
+    if name == "level47a":
+        assert _max_norm_found_at(u.element, order) == 1
 
 
 def test_unit_invariants_various_orders():
@@ -313,9 +421,6 @@ def test_make_nonnegative_realization_is_consistent(poly):
     period = r.roundtrip.expansion.period
     assert r.roundtrip.expansion.preperiod == ()
     assert period * (len(digits) // len(period)) == digits
-
-
-LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
 
 
 def _roundtrip_candidates(monkeypatch, f):
