@@ -11,7 +11,10 @@ numeric question (signs, floors, interval values) is answered by walking
 one refinement sequence, enclosures(a, root): the interval values of a
 over the root interval and over its successive refinements to a quarter
 of the previous width, each an interval Horner sum on integers scaled by
-the endpoints' common denominator, never by floating point.
+the endpoints' common denominator, never by floating point.  A root
+interval is refined by bisection on integers, with Newton jumps over many
+halvings at once; a jump is taken only when two signs certify that it
+lands on the interval bisection would return (RealRootInterval.refined).
 """
 
 from __future__ import annotations
@@ -52,6 +55,20 @@ class RealRootInterval:
         bisection, (lo + hi) / 2, or lo + (hi - lo) / 3 (d times 3) where
         the midpoint is a root; so the interval returned is the same, and
         its two endpoints are the only Fractions built.
+
+        Newton jumps skip halvings (Abbott's quadratic interval refinement,
+        2006).  With s halvings still due and no cut a root, bisection ends
+        on the one of the 2^s equal cells of the interval that holds the
+        root.  A Newton step from the midpoint, with poly' as one more
+        scaled Horner sum, names a cell; if poly has the sign of poly(lo)
+        at the cell's left end and the opposite sign at its right end, the
+        root lies strictly inside the cell, so no skipped cut equals it and
+        the cell is bisection's.  It is taken at once (or its left or right
+        neighbour, tested the same way), and the next jump may be twice as
+        long; a cell that fails costs one plain halving and halves the next
+        jump.  Refinements by fewer than _MIN_JUMP halvings stay plain
+        bisection, and so does the rest of one that meets a sign 0 at a cut
+        or cell end: a rational root, which the thirds step moves off.
         """
         if max_width <= 0:
             raise ValueError("max_width must be positive")
@@ -59,19 +76,54 @@ class RealRootInterval:
         d = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
         a = lo.numerator * (d // lo.denominator)
         b = hi.numerator * (d // hi.denominator)
-        # hi - lo >= max_width  <=>  (b - a) den >= num d 2^k
+        # hi - lo >= max_width  <=>  (b - a) den >= num d 2^k; until a cut
+        # hits a root, the loop halves the width `steps` times, the least
+        # steps with (b - a) den < num d 2^steps
         num, den = max_width.numerator, max_width.denominator
-        if (b - a) * den < num * d:
+        over, unit = (b - a) * den, num * d
+        steps = max(0, over.bit_length() - unit.bit_length())
+        steps += (unit << steps) <= over
+        if not steps:
             return self
         scaled = _scaled_coeffs(self.poly.coeffs, d)
         sign_lo = 1 if _scaled_value(scaled, a, 0) > 0 else -1
         k = 0
+        jump = steps  # bits of the next Newton jump; 0 once a cut is a root
         while (b - a) * den >= (num * d) << k:
             mid = a + b  # (lo + hi) / 2 at the scale d 2^(k+1)
+            v = _scaled_value(scaled, mid, k + 1)
+            s = min(jump, steps - k)
+            if v and s >= _MIN_JUMP:
+                width = b - a
+                # Newton from mid lands at (mid - v / q) / (d 2^(k+1)), q the
+                # scaled p'(mid); j is the cell of the 2^s cells of width
+                # width / (d 2^(k+s)) that holds it
+                n = len(scaled) - 1
+                q = _scaled_value([(n - i) * c for i, c in enumerate(scaled[:-1])], mid, k + 1)
+                j = (1 << (s - 1)) + ((-v) << (s - 1)) // (width * q) if q else -1
+                if 0 <= j < 1 << s:
+                    left = (a << s) + j * width
+                    u = sign_lo * _scaled_value(scaled, left, k + s)
+                    w = sign_lo * _scaled_value(scaled, left + width, k + s)
+                    # a neighbour past lo or hi only where poly(lo) and
+                    # poly(hi) have one sign: no isolating interval
+                    if u > 0 and w > 0 and j + 1 < 1 << s:
+                        left, u = left + width, w
+                        w = sign_lo * _scaled_value(scaled, left + width, k + s)
+                    elif u < 0 and w < 0 and j > 0:
+                        left, w = left - width, u
+                        u = sign_lo * _scaled_value(scaled, left, k + s)
+                    if u > 0 > w:
+                        a, b, k, jump = left, left + width, k + s, 2 * s
+                        continue
+                    if u == 0 or w == 0:
+                        jump = 0
+                if jump:
+                    jump = max(s // 2, _MIN_JUMP)
             a, b, k = a << 1, b << 1, k + 1
-            v = _scaled_value(scaled, mid, k)
             if v == 0:
                 # rational root hit exactly; cut at lo + (hi - lo) / 3
+                jump = 0
                 mid, a, b, d = 2 * a + b, 3 * a, 3 * b, 3 * d
                 scaled = _scaled_coeffs(self.poly.coeffs, d)
                 v = _scaled_value(scaled, mid, k)
@@ -85,6 +137,11 @@ class RealRootInterval:
 
     def __repr__(self) -> str:
         return f"RealRootInterval({self.lo}, {self.hi})"
+
+
+# a jump costs poly' and two or three cell ends beside the midpoint, so it
+# pays from four halvings on; the quarter-width steps of enclosures take three
+_MIN_JUMP = 4
 
 
 def _scaled_coeffs(coeffs, d):

@@ -84,28 +84,55 @@ class NewformData:
         return len(self.field.real_roots) - 1  # largest real root
 
 
+# the loader's bound on the digits of one integer (a coordinate's numerator
+# or denominator, or a JSON integer), Python's default int() digit limit; the
+# fixture schema's coordinate pattern carries the same bound
+MAX_DIGITS = 4300
+
 # the coordinate grammar of the fixture schema, matched in full
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_RATIONAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
+
+
+def _bounded_int(digits: str) -> int:
+    """int() of -?[0-9]+ with at most MAX_DIGITS digits, read in pieces of
+    640 digits, the lowest int() digit limit a process can set, so the
+    process-wide limit plays no part."""
+    if len(digits) <= 640:
+        return int(digits)
+    sign, digits = (-1, digits[1:]) if digits[0] == "-" else (1, digits)
+    value = 0
+    for i in range(0, len(digits), 640):
+        piece = digits[i:i + 640]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
+
+
+def _json_int(token: str) -> int:
+    """json's parse_int for a fixture: a JSON integer of at most MAX_DIGITS
+    digits, else a SchemaError."""
+    if len(token.lstrip("-")) > MAX_DIGITS:
+        raise SchemaError(f"a JSON integer of {len(token)} characters has more than {MAX_DIGITS} digits")
+    return _bounded_int(token)
 
 
 def _parse_rational(s) -> tuple:
     """A fixture coordinate as (numerator, denominator) in lowest terms with
     denominator > 0: a JSON integer, or a string of the schema grammar
-    -?[0-9]+(/[0-9]+)? in ASCII digits.  Any other spelling (whitespace, a
-    plus sign, underscores, decimals, exponents, non-ASCII digits) and a zero
-    denominator are a SchemaError."""
+    -?[0-9]+(/[0-9]+)? in ASCII digits, at most MAX_DIGITS of them on each
+    side of the slash.  Any other spelling (whitespace, a plus sign,
+    underscores, decimals, exponents, non-ASCII digits, more digits) and a
+    zero denominator are a SchemaError."""
     if type(s) is int:  # bool is an int subclass, not a JSON integer
         return s, 1
     if type(s) is not str:
         raise SchemaError(f"expected a rational string, got {type(s).__name__}")
     m = _RATIONAL.fullmatch(s)
     if m is None:
-        raise SchemaError(f"cannot parse rational {s!r}: not of the form -?[0-9]+(/[0-9]+)?")
-    try:
-        num = int(m[1])
-        den = 1 if m[2] is None else int(m[2])
-    except ValueError as exc:  # more digits than int() converts
-        raise SchemaError(f"cannot parse rational of {len(s)} characters: {exc}") from exc
+        shown = repr(s) if len(s) <= 40 else f"of {len(s)} characters"
+        raise SchemaError(f"cannot parse rational {shown}: not of the form -?[0-9]+(/[0-9]+)?"
+                          f" with at most {MAX_DIGITS} digits a part")
+    num = _bounded_int(m[1])
+    den = 1 if m[2] is None else _bounded_int(m[2])
     if den == 0:
         raise SchemaError(f"cannot parse rational {s!r}: zero denominator")
     g = gcd(num, den)
@@ -169,8 +196,8 @@ def load_newform(source) -> NewformData:
     data = source
     if isinstance(source, (str, bytes)):
         try:
-            data = json.loads(source)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+            data = json.loads(source, parse_int=_json_int)
+        except ValueError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"a fixture is a JSON object, not a {type(data).__name__}")

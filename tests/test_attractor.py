@@ -241,3 +241,38 @@ def test_find_unit_long_quadratic_period():
     order = endomorphism_ring(module_from_generators(field, [field.one, field.gen]))
     for root in field.real_roots:
         assert find_unit(order, root).element == reference_quadratic_unit(order, root)
+
+
+def _expand_times_tool():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "expand_times.py"
+    spec = importlib.util.spec_from_file_location("expand_times", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("steps, rows", [
+    # level23a's coefficient module repeats state 0 after one step at
+    # embedding 0, and state 1 after two steps at embedding 1, which a
+    # budget of two states does not reach
+    (16, [["0", "1", "state 0, period 1"], ["1", "2", "state 1, period 1"]]),
+    (2, [["0", "1", "state 0, period 1"], ["1", "1", "no"]]),
+])
+def test_expand_times_reports_steps_and_repeats(capsys, steps, rows):
+    """tools/expand_times.py prints one row per embedding: the steps the
+    expansion ran, the repeat it found and a wall time; the period it
+    names is that of units._attractor_data."""
+    tool = _expand_times_tool()
+    assert tool.main(["level23a", "--steps", str(steps)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(rows)
+    for line, (index, stepped, repeat) in zip(lines[1:], rows):
+        fields = line.split()
+        assert fields[:2] == [index, stepped]
+        assert " ".join(fields[2:-1]) == repeat
+        assert float(fields[-1]) >= 0
+    f = hecke.load_fixture("level23a")
+    module = hecke.module_of_eigenform(f)
+    assert [len(units._attractor_data(module, r)[2]) for r in f.field.real_roots] == [1, 1]

@@ -1,10 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heckeaf import cli, hecke
 from heckeaf.errors import (
@@ -392,25 +394,54 @@ def test_af_malformed_fixture_is_rejected_with_a_report(tmp_path, capsys, mutate
     assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
 
 
+# one digit past the loader's own bound, as a string and as a JSON integer
+_PAST_DIGIT_BOUND = ['"' + "1" * (hecke.MAX_DIGITS + 1) + '"', "1" * (hecke.MAX_DIGITS + 1)]
+
+
+def _oversized_fixture(tmp_path, token):
+    """level23a with c(151)'s first coordinate written as the JSON token."""
+    data = _level23a()
+    data["an"][150][0] = "PLACEHOLDER"
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(data).replace('"PLACEHOLDER"', token))
+    return path
+
+
 @pytest.mark.parametrize("token", [
     '"1e100000000"',  # Fraction would build a 100-million-digit integer
-    pytest.param('"' + "1" * (_DIGIT_LIMIT + 1) + '"', marks=_PAST_DIGIT_LIMIT),  # as a string
-    pytest.param("1" * (_DIGIT_LIMIT + 1), marks=_PAST_DIGIT_LIMIT),  # and as a JSON integer
+    *_PAST_DIGIT_BOUND,
 ])
 def test_af_oversized_coordinate_is_rejected_at_once(tmp_path, capsys, token):
     """c(151) of level23a enters no Hecke relation checked on load, so only
-    the coordinate grammar and int()'s digit limit stand between such a
-    coordinate and the pipeline."""
-    data = _level23a()
-    data["an"][150][0] = "PLACEHOLDER"
-    bad_path = tmp_path / "oversized.json"
-    bad_path.write_text(json.dumps(data).replace('"PLACEHOLDER"', token))
+    the coordinate grammar and the loader's digit bound stand between such
+    a coordinate and the pipeline."""
+    bad_path = _oversized_fixture(tmp_path, token)
     report_path = tmp_path / "report.json"
     started = time.perf_counter()
     code, _, err = run(capsys, "af", str(bad_path), "--report", str(report_path))
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert "fixture rejected" in err
+    assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
+
+
+@pytest.mark.parametrize("token", _PAST_DIGIT_BOUND)
+def test_af_oversized_coordinate_is_rejected_with_int_digit_limit_off(tmp_path, token):
+    """With int()'s process-wide digit limit off, the loader's own bound
+    still rejects a coordinate one digit past it, at once."""
+    bad_path = _oversized_fixture(tmp_path, token)
+    report_path = tmp_path / "report.json"
+    src = str(Path(hecke.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-m", "heckeaf.cli",
+         "af", str(bad_path), "--report", str(report_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - started < 10.0
+    assert done.returncode == 2, done.stderr
+    assert "fixture rejected" in done.stderr
     assert json.loads(report_path.read_text())["error"]["stage"] == "SchemaError"
 
 
@@ -444,10 +475,15 @@ _COORDINATE_TEXT = st.text(alphabet="0123456789-/ +_.e\n٣１", max_size=8) | st
 
 @settings(max_examples=300, deadline=None)
 @given(_COORDINATE_TEXT)
+@example("-" + "9" * hecke.MAX_DIGITS)
+@example("9" * (hecke.MAX_DIGITS + 1))
+@example("1/" + "0" * (hecke.MAX_DIGITS - 1) + "7")
+@example("1/" + "0" * hecke.MAX_DIGITS)
+@example("1/" + "7" * (hecke.MAX_DIGITS + 1))
 def test_schema_and_loader_agree_on_coordinate_strings(s):
     """The loader accepts an `an` or `module` coordinate string exactly when
-    the fixture schema does (for strings within int()'s digit limit, past which only
-    the loader refuses): the pattern ends in (?![\\s\\S]), not $, which
+    the fixture schema does, past the digit bound too: the pattern ends in
+    (?![\\s\\S]), not $, which
     under python-jsonschema's re.search also matches before a final
     newline, and its denominator has a non-zero digit."""
     jsonschema = pytest.importorskip("jsonschema")

@@ -242,6 +242,44 @@ def test_integer_bisection_matches_fraction_bisection(poly, data):
             assert got.poly == poly
 
 
+@settings(max_examples=40, deadline=None)
+@given(_squarefree_poly(), st.data())
+def test_refining_a_refined_interval_matches_fraction_bisection(poly, data):
+    """Refining again an interval that refined returned, as the basis
+    enclosures of the Jacobi-Perron engine do, so that its common
+    denominator carries 2^k: both refinements, with dyadic widths 2^-j up
+    to j = 1200, return the intervals of Fraction bisection."""
+    for iv in isolate_real_roots(poly):
+        first, second = (Fraction(1, 2 ** data.draw(st.integers(0, 1200), label="j"))
+                         for _ in range(2))
+        once = iv.refined(first)
+        assert (once.lo, once.hi) == reference_refined(iv, first)
+        twice = once.refined(second)
+        expected = reference_refined(RealRootInterval(poly, *reference_refined(iv, first)), second)
+        assert (twice.lo, twice.hi) == expected
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", [
+    # linear: the Newton step lands on the root 3 exactly, the left end of
+    # its cell among the 2^s cells of (-4, 4)
+    ((-3, 1), -4, 4),
+    # (16x - 5)(x + 1000), convex: the step lands just right of the root
+    # 5/16, so 5/16 is the left end of the cell
+    ((-5000, 15995, 16), 0, 1),
+    # (16x - 5)(1000 - x), concave: it lands just left, at the right end
+    ((-5000, 16005, -16), 0, 1),
+])
+def test_a_rational_root_at_a_jump_cell_end_takes_the_thirds_path(coeffs, lo, hi):
+    """A cell end of sign 0 hands the refinement back to bisection, whose
+    cut then meets the rational root and moves to a third: the endpoints'
+    denominators carry the 3, and the interval is Fraction bisection's."""
+    iv = RealRootInterval(IntPolynomial(coeffs), Fraction(lo), Fraction(hi))
+    for max_width in (Fraction(1, 2 ** 10), Fraction(1, 2 ** 40), Fraction(1, 10 ** 9)):
+        got = iv.refined(max_width)
+        assert (got.lo, got.hi) == reference_refined(iv, max_width)
+        assert got.lo.denominator % 3 == 0 and got.hi.denominator % 3 == 0
+
+
 def test_integer_bisection_nudges_off_a_rational_root():
     """x^3 - 2x on (-1, 1): the first midpoint 0 is the root, so the cut
     moves to -1/3, and every later cut is that of Fraction bisection."""

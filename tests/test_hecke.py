@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -176,6 +177,24 @@ def test_spellings_outside_the_grammar_are_schema_errors(s):
     assert _fraction_or_none(s) is not None
     with pytest.raises(SchemaError):
         hecke._parse_rational(s)
+
+
+def test_coordinates_up_to_the_digit_bound_load_under_any_int_limit():
+    """The loader's digit bound is its own: with int()'s process-wide limit
+    at its least, 640, a coordinate and a JSON integer of MAX_DIGITS digits
+    still parse, and one more digit is a SchemaError."""
+    n = hecke.MAX_DIGITS
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        parsed = hecke._parse_rational("7" * n + "/" + "3" * n)
+        token = hecke._json_int("-" + "1" * n)
+        with pytest.raises(SchemaError):
+            hecke._json_int("1" * (n + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parsed == (7, 3)  # 7 (10^n - 1) / 9 over 3 (10^n - 1) / 9
+    assert token == -(10 ** n - 1) // 9
 
 
 def _reference_coefficients(data):

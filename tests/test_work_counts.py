@@ -269,6 +269,21 @@ def test_level47a_walks_each_enclosure_once(monkeypatch):
     assert counts["degree_over_q"] <= 34
 
 
+def test_level47a_refines_its_root_by_newton_jumps(monkeypatch):
+    """The expansion's basis enclosures refine level47a's root in five
+    steps, to a width under 2^-104 and, doubling the bits, on to under
+    2^-1544: at one sign per halving, 1550 of the run's 2542 evaluations of
+    the scaled polynomial (_scaled_value).  Newton jumps take each doubling
+    with a few signs, so the run, at its default embedding 3, makes under
+    1300."""
+    f = load_newform(LEVEL47A.read_text())
+    assert f.working_embedding_index() == 3
+    evaluations = _count(monkeypatch, "_scaled_value", field)
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert evaluations[0] < 1300
+
+
 def test_level47a_builds_few_fractions(monkeypatch):
     """Field elements are integer numerators over one denominator, and
     interval Horner sums run on scaled integers: one level47a run of

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Jacobi-Perron expansions of a fixture's coefficient module, timed.
+
+For each real embedding of the fixture (or only embedding i, with
+`@i`), the script expands the coefficient module's basis ratios as the
+pipeline's unit and form searches do (`units._attractor_data`), under a
+budget of N states, and prints the steps run, whether a state repeated
+(with the state it repeats and the period length), and the wall time.
+
+Usage: python3 tools/expand_times.py <fixture[@i]> --steps N
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from heckeaf import mcf  # noqa: E402
+from heckeaf.exactnum.units import _attractor_data  # noqa: E402
+from heckeaf.hecke import load_fixture, load_newform, module_of_eigenform  # noqa: E402
+
+
+def load(name: str):
+    """A bundled fixture by name, or a fixture file by path."""
+    path = Path(name)
+    return load_newform(path.read_text()) if path.exists() else load_fixture(name)
+
+
+def expand(module, root, steps: int):
+    """One _attractor_data run: (digits stepped, repeated state or None,
+    period length, seconds).  The engine is wrapped for the run to read
+    how many digits it stepped and where the repeat starts."""
+    seen = []
+    engine = mcf._expand_states
+
+    def recorded(*args):
+        seen.append(engine(*args))
+        return seen[-1]
+
+    mcf._expand_states = recorded
+    try:
+        started = perf_counter()
+        _attractor_data(module, root, max_steps=steps)
+        elapsed = perf_counter() - started
+    finally:
+        mcf._expand_states = engine
+    if not seen:  # rank 1: nothing to expand
+        return 0, None, 0, elapsed
+    digits, _, start, _ = seen[0]
+    return len(digits), start, 0 if start is None else len(digits) - start, elapsed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("fixture", help="bundled fixture name or path, with an optional @i")
+    parser.add_argument("--steps", type=int, required=True,
+                        help="states checked for a repeat (the expansion's budget)")
+    args = parser.parse_args(argv)
+    if args.steps < 1:
+        parser.error("--steps must be positive")
+    name, _, index = args.fixture.partition("@")
+    f = load(name)
+    module = module_of_eigenform(f)
+    roots = f.field.real_roots
+    indices = [int(index)] if index else range(len(roots))
+    print(f"{'embedding':>9} {'steps':>7} {'repeat':>16} {'seconds':>9}   (budget {args.steps} states)")
+    for i in indices:
+        stepped, start, period, elapsed = expand(module, roots[i], args.steps)
+        repeat = "no" if start is None else f"state {start}, period {period}"
+        print(f"{i:>9} {stepped:>7} {repeat:>16} {elapsed:>9.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
