@@ -223,12 +223,16 @@ def _matrix_strings(m):
     return [[str(x) for x in row] for row in m]
 
 
-def export_bratteli(obj, fmt: str, stationary_levels: int = 5) -> str:
+# the levels a DOT rendering draws of a stationary diagram
+_STATIONARY_LEVELS = 5
+
+
+def export_bratteli(obj, fmt: str) -> str:
     """DOT or JSON rendering of a diagram descriptor."""
     if fmt == "json":
         return _export_json(obj)
     if fmt == "dot":
-        return _export_dot(obj, stationary_levels)
+        return _export_dot(obj)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -307,12 +311,12 @@ def parse_bratteli_json(text: str):
     raise ShapeMismatch(f"unknown diagram type {kind!r}")
 
 
-def _export_dot(obj, stationary_levels: int) -> str:
+def _export_dot(obj) -> str:
     if isinstance(obj, TrivialAF):
         return 'digraph bratteli {\n  rankdir=TB;\n  v0_0 [shape=point];\n}\n'
     if isinstance(obj, StationaryAF):
-        mats = [obj.period_matrix] * (stationary_levels - 1)
-        counts = [obj.rank] * stationary_levels
+        mats = [obj.period_matrix] * (_STATIONARY_LEVELS - 1)
+        counts = [obj.rank] * _STATIONARY_LEVELS
         note = "stationary: level matrix repeats forever"
     else:
         mats = list(obj.matrices)

@@ -250,11 +250,13 @@ def _expansion_payload(exp: JpaExpansion):
     }
 
 
+def _report_header() -> dict:
+    return {"schema_version": "1", "tool": "heckeaf", "tool_version": __version__}
+
+
 def build_report(f, result=None, companion=None, error=None, timings=None) -> dict:
     report = {
-        "schema_version": "1",
-        "tool": "heckeaf",
-        "tool_version": __version__,
+        **_report_header(),
         "label": f.label,
         "level": f.level,
         "weight": f.weight,
@@ -280,14 +282,15 @@ def build_report(f, result=None, companion=None, error=None, timings=None) -> di
                 "norm": str(result.unit.norm),
             }
             report["matrix_a"] = _matrix_strings(result.matrix_a)
+            realization = result.realization
             report["nonneg"] = {
-                "matrix": _matrix_strings(result.nonneg_matrix),
-                "power": result.nonneg_power,
-                "transform": _matrix_strings(result.nonneg_transform),
+                "matrix": _matrix_strings(realization.matrix),
+                "power": realization.power,
+                "transform": _matrix_strings(realization.transform),
             }
-            report["digits"] = [[str(b) for b in d] for d in result.digits]
+            report["digits"] = [[str(b) for b in d] for d in result.af.digits]
             report["char_poly"] = _poly_strings(result.af.char_poly)
-            report["expansion"] = _expansion_payload(result.expansion)
+            report["expansion"] = _expansion_payload(realization.roundtrip.expansion)
             report["embedding_index"] = result.embedding_index
             report["per_conjugate"] = [
                 {
@@ -295,7 +298,7 @@ def build_report(f, result=None, companion=None, error=None, timings=None) -> di
                     "embedding": list(cs.embedding),
                     "unit_image": list(cs.unit_image),
                     "expanding": cs.expanding,
-                    "char_poly": _poly_strings(cs.char_poly),
+                    "char_poly": report["char_poly"],
                 }
                 for cs in result.per_conjugate
             ]
@@ -334,9 +337,7 @@ def cmd_af(args) -> int:
         f = _fixture_path_or_name(args.fixture)
     except HeckeafError as exc:
         report = {
-            "schema_version": "1",
-            "tool": "heckeaf",
-            "tool_version": __version__,
+            **_report_header(),
             "fixture": args.fixture,
             "error": {"stage": type(exc).__name__, "message": str(exc)},
         }

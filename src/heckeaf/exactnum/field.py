@@ -296,10 +296,8 @@ class NumberField:
 
 
 def make_field(minpoly: IntPolynomial) -> NumberField:
-    """The field of minpoly, an IntPolynomial or its coefficients, lowest
-    first; NumberField verifies monicity and irreducibility."""
-    if not isinstance(minpoly, IntPolynomial):
-        minpoly = IntPolynomial(tuple(minpoly))
+    """The field of minpoly; NumberField verifies monicity and
+    irreducibility."""
     return NumberField(minpoly)
 
 

@@ -309,14 +309,18 @@ def _divides_monic(q, p):
     return None if any(rem) else quo[::-1]
 
 
-def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_000):
+# the most candidate factors _trial_factor_search enumerates for one degree
+_TRIAL_FACTOR_BUDGET = 3_000_000
+
+
+def _trial_factor_search(poly: IntPolynomial, candidate_degrees):
     """Search for a monic integer factor with degree in candidate_degrees.
 
     A factor's roots are roots of poly, so the coefficient of x^(d-j) in a
     degree-d factor is bounded by C(d, j) R^j for the Cauchy root bound R;
     the constant term additionally divides poly's constant term.  Returns
     a factor or None; raises IrreducibilityUndecided when the pruned
-    search space still exceeds the budget.
+    search space still exceeds _TRIAL_FACTOR_BUDGET.
     """
     r_bound = root_bound(poly)
     c0 = poly.coeffs[0]
@@ -331,7 +335,7 @@ def _trial_factor_search(poly: IntPolynomial, candidate_degrees, budget=3_000_00
         space = len(consts)
         for b in bounds:
             space *= 2 * b + 1
-        if space > budget:
+        if space > _TRIAL_FACTOR_BUDGET:
             raise IrreducibilityUndecided(
                 f"factor search for degree {d} needs {space} candidates"
             )

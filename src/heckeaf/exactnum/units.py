@@ -31,7 +31,6 @@ from .field import (
     FieldElement,
     RealRootInterval,
     enclosures,
-    eval_embedding,
     sign_at,
 )
 from .intmat import (charpoly, is_primitive, mat_det, mat_identity, mat_inverse_fraction,
@@ -220,8 +219,11 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     its inverse in the order, image > 1).  When the expansion does not
     cycle within budget, the shells of max-norm 1, 2, 3, ... are tested
     while the next whole shell fits in _MAX_CANDIDATES: the first one
-    holding a dominant unit gives its one of smallest image, and else
-    UnitNotFound names the candidates tested and the max-norm done.
+    holding a dominant unit gives its one of least image, and else
+    UnitNotFound names the candidates tested and the max-norm done.  A
+    shell may hold a unit as any of +-alpha^+-1; each unit is tested once,
+    as the member with image > 1, and images are ordered by the exact sign
+    of their difference (distinct elements have distinct images).
 
     A non-dominant u with sigma_e(u) > 1 is never realized, so it is not
     returned.  If u has lower degree, so has every u^k: _is_top_real_root
@@ -263,19 +265,20 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     tested = bound = 0
     while tested + (2 * bound + 3) ** n - (2 * bound + 1) ** n <= _MAX_CANDIDATES:
         bound += 1
-        dominant = []
+        reps = {}  # each unit once, though the shell may hold all of +-alpha^+-1
         for coords in _shell(bound, n):
             tested += 1
             if not is_unit_norm(coords):
                 continue
             alpha = _combination(coords, basis, field)
-            if not alpha.is_rational() and alpha.degree_over_q() == n:
-                rep = _expanding_representative(alpha, root)
-                if _dominant_of_full_degree(rep, root):
-                    dominant.append(rep)
-        if dominant:
-            best = min(dominant, key=lambda u: (
-                eval_embedding(u, root, Fraction(1, 10 ** 12))[0], u.coords))
+            if not alpha.is_rational():
+                reps[_expanding_representative(alpha, root)] = None
+        best = None
+        for rep in reps:
+            if rep.degree_over_q() == n and _dominant_of_full_degree(rep, root) and (
+                    best is None or sign_at(rep - best, root) < 0):
+                best = rep
+        if best is not None:
             return UnitElement(best, int(best.norm()), order)
     raise UnitNotFound(f"no unit dominant at the embedding among {tested} candidates, "
                        f"every coordinate vector of max-norm <= {bound}")

@@ -44,13 +44,13 @@ from .exactnum.intmat import charpoly
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
 from .exactnum.units import (
+    Realization,
     UnitElement,
     _attractor_data,
     find_unit,
     make_nonnegative,
     multiplication_matrix,
 )
-from .mcf import JpaExpansion
 
 MIN_COEFFS = 20
 HECKE_CHECK_BOUND = 13
@@ -390,37 +390,7 @@ def verify_eigenform(f: NewformData, max_prime: int = HECKE_CHECK_BOUND) -> Eige
 
 
 # ---------------------------------------------------------------------------
-# conjugates, module
-
-@dataclass(frozen=True)
-class ConjugateFamily:
-    base: NewformData
-    embeddings: tuple  # RealRootInterval per real embedding, base first
-
-    @property
-    def size(self) -> int:
-        return len(self.embeddings)
-
-
-def conjugate_family(f: NewformData) -> ConjugateFamily:
-    """One conjugate per real embedding; the base embedding comes first.
-
-    Conjugating an eigenform acts on coefficients through an embedding of
-    the abstract field, so in coordinates the conjugates share their
-    tables and differ in the working embedding only.
-    """
-    field = f.field
-    if len(field.real_roots) != field.degree:
-        raise NotTotallyReal(
-            f"field {field.minpoly} has {len(field.real_roots)} real roots "
-            f"for degree {field.degree}"
-        )
-    base = f.working_embedding_index()
-    order = (base,) + tuple(i for i in range(field.degree) if i != base)
-    return ConjugateFamily(
-        base=f, embeddings=tuple(field.real_roots[i] for i in order)
-    )
-
+# the module
 
 def module_of_eigenform(f: NewformData) -> ZModule:
     """The coefficient order's module: the Z-span of powers of the first
@@ -466,30 +436,19 @@ class ConjugateSummary:
     embedding: tuple          # (lo, hi) strings for the root interval
     unit_image: tuple         # certified interval of sigma(u), strings
     expanding: bool           # |sigma(u)| > 1 at this embedding
-    char_poly: IntPolynomial
 
 
 @dataclass(frozen=True)
 class EigenformAFResult:
-    label: str
-    field: NumberField
     module: ZModule
     af: object                # StationaryAF or TrivialAF
     order: OrderRing | None = None
     unit: UnitElement | None = None
     matrix_a: tuple | None = None
-    nonneg_matrix: tuple | None = None
-    nonneg_power: int | None = None
-    nonneg_transform: tuple | None = None
-    digits: tuple | None = None
-    expansion: JpaExpansion | None = None
+    realization: Realization | None = None
     group: DimensionGroup | None = None
     embedding_index: int | None = None
     per_conjugate: tuple = ()
-
-    def char_polys_equal(self) -> bool:
-        polys = {cs.char_poly for cs in self.per_conjugate}
-        return len(polys) <= 1
 
 
 def _image_and_expanding(elem: FieldElement, root):
@@ -519,8 +478,9 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     Each intermediate fact is computed once and passed on: the module's
     attractor expansion feeds both the unit search (when the order's
     module is the module itself) and the non-negative form search, and
-    the realization returned by make_nonnegative carries its round-trip
-    record (digits, Perron value u^k and eigenvector in f's field, expansion).
+    the result keeps the realization make_nonnegative returns, with its
+    round-trip record (digits, Perron value u^k and eigenvector in f's
+    field, expansion).
 
     Conjugate data: the action of the conjugated unit on the conjugated
     module has the same integer matrix in coordinates, so per-conjugate
@@ -531,7 +491,7 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     module = module_of_eigenform(f)
     if field.degree == 1:
         return EigenformAFResult(
-            label=f.label, field=field, module=module, af=TrivialAF(),
+            module=module, af=TrivialAF(),
             group=DimensionGroup(theta=(), root=None, order_unit=(1,)),
         )
 
@@ -561,23 +521,16 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
                     embedding=(str(r.lo), str(r.hi)),
                     unit_image=(str(lo), str(hi)),
                     expanding=expanding,
-                    char_poly=af.char_poly,
                 )
             )
 
     return EigenformAFResult(
-        label=f.label,
-        field=field,
         module=module,
         af=af,
         order=order,
         unit=unit,
         matrix_a=matrix_a,
-        nonneg_matrix=realization.matrix,
-        nonneg_power=realization.power,
-        nonneg_transform=realization.transform,
-        digits=roundtrip.digits,
-        expansion=roundtrip.expansion,
+        realization=realization,
         group=group,
         embedding_index=emb_index,
         per_conjugate=tuple(summaries),
@@ -586,7 +539,6 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
 
 @dataclass(frozen=True)
 class CompanionReport:
-    label: str
     conjugates: int
     char_polys: tuple
     all_equal: bool
@@ -602,25 +554,31 @@ def companion_of_conjugates(f: NewformData, result: EigenformAFResult) -> Compan
     is the embedding data.  The report records the (necessarily equal)
     characteristic polynomials, the pairwise companion_check verdicts, and
     Galois stability of the module, checked by canonical-form comparison.
+    There is one conjugate per real embedding, so a field that is not
+    totally real raises NotTotallyReal.
     """
-    if f.field.degree == 1:
+    field = f.field
+    if field.degree == 1:
         return CompanionReport(
-            label=f.label, conjugates=0, char_polys=(), all_equal=True,
+            conjugates=0, char_polys=(), all_equal=True,
             pairwise_verdicts=(), module_galois_stable=True,
         )
-    family = conjugate_family(f)
+    if len(field.real_roots) != field.degree:
+        raise NotTotallyReal(
+            f"field {field.minpoly} has {len(field.real_roots)} real roots "
+            f"for degree {field.degree}"
+        )
     # the conjugated module: built from the shared coordinate tables
     stable = module_of_eigenform(f) == result.module
-    polys = [result.af.char_poly] * family.size
-    matrices = [result.af.period_matrix] * family.size
+    polys = [result.af.char_poly] * field.degree
+    matrices = [result.af.period_matrix] * field.degree
     verdicts = []
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):
             verdicts.append((i, j, companion_check(matrices[i], matrices[j])))
     all_equal = len(set(polys)) <= 1
     return CompanionReport(
-        label=f.label,
-        conjugates=family.size,
+        conjugates=field.degree,
         char_polys=tuple(polys),
         all_equal=all_equal,
         pairwise_verdicts=tuple(verdicts),

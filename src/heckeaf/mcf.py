@@ -303,23 +303,18 @@ def regular_cf(x, root: RealRootInterval | None = None,
     """Regular continued fraction as the n = 2 case.
 
     Accepts an exact rational (Fraction or int) or a FieldElement with its
-    embedding.  Rational inputs terminate with the Euclidean quotients.
+    embedding.  Rational inputs terminate with the Euclidean quotients of
+    numerator and denominator, after a 0 when x < 1, cut to max_terms.
     """
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
         if x <= 0:
             raise ValueError("regular_cf needs a positive value")
-        digits = []
-        cur = x
-        for _ in range(max_terms):
-            a = cur.numerator // cur.denominator
-            digits.append((a,))
-            frac = cur - a
-            if frac == 0:
-                return JpaExpansion(2, tuple(digits), (), True)
-            cur = 1 / frac
-        return JpaExpansion(2, tuple(digits), (), False)
+        p, q = x.numerator, x.denominator
+        quotients = euclid_gcd(p, q)[1] if p >= q else [0] + euclid_gcd(q, p)[1]
+        digits = tuple((a,) for a in quotients[:max_terms])
+        return JpaExpansion(2, digits, (), len(quotients) <= max_terms)
     if not isinstance(x, FieldElement):
         raise TypeError(f"cannot expand {type(x).__name__}")
     if x.is_rational():

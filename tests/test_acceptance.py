@@ -127,7 +127,7 @@ def test_trivial_stationary_dichotomy():
     assert len(r23.af.period_matrix) == 2
     # the period matrix char poly equals the field polynomial of the used
     # unit power, verified symbolically
-    u_power = r23.unit.element ** r23.nonneg_power
+    u_power = r23.unit.element ** r23.realization.power
     assert r23.af.char_poly == u_power.min_poly()
     assert charpoly(r23.af.period_matrix) == u_power.min_poly()
     _report("trivial/stationary dichotomy", "level 11 trivial, level 23 stationary", started)

@@ -346,7 +346,7 @@ def test_import_rejects_a_payload_that_is_not_a_diagram(payload):
 def test_dot_export():
     e = mcf.JpaExpansion(2, (), ((1,),), False)
     af = afalg.af_from_expansion(e)
-    dot = afalg.export_bratteli(af, "dot", stationary_levels=5)
+    dot = afalg.export_bratteli(af, "dot")
     assert dot.startswith("digraph bratteli")
     assert dot.count("rank=same") == 5
     # block [[0,1],[1,1]]: multiplicities 0,1,1,1 -> three edges per level

@@ -640,3 +640,20 @@ def test_report_determinism(tmp_path, capsys):
 def test_version_flag(capsys):
     code = cli.main(["--version"])
     assert code == 0
+
+
+def test_stage_times_prints_one_row_of_medians(capsys):
+    """tools/stage_times.py runs load, af and report on a fixture and prints
+    a header and one row: the fixture and three non-negative medians (ms)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
+    spec = importlib.util.spec_from_file_location("stage_times", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["level23a@0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    fields = lines[1].split()
+    assert fields[0] == "level23a@0" and len(fields) == 4
+    assert all(float(ms) >= 0 for ms in fields[1:])

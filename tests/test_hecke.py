@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeaf import afalg, hecke, mcf
+from heckeaf import afalg, cli, hecke, mcf
 from heckeaf.errors import (
     HeckeRelationViolated,
     InsufficientCoefficients,
@@ -362,18 +362,13 @@ def test_coefficient_field(f11, f23):
     assert order.module == module_from_generators(field, [field.one, field.gen])
 
 
-def test_conjugate_family(f23, f11):
-    fam = hecke.conjugate_family(f23)
-    assert fam.size == 2
+def test_c2_at_the_two_embeddings(f23):
     # c(2) lands on the two roots of x^2 + x - 1 at the two embeddings
-    c2 = fam.base.c(2)
+    c2 = f23.c(2)
     vals = sorted(float(sum(eval_embedding(c2, root, Fraction(1, 10 ** 8))) / 2)
-                  for root in fam.embeddings)
+                  for root in f23.field.real_roots)
     assert abs(vals[0] - (-1.618)) < 0.01
     assert abs(vals[1] - 0.618) < 0.01
-
-    fam1 = hecke.conjugate_family(f11)
-    assert fam1.size == 1
 
 
 def test_module_of_eigenform(f23, f11):
@@ -420,25 +415,29 @@ def test_af_of_eigenform_dichotomy(f11, f23, f71a, f71b):
 
 def test_af_of_eigenform_level23(f23):
     r = hecke.af_of_eigenform(f23)
-    assert r.nonneg_matrix == ((0, 1), (1, 1))
+    assert r.realization.matrix == ((0, 1), (1, 1))
     assert r.af.char_poly == IntPolynomial((-1, -1, 1))
     # char poly of the period matrix equals the field polynomial of u^k
-    assert r.af.char_poly == (r.unit.element ** r.nonneg_power).min_poly()
+    assert r.af.char_poly == (r.unit.element ** r.realization.power).min_poly()
     assert r.unit.norm == -1
-    assert r.expansion.preperiod == ()
-    assert r.expansion.period * (len(r.digits) // len(r.expansion.period)) == r.digits
+    expansion = r.realization.roundtrip.expansion
+    assert expansion.preperiod == ()
+    assert expansion.period * (len(r.af.digits) // len(expansion.period)) == r.af.digits
     assert r.group is not None and r.group.rank == 2
 
 
 def test_af_results_record_unit_power_polynomial(f71a, f71b):
     for f in (f71a, f71b):
         r = hecke.af_of_eigenform(f)
-        assert r.af.char_poly == (r.unit.element ** r.nonneg_power).min_poly()
-        assert mcf.convergent_matrix(r.digits, 3) == r.nonneg_matrix
-        assert r.char_polys_equal()
-        # every conjugate summary carries the common char poly, and the
-        # working embedding is an expanding one
-        assert all(cs.char_poly == r.af.char_poly for cs in r.per_conjugate)
+        assert r.af.char_poly == (r.unit.element ** r.realization.power).min_poly()
+        assert mcf.convergent_matrix(r.af.digits, 3) == r.realization.matrix
+        # every conjugate entry of the report carries the common char poly,
+        # and the working embedding is an expanding one
+        report = cli.build_report(f, result=r)
+        assert len(report["per_conjugate"]) == f.field.degree
+        char_poly = [str(c) for c in r.af.char_poly.coeffs]
+        assert report["char_poly"] == char_poly
+        assert all(entry["char_poly"] == char_poly for entry in report["per_conjugate"])
         working = [cs for cs in r.per_conjugate
                    if cs.embedding_index == r.embedding_index]
         assert working and working[0].expanding
@@ -447,8 +446,8 @@ def test_af_results_record_unit_power_polynomial(f71a, f71b):
 def test_pipeline_determinism(f23):
     r1 = hecke.af_of_eigenform(f23)
     r2 = hecke.af_of_eigenform(f23)
-    assert r1.digits == r2.digits
-    assert r1.nonneg_matrix == r2.nonneg_matrix
+    assert r1.af.digits == r2.af.digits
+    assert r1.realization.matrix == r2.realization.matrix
     assert r1.matrix_a == r2.matrix_a
     assert r1.unit.element == r2.unit.element
     assert r1.module == r2.module
@@ -493,8 +492,8 @@ def test_pipeline_invariant_under_module_basis_change(f23):
         f2 = hecke.load_newform(data2)
         r2 = hecke.af_of_eigenform(f2)
         assert r2.module == base.module
-        assert r2.digits == base.digits
-        assert r2.nonneg_matrix == base.nonneg_matrix
+        assert r2.af.digits == base.af.digits
+        assert r2.realization.matrix == base.realization.matrix
 
 
 def test_embedding_index_override(f23):
@@ -516,12 +515,23 @@ def test_embedding_index_override(f23):
 
 
 def test_not_totally_real_guard():
-    # a synthetic NewformData over x^2 + 1 never loads from real fixtures,
-    # so exercise the guard directly
+    # synthetic NewformData never load from real fixtures, so exercise the
+    # guards directly: a field with no real root has no working embedding,
+    # and one with a single real root of three has too few conjugates
     field = make_field(IntPolynomial((1, 0, 1)))
     fake = hecke.NewformData(
         label="fake", level=1, weight=2, field=field,
-        coeffs=(field.one,) * 20,
+        coeffs=(field.one, field.gen) + (field.one,) * 18,
     )
     with pytest.raises(NotTotallyReal):
-        hecke.conjugate_family(fake)
+        hecke.af_of_eigenform(fake)
+
+    field = make_field(IntPolynomial((-1, -1, 0, 1)))
+    fake = hecke.NewformData(
+        label="fake", level=1, weight=2, field=field,
+        coeffs=(field.one, field.gen) + (field.one,) * 18,
+    )
+    result = hecke.af_of_eigenform(fake)
+    assert result.per_conjugate == ()
+    with pytest.raises(NotTotallyReal, match="1 real roots for degree 3"):
+        hecke.companion_of_conjugates(fake, result)

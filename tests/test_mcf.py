@@ -49,6 +49,33 @@ def test_regular_cf_matches_euclid_quotients():
         assert [d[0] for d in e.digits] == quotients
 
 
+def ref_regular_cf(x: Fraction, max_terms: int):
+    """The rational branch of regular_cf as a Fraction loop: digit, then
+    the reciprocal of the fractional part, until it vanishes or the
+    budget runs out."""
+    digits = []
+    cur = x
+    for _ in range(max_terms):
+        a = cur.numerator // cur.denominator
+        digits.append((a,))
+        frac = cur - a
+        if frac == 0:
+            return tuple(digits), True
+        cur = 1 / frac
+    return tuple(digits), False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40), st.integers(0, 120))
+def test_regular_cf_matches_the_fraction_loop(p, q, max_terms):
+    """Euclid's quotient ladder, cut to the budget, gives the digits and the
+    termination flag of the Fraction loop, on either side of 1."""
+    x = Fraction(p, q)
+    e = mcf.regular_cf(x, max_terms=max_terms)
+    assert (e.digits, e.terminated) == ref_regular_cf(x, max_terms)
+    assert e.period == ()
+
+
 def test_regular_cf_sqrt2():
     field = make_field(IntPolynomial((-2, 0, 1)))
     e = mcf.regular_cf(field.gen, field.real_roots[-1])

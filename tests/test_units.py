@@ -26,6 +26,7 @@ from heckeaf.exactnum import (
     module_from_generators,
     multiplication_matrix,
     eval_embedding,
+    sign_at,
 )
 from heckeaf.exactnum.intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
 from heckeaf.exactnum import units
@@ -195,6 +196,40 @@ def test_pipeline_units_are_dominant(spec):
     assert _dominant_of_full_degree(u.element, root)
     if name == "level47a":
         assert _max_norm_found_at(u.element, order) == 1
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_shell_unit_is_the_exact_minimum_tested_once(monkeypatch, index):
+    """level47a's unit comes from the shell of max-norm 1, which holds each
+    unit as up to four of +-alpha^+-1.  The search tests each unit once for
+    dominance and returns the dominant one of least image in the exact
+    order of the images, as the oracle finds it: every unit of the shell by
+    its exact norm, the member of its class with image > 1, and the least
+    by the exact sign of the differences."""
+    f = hecke.load_newform(LEVEL47A.read_text())
+    order = endomorphism_ring(hecke.module_of_eigenform(f))
+    root = f.field.real_roots[index]
+    basis = order.basis_elements()
+    reps = set()
+    for coords in product((-1, 0, 1), repeat=4):
+        alpha = sum((c * b for c, b in zip(coords, basis)), f.field.zero)
+        if abs(alpha.norm()) == 1 and alpha.degree_over_q() == 4:
+            reps.update(x for x in (alpha, -alpha, alpha.inverse(), -alpha.inverse())
+                        if sign_at(x - f.field.one, root) > 0)
+    dominant = [u for u in reps if is_dominant_at(u, root)]
+    least = [u for u in dominant if all(sign_at(v - u, root) > 0 for v in dominant if v != u)]
+    assert len(least) == 1
+
+    tested = []
+    original = units._dominant_of_full_degree
+
+    def counted(u, r):
+        tested.append(u)
+        return original(u, r)
+
+    monkeypatch.setattr(units, "_dominant_of_full_degree", counted)
+    assert find_unit(order, root, attractor=None).element == least[0]
+    assert len(tested) == len(set(tested)) == len(reps)
 
 
 def test_unit_invariants_various_orders():
@@ -458,10 +493,10 @@ def test_roundtrip_in_the_unit_field_matches_the_bare_matrix_roundtrip(monkeypat
     f = dataclasses.replace(f, embedding_index=int(index))
     cands, result = _roundtrip_candidates(monkeypatch, f)
     if name != "level47a":
-        assert cands[-1] == result.nonneg_matrix
-        record = mcf.roundtrip_record(result.nonneg_matrix)
-        assert record.digits == result.digits
-        assert record.expansion == result.expansion
+        assert cands[-1] == result.realization.matrix
+        record = mcf.roundtrip_record(result.realization.matrix)
+        assert record.digits == result.af.digits
+        assert record.expansion == result.realization.roundtrip.expansion
         assert record.perron_value.field.minpoly == result.af.char_poly
         root = result.group.root
         perron = mcf.perron_embedding(record.perron_value.field)

@@ -155,15 +155,20 @@ def t2_charpoly(g, limit):
             return IntPolynomial(tuple(int(c) for c in coeffs)), vectors[:depth]
 
 
-def _find_monic_factor(poly, coeff_bound=25):
-    """A monic integer factor of degree <= deg/2 with small coefficients,
-    or None.  The constant term must divide the polynomial's constant."""
+# the largest |coefficient| _find_monic_factor tries below the constant term
+_COEFF_BOUND = 25
+
+
+def _find_monic_factor(poly):
+    """A monic integer factor of degree <= deg/2 with coefficients of at
+    most _COEFF_BOUND, or None.  The constant term must divide the
+    polynomial's constant."""
     const = abs(poly.coeffs[0])
     divisors = [d for d in range(1, const + 1) if const % d == 0]
     for deg in range(1, poly.degree // 2 + 1):
         for c0 in divisors:
             for signed_c0 in (c0, -c0):
-                for mid in product(range(-coeff_bound, coeff_bound + 1), repeat=deg - 1):
+                for mid in product(range(-_COEFF_BOUND, _COEFF_BOUND + 1), repeat=deg - 1):
                     cand = (signed_c0,) + mid + (1,)
                     quo = _divides_monic(cand, poly.coeffs)
                     if quo is not None:
@@ -290,7 +295,7 @@ PROVENANCE = (
 )
 
 
-def generate_level(level, out_dir, depth_limit=None):
+def generate_level(level, out_dir):
     limit = COEFF_COUNT * 2 ** {11: 0, 23: 1, 47: 3, 71: 5}[level] * 2
     g = eta_quotient_squared(level, limit)
     if level == 11:
