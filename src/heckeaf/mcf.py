@@ -161,9 +161,18 @@ def _combination(row, basis, field) -> FieldElement:
     return field.from_integers(acc, den)
 
 
+def _floor_pair(lo, hi, lo0, hi0, bits):
+    """floor(2^bits x / y) at the two ends of x / y for x in [lo, hi] and y
+    in [lo0, hi0], lo0 > 0."""
+    return ((lo << bits) // (hi0 if lo >= 0 else lo0),
+            (hi << bits) // (lo0 if hi >= 0 else hi0))
+
+
 class _BasisEnclosure:
     """Integer enclosures a_k <= 2^p sigma(g_k) <= b_k of a basis g of
-    field elements at one real embedding, sharpened on demand.
+    field elements at one real embedding, sharpened on demand, and
+    enclosures [lo_j, hi_j] of 2^p sigma(v_j) for the rows of the
+    expansion's current state, v = W g, carried from step to step.
 
     An instance lives for one expansion: it refines its own copy of the
     root interval, so nothing outlives the call that made it.
@@ -172,6 +181,7 @@ class _BasisEnclosure:
     def __init__(self, basis, root: RealRootInterval, prec: int):
         self._basis = basis
         self._root = root
+        self._rows = None
         self._sharpen(prec)
 
     def _sharpen(self, prec: int) -> None:
@@ -202,14 +212,32 @@ class _BasisEnclosure:
 
     def _ratio_floors(self, w, bits, lo0, hi0):
         key = []
+        rows = [(lo0, hi0)]
         for row in w[1:]:
             lo, hi = self._enclose(row)
             # the ratio lies in [lo, hi] / [lo0, hi0] with a positive divisor
-            floor_lo = (lo << bits) // (hi0 if lo >= 0 else lo0)
-            floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
+            floor_lo, floor_hi = _floor_pair(lo, hi, lo0, hi0, bits)
             # a rational ratio may sit on a boundary: 2^bits v_j = floor_hi v_0
             if floor_lo != floor_hi and not self._is_zero(
                     [(x << bits) - floor_hi * y for x, y in zip(row, w[0])]):
+                return None
+            key.append(floor_hi)
+            rows.append((lo, hi))
+        self._rows = rows
+        return tuple(key)
+
+    def _carried_floors(self, bits):
+        """The floors from the carried row enclosures, or None when they
+        do not separate."""
+        if self._rows is None:
+            return None
+        (lo0, hi0), *rows = self._rows
+        if lo0 <= 0:
+            return None
+        key = []
+        for lo, hi in rows:
+            floor_lo, floor_hi = _floor_pair(lo, hi, lo0, hi0, bits)
+            if floor_lo != floor_hi:
                 return None
             key.append(floor_hi)
         return tuple(key)
@@ -218,7 +246,23 @@ class _BasisEnclosure:
         """floor(2^bits sigma(v_j) / sigma(v_0)) for j = 1..n-1, where
         v = W g; None when v_0 = 0, ValueError when sigma(v_0) < 0.  Irrational
         ratios are settled by sharper enclosures, v_0 = 0 and ratios on a
-        boundary by an exact test once the enclosures fail to separate."""
+        boundary by an exact test once the enclosures fail to separate.
+
+        The floors come from the row enclosures carried by step() when
+        those separate.  Otherwise every row is enclosed again from the
+        basis bounds at the current precision, then tested exactly, then
+        sharpened, and the rows enclosed last are carried on.  The outcome,
+        down to the precisions sharpened to, is the one that enclosing
+        every row at every state gives: the bounds change only at a
+        sharpening, after which every row is enclosed again, so a carried
+        enclosure is interval arithmetic of the same integer row over the
+        same bounds and, by the triangle inequality, contains the one
+        _enclose gives.  When the carried rows separate, the enclosed ones
+        would too, with the same floors and no exact test or sharpening.
+        """
+        key = self._carried_floors(bits)
+        if key is not None:
+            return key
         while True:
             lo0, hi0 = self._enclose(w[0])
             if lo0 > 0:
@@ -230,6 +274,14 @@ class _BasisEnclosure:
             elif self._is_zero(w[0]):
                 return None
             self._sharpen(2 * self._prec)
+
+    def step(self, digit) -> None:
+        """Carry the row enclosures through the step W'_{j-1} = W_j - d_j W_0,
+        W'_{n-1} = W_0: with d_j >= 0, v'_{j-1} lies in
+        [lo_j - d_j hi_0, hi_j - d_j lo_0]."""
+        (lo0, hi0), *rows = self._rows
+        self._rows = [(lo - d * hi0, hi - d * lo0)
+                      for (lo, hi), d in zip(rows, digit)] + [(lo0, hi0)]
 
 
 def _same_direction(w_a, w_b, basis, field) -> bool:
@@ -273,6 +325,7 @@ def _expand_states(basis, root: RealRootInterval, w, max_states: int):
         states.append(w)
         digit = tuple(f >> bits for f in key)
         digits.append(digit)
+        enclosure.step(digit)
         w0 = w[0]
         w = tuple(
             tuple(x - d * y for x, y in zip(w[j], w0)) for j, d in zip(range(1, n), digit)

@@ -256,23 +256,40 @@ def _expand_times_tool():
 @pytest.mark.parametrize("steps, rows", [
     # level23a's coefficient module repeats state 0 after one step at
     # embedding 0, and state 1 after two steps at embedding 1, which a
-    # budget of two states does not reach
-    (16, [["0", "1", "state 0, period 1"], ["1", "2", "state 1, period 1"]]),
-    (2, [["0", "1", "state 0, period 1"], ["1", "1", "no"]]),
+    # budget of two states does not reach; both stay at the first
+    # precision, and only state 0 is enclosed from the basis bounds
+    (16, [["0", "1", "state 0, period 1", "96", "1"], ["1", "2", "state 1, period 1", "96", "1"]]),
+    (2, [["0", "1", "state 0, period 1", "96", "1"], ["1", "1", "no", "96", "1"]]),
 ])
 def test_expand_times_reports_steps_and_repeats(capsys, steps, rows):
     """tools/expand_times.py prints one row per embedding: the steps the
-    expansion ran, the repeat it found and a wall time; the period it
-    names is that of units._attractor_data."""
+    expansion ran, the repeat it found, the final precision in bits, the
+    states whose row enclosures were recomputed and a wall time; the period
+    it names is that of units._attractor_data."""
     tool = _expand_times_tool()
     assert tool.main(["level23a", "--steps", str(steps)]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:6] == ["embedding", "steps", "repeat", "bits", "recomputed", "seconds"]
     assert len(lines) == 1 + len(rows)
-    for line, (index, stepped, repeat) in zip(lines[1:], rows):
+    for line, (index, stepped, repeat, bits, recomputed) in zip(lines[1:], rows):
         fields = line.split()
         assert fields[:2] == [index, stepped]
-        assert " ".join(fields[2:-1]) == repeat
+        assert " ".join(fields[2:-3]) == repeat
+        assert fields[-3:-1] == [bits, recomputed]
         assert float(fields[-1]) >= 0
     f = hecke.load_fixture("level23a")
     module = hecke.module_of_eigenform(f)
     assert [len(units._attractor_data(module, r)[2]) for r in f.field.real_roots] == [1, 1]
+
+
+@pytest.mark.parametrize("spec", ["level23a@5", "level23a@x", "level23a@-1", "nofixture"])
+def test_expand_times_refuses_a_bad_fixture_as_a_usage_error(capsys, spec):
+    """An embedding index that is not one of the fixture's, and a fixture
+    that does not load, end in a usage error (exit code 2), not a
+    traceback."""
+    tool = _expand_times_tool()
+    with pytest.raises(SystemExit) as exc:
+        tool.main([spec, "--steps", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err

@@ -657,3 +657,8 @@ def test_stage_times_prints_one_row_of_medians(capsys):
     fields = lines[1].split()
     assert fields[0] == "level23a@0" and len(fields) == 4
     assert all(float(ms) >= 0 for ms in fields[1:])
+    # a fixture that does not load is a usage error before anything is timed
+    for spec in ("level23a@7", "level23a@x", "nofixture"):
+        assert tool.main(["level23a@0", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"cannot load {spec}" in captured.err

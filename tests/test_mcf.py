@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from heckeaf import mcf
+from heckeaf import hecke, mcf
 from heckeaf.errors import (
     DegenerateSpectrum,
     HeckeafError,
@@ -15,9 +16,11 @@ from heckeaf.errors import (
     RoundTripMismatch,
 )
 from heckeaf.exactnum import IntPolynomial, eval_embedding, make_field, sign_at
-from heckeaf.exactnum.intmat import charpoly
+from heckeaf.exactnum.intmat import charpoly, mat_identity
 
 from util import admissible_digits
+
+LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
 
 
 def test_euclid_examples():
@@ -423,6 +426,132 @@ def test_jpa_expand_matches_the_field_state_loop(case):
     theta, root, max_steps = case
     assert (_expansion_outcome(mcf.jpa_expand, theta, root, max_steps)
             == _expansion_outcome(ref_jpa_expand, theta, root, max_steps))
+
+
+class RefEnclosure:
+    """The expansion's basis enclosures as they were before row enclosures
+    were carried: every row of every state is enclosed from the basis
+    bounds.  Records the precisions it sharpens to."""
+
+    def __init__(self, basis, root, prec):
+        self.basis, self.root, self.precisions = basis, root, []
+        self.sharpen(prec)
+
+    def sharpen(self, prec):
+        self.root = self.root.refined(Fraction(1, 1 << (prec + 8)))
+        self.precisions.append(prec)
+        self.prec = prec
+        self.bounds = []
+        for g in self.basis:
+            lo, hi = eval_embedding(g, self.root, Fraction(1, 1 << prec))
+            self.bounds.append((lo.numerator * (1 << prec) // lo.denominator,
+                                -(-hi.numerator * (1 << prec) // hi.denominator)))
+
+    def enclose(self, row):
+        lo = sum(c * (a if c > 0 else b) for c, (a, b) in zip(row, self.bounds))
+        hi = sum(c * (b if c > 0 else a) for c, (a, b) in zip(row, self.bounds))
+        return lo, hi
+
+    def is_zero(self, row):
+        return mcf._combination(row, self.basis, self.basis[0].field).is_zero()
+
+    def ratio_floors(self, w, bits):
+        while True:
+            lo0, hi0 = self.enclose(w[0])
+            if lo0 > 0:
+                key = []
+                for row in w[1:]:
+                    lo, hi = self.enclose(row)
+                    floor_lo = (lo << bits) // (hi0 if lo >= 0 else lo0)
+                    floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
+                    if floor_lo != floor_hi and not self.is_zero(
+                            [(x << bits) - floor_hi * y for x, y in zip(row, w[0])]):
+                        break
+                    key.append(floor_hi)
+                else:
+                    return tuple(key)
+            elif hi0 < 0:
+                raise ValueError("the expansion needs a positive leading coordinate")
+            elif self.is_zero(w[0]):
+                return None
+            self.sharpen(2 * self.prec)
+
+
+def ref_expand_states(basis, root, w, max_states):
+    """mcf._expand_states as it was, on RefEnclosure: the outcome, or
+    ValueError, and the precisions sharpened to."""
+    n = len(basis)
+    bits = mcf._FINGERPRINT_BITS
+    enclosure = RefEnclosure(basis, root, bits + 32)
+    seen, states, digits = {}, [], []
+    try:
+        for step in range(max_states):
+            key = enclosure.ratio_floors(w, bits)
+            if key is None:
+                return (digits, states, None, True), enclosure.precisions
+            for start in seen.get(key, ()):
+                if mcf._same_direction(states[start], w, basis, basis[0].field):
+                    return (digits, states, start, False), enclosure.precisions
+            if step == max_states - 1:
+                break
+            seen.setdefault(key, []).append(step)
+            states.append(w)
+            digit = tuple(f >> bits for f in key)
+            digits.append(digit)
+            w = tuple(tuple(x - d * y for x, y in zip(w[j], w[0]))
+                      for j, d in zip(range(1, n), digit)) + (w[0],)
+    except ValueError:
+        return ValueError, enclosure.precisions
+    return (digits, states, None, False), enclosure.precisions
+
+
+def _engine_run(basis, root, w, max_states):
+    """mcf._expand_states's outcome, or ValueError, and the precisions its
+    enclosure sharpened to."""
+    precisions = []
+    sharpen = mcf._BasisEnclosure._sharpen
+
+    def recorded(self, prec):
+        precisions.append(prec)
+        sharpen(self, prec)
+
+    mcf._BasisEnclosure._sharpen = recorded
+    try:
+        return mcf._expand_states(basis, root, w, max_states), precisions
+    except ValueError:
+        return ValueError, precisions
+    finally:
+        mcf._BasisEnclosure._sharpen = sharpen
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expansion_inputs(), st.booleans())
+def test_expand_states_matches_the_recomputing_engine(case, negate):
+    """Carrying the row enclosures through each step changes no digit,
+    state, repeat, termination or error, and no sharpened precision; a
+    negated first basis element gives the negative-leading-coordinate
+    error on both."""
+    theta, root, max_steps = case
+    basis = (-theta[0].field.one if negate else theta[0].field.one,) + theta
+    w = mat_identity(len(basis))
+    assert (_engine_run(basis, root, w, max_steps + 1)
+            == ref_expand_states(basis, root, w, max_steps + 1))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_expand_states_matches_the_recomputing_engine_on_level47a(index):
+    """level47a's 512-state attractor expansions, which sharpen up to 1536
+    bits and do not repeat, at each of the four embeddings."""
+    f = hecke.load_newform(LEVEL47A.read_text())
+    basis = hecke.module_of_eigenform(f).basis_elements()
+    root = f.field.real_roots[index]
+    signs = [sign_at(g, root) for g in basis]
+    s_diag = tuple(tuple(signs[i] if i == j else 0 for j in range(4)) for i in range(4))
+    got = _engine_run(basis, root, s_diag, 512)
+    assert got == ref_expand_states(basis, root, s_diag, 512)
+    (digits, _, start, terminated), precisions = got
+    assert (len(digits), start, terminated) == (511, None, False)
+    assert len(precisions) > 3
 
 
 def ref_cycles_agree(p, d) -> bool:

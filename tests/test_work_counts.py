@@ -371,3 +371,26 @@ def test_loading_a_fixture_builds_no_fraction_per_coefficient(monkeypatch, name)
     monkeypatch.setattr(Fraction, "__new__", counted)
     load_newform(text)
     assert calls[0] < 50
+
+
+def test_level47a_carries_its_row_enclosures(monkeypatch):
+    """The attractor expansion carries each state's row enclosures from the
+    step that made it, and encloses rows from the basis bounds only when
+    the carried ones fail to separate: one level47a run makes under 300
+    _enclose calls (2058 when every row of every state was enclosed), with
+    the same 5 sharpenings, and still ends in NonnegativeFormNotFound."""
+    f = load_newform(LEVEL47A.read_text())
+    assert f.working_embedding_index() == 3
+    counts = {"_enclose": 0, "_sharpen": 0}
+    for name in counts:
+        original = getattr(mcf._BasisEnclosure, name)
+
+        def counted(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(mcf._BasisEnclosure, name, counted)
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert counts["_enclose"] < 300
+    assert counts["_sharpen"] == 5

@@ -5,7 +5,11 @@ For each real embedding of the fixture (or only embedding i, with
 `@i`), the script expands the coefficient module's basis ratios as the
 pipeline's unit and form searches do (`units._attractor_data`), under a
 budget of N states, and prints the steps run, whether a state repeated
-(with the state it repeats and the period length), and the wall time.
+(with the state it repeats and the period length), the precision in bits
+the basis enclosures ended at, the number of states whose row
+enclosures were recomputed from the basis bounds (not carried from the
+step that made them), and the wall time.  An unknown fixture or an
+embedding index out of range is a usage error (exit code 2).
 
 Usage: python3 tools/expand_times.py <fixture[@i]> --steps N
 """
@@ -16,11 +20,13 @@ import argparse
 import sys
 from pathlib import Path
 from time import perf_counter
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from heckeaf import mcf  # noqa: E402
+from heckeaf.errors import HeckeafError  # noqa: E402
 from heckeaf.exactnum.units import _attractor_data  # noqa: E402
 from heckeaf.hecke import load_fixture, load_newform, module_of_eigenform  # noqa: E402
 
@@ -33,26 +39,38 @@ def load(name: str):
 
 def expand(module, root, steps: int):
     """One _attractor_data run: (digits stepped, repeated state or None,
-    period length, seconds).  The engine is wrapped for the run to read
-    how many digits it stepped and where the repeat starts."""
-    seen = []
+    period length, final precision in bits, states whose row enclosures
+    were recomputed from the basis bounds, seconds).  The engine and its
+    enclosure are wrapped for the run to read what they did."""
+    seen, bits, recomputed = [], [0], [0]
     engine = mcf._expand_states
+    sharpen = mcf._BasisEnclosure._sharpen
+    carried = mcf._BasisEnclosure._carried_floors
 
     def recorded(*args):
         seen.append(engine(*args))
         return seen[-1]
 
-    mcf._expand_states = recorded
-    try:
+    def sharpened(self, prec):
+        bits[0] = prec
+        sharpen(self, prec)
+
+    def carried_or_none(self, *args):
+        key = carried(self, *args)
+        recomputed[0] += key is None
+        return key
+
+    with patch.object(mcf, "_expand_states", recorded), \
+            patch.object(mcf._BasisEnclosure, "_sharpen", sharpened), \
+            patch.object(mcf._BasisEnclosure, "_carried_floors", carried_or_none):
         started = perf_counter()
         _attractor_data(module, root, max_steps=steps)
         elapsed = perf_counter() - started
-    finally:
-        mcf._expand_states = engine
     if not seen:  # rank 1: nothing to expand
-        return 0, None, 0, elapsed
+        return 0, None, 0, 0, 0, elapsed
     digits, _, start, _ = seen[0]
-    return len(digits), start, 0 if start is None else len(digits) - start, elapsed
+    period = 0 if start is None else len(digits) - start
+    return len(digits), start, period, bits[0], recomputed[0], elapsed
 
 
 def main(argv=None) -> int:
@@ -64,15 +82,21 @@ def main(argv=None) -> int:
     if args.steps < 1:
         parser.error("--steps must be positive")
     name, _, index = args.fixture.partition("@")
-    f = load(name)
-    module = module_of_eigenform(f)
+    try:
+        f = load(name)
+    except (OSError, HeckeafError) as exc:
+        parser.error(f"cannot load {name}: {exc}")
     roots = f.field.real_roots
+    if index and index not in [str(i) for i in range(len(roots))]:
+        parser.error(f"embedding {index!r} is not one of 0..{len(roots) - 1}")
+    module = module_of_eigenform(f)
     indices = [int(index)] if index else range(len(roots))
-    print(f"{'embedding':>9} {'steps':>7} {'repeat':>16} {'seconds':>9}   (budget {args.steps} states)")
+    print(f"{'embedding':>9} {'steps':>7} {'repeat':>16} {'bits':>6} {'recomputed':>10} "
+          f"{'seconds':>9}   (budget {args.steps} states)")
     for i in indices:
-        stepped, start, period, elapsed = expand(module, roots[i], args.steps)
+        stepped, start, period, bits, recomputed, elapsed = expand(module, roots[i], args.steps)
         repeat = "no" if start is None else f"state {start}, period {period}"
-        print(f"{i:>9} {stepped:>7} {repeat:>16} {elapsed:>9.3f}")
+        print(f"{i:>9} {stepped:>7} {repeat:>16} {bits:>6} {recomputed:>10} {elapsed:>9.3f}")
     return 0
 
 

@@ -11,7 +11,9 @@ untimed warm-up run:
 
 and prints the median of each stage in milliseconds.  The fixture is
 written with its embedding index to a temporary file first, so the read
-is a plain file read, as in `heckeaf af <path>`.
+is a plain file read, as in `heckeaf af <path>`.  A fixture that does
+not load (an unknown name, an index that is not an integer or is out of
+range) is a usage error (exit code 2), before anything is timed.
 
 Usage: python3 tools/stage_times.py level23a level71a@2 perfbench/data/level47a.json
 """
@@ -68,6 +70,12 @@ def main(specs) -> int:
     if not specs:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
+    for spec in specs:
+        try:
+            load_newform(fixture_text(spec))
+        except (OSError, ValueError, HeckeafError) as exc:
+            print(f"stage_times.py: cannot load {spec}: {exc}", file=sys.stderr)
+            return 2
     print(f"{'fixture':<32} {'load ms':>9} {'af ms':>9} {'report ms':>9}   (median of {REPEATS})")
     with tempfile.TemporaryDirectory() as tmp:
         for spec in specs:
