@@ -35,6 +35,7 @@ from .exactnum.field import make_field, sign_at
 from .exactnum.polynomial import IntPolynomial
 from .hecke import (
     _parse_rational,
+    _row_element,
     af_of_eigenform,
     bundled_fixture_names,
     companion_of_conjugates,
@@ -93,6 +94,22 @@ def parse_rational(text: str) -> tuple:
         return _parse_rational(text)
     except SchemaError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _parse_theta(text: str, field):
+    """Semicolon-separated coordinate vectors of the fixture grammar."""
+    out = []
+    for part in text.split(";"):
+        row = part.split(",")
+        if len(row) > field.degree:
+            raise InputError(
+                f"coordinate vector {part!r} too long for degree {field.degree}"
+            )
+        try:
+            out.append(_row_element(field, row))
+        except SchemaError as exc:
+            raise InputError(str(exc)) from exc
+    return tuple(out)
 
 
 def parse_matrix(text: str):
@@ -173,18 +190,6 @@ def cmd_cf(args) -> int:
 # ---------------------------------------------------------------------------
 # jpa
 
-def _parse_theta(text: str, field):
-    out = []
-    for part in text.split(";"):
-        coords = [parse_rational(x) for x in part.split(",")]
-        if len(coords) > field.degree:
-            raise InputError(
-                f"coordinate vector {part!r} too long for degree {field.degree}"
-            )
-        out.append(field.from_ratios(coords))
-    return tuple(out)
-
-
 def cmd_jpa(args) -> int:
     _check_step_budget(args.max_steps)
     field = make_field(parse_poly(args.poly))
@@ -232,7 +237,8 @@ def cmd_factor(args) -> int:
 def _fixture_path_or_name(text: str):
     path = Path(text)
     if path.exists():
-        return load_newform(path.read_text())
+        # bytes: text that is not UTF-8 is a SchemaError of the JSON parse
+        return load_newform(path.read_bytes())
     if text in bundled_fixture_names():
         return load_fixture(text)
     raise InputError(f"no fixture file or bundled fixture named {text!r}")
@@ -335,7 +341,8 @@ def cmd_af(args) -> int:
     started = time.monotonic()
     try:
         f = _fixture_path_or_name(args.fixture)
-    except HeckeafError as exc:
+    except (HeckeafError, InputError, OSError) as exc:
+        # no fixture, an unreadable path, or one that fails its checks
         report = {
             **_report_header(),
             "fixture": args.fixture,
@@ -343,7 +350,8 @@ def cmd_af(args) -> int:
         }
         _emit_report(report_json(report), args.report)
         print(f"fixture rejected: {exc}", file=sys.stderr)
-        if isinstance(exc, (SchemaError, NotNormalized, HeckeRelationViolated)):
+        if isinstance(exc, (InputError, OSError, SchemaError, NotNormalized,
+                            HeckeRelationViolated)):
             return EXIT_INPUT
         return EXIT_DOMAIN
     result = None

@@ -7,14 +7,17 @@ Computational Algebraic Number Theory, GTM 138, 4.2): sums and products
 are integer operations normalized once, and the inverse, norm and trace
 come from the integer multiplication matrix.  Real embeddings are
 represented by isolating intervals with rational endpoints; every
-numeric question (signs, floors, interval values) is answered by walking
-one refinement sequence, enclosures(a, root): the interval values of a
-over the root interval and over its successive refinements to a quarter
-of the previous width, each an interval Horner sum on integers scaled by
-the endpoints' common denominator, never by floating point.  A root
-interval is refined by bisection on integers, with Newton jumps over many
-halvings at once; a jump is taken only when two signs certify that it
-lands on the interval bisection would return (RealRootInterval.refined).
+numeric question is answered on one ladder of enclosures,
+enclosures(a, root): the interval values of a over the root interval and
+over its successive refinements to a quarter of the previous width, each
+an interval Horner sum on integers scaled by the endpoints' common
+denominator, never by floating point.  Signs and floors walk the ladder
+until an enclosure settles them; an interval value of width < eps
+(eval_embedding) jumps to the first level that narrow, by one refinement
+a probe from the deepest level known too wide.  A root interval is
+refined by bisection on integers, with Newton jumps over many halvings at
+once; a jump is taken only when two signs certify that it lands on the
+interval bisection would return (RealRootInterval.refined).
 """
 
 from __future__ import annotations
@@ -240,19 +243,16 @@ class NumberField:
             self.gen = FieldElement(self, (-minpoly.coeffs[0],))
 
     def element(self, coords) -> "FieldElement":
-        """The element with power-basis coordinates coords (values Fraction
-        accepts), zero-padded to the degree."""
-        return self.from_ratios([Fraction(c).as_integer_ratio() for c in coords])
-
-    def from_ratios(self, pairs) -> "FieldElement":
-        """The element sum_i (p_i / q_i) x^i for at most degree-many pairs
-        (p_i, q_i) in lowest terms with q_i > 0.  Its numerators over the
-        lcm of the q_i are in lowest terms too: each prime power of the lcm
-        divides some q_i exactly, and p_i is prime to it."""
-        if len(pairs) > self.degree:
+        """The element with at most degree-many power-basis coordinates
+        coords (values Fraction accepts), zero-padded to the degree.  Its
+        numerators over the lcm of the coordinates' denominators are in
+        lowest terms: each prime power of the lcm divides some denominator
+        exactly, and that coordinate's numerator is prime to it."""
+        if len(coords) > self.degree:
             raise ValueError(f"expected at most {self.degree} coordinates")
-        den = lcm(*(q for _, q in pairs))
-        num = tuple(p * (den // q) for p, q in pairs)
+        coords = [Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in coords))
+        num = tuple(c.numerator * (den // c.denominator) for c in coords)
         return FieldElement(self, num + (0,) * (self.degree - len(num)), den)
 
     def from_integers(self, num, den: int = 1) -> "FieldElement":
@@ -284,6 +284,23 @@ class NumberField:
                 cur = tuple(c + top * r for c, r in zip(cur, self._power_rows[0]))
             rows.append(cur)
         return rows
+
+    def mul_numerators(self, a, b) -> list:
+        """The numerators of (a / d)(b / e) over d e, for integer
+        coordinate vectors a and b: their product as polynomials, reduced
+        by the minimal polynomial, with no common factor taken out."""
+        n = self.degree
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        out = prod[:n]
+        for k, row in enumerate(self._power_rows[: n - 1], start=n):
+            c = prod[k]
+            if c:
+                out = [x + c * r for x, r in zip(out, row)]
+        return out
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly == other.minpoly
@@ -381,18 +398,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = field.degree
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num):
-                    prod[i + j] += a * b
-        out = prod[:n]
-        for k, row in enumerate(field._power_rows[: n - 1], start=n):
-            c = prod[k]
-            if c:
-                out = [x + c * r for x, r in zip(out, row)]
-        return field.from_integers(out, self.den * o.den)
+        return field.from_integers(field.mul_numerators(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -496,14 +502,56 @@ def enclosures(a: FieldElement, root: RealRootInterval):
 
 
 def eval_embedding(a: FieldElement, root: RealRootInterval, eps) -> tuple:
-    """The first of enclosures(a, root) of width < eps."""
+    """The first of enclosures(a, root) of width < eps, where root isolates
+    an irrational root: one of a field's minimal polynomial, irreducible of
+    degree >= 2.
+
+    Level j of enclosures is a over the root interval after 3j halvings.
+    No cut is the irrational root, so each halving is bisection's and the
+    interval of level j is that of one refined call to width w / 2^(3j-1),
+    w = root.width, made from the interval of any coarser level: Newton
+    jumps land on bisection's cells (RealRootInterval.refined).  The
+    intervals are nested and interval Horner is inclusion-isotone, so the
+    widths never grow with j, and the first level narrower than eps lies
+    above the deepest level known wide and at or below the shallowest
+    known narrow.  Each probe is refined from the deepest wide level to
+    the level the known widths point at, as a level shrinks a narrow
+    interval's enclosure about 8-fold; two probes usually settle it, a
+    wide level and the next one narrow.
+    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if a.is_rational():
         v = Fraction(a.num[0], a.den)
         return (v, v)
-    return next((lo, hi) for lo, hi in enclosures(a, root) if hi - lo < eps)
+    num, den = a.num, a.den
+    top = 2 * root.width  # level j is at width < top / 8^j
+    iv, level = root, 0  # the deepest level known wide
+    lo, hi = _interval_horner(num, den, root.lo, root.hi)
+    if hi - lo < eps:
+        return lo, hi
+    width = hi - lo
+    first = narrow = None  # the shallowest level known narrow, its enclosure
+    while first != level + 1:
+        if first is None:
+            probe = level + max(1, _floor_log2(width / eps) // 3)
+        else:
+            probe = max(level + 1, first - 1 - _floor_log2(eps / (narrow[1] - narrow[0])) // 3)
+        cell = iv.refined(top / (1 << 3 * probe))
+        lo, hi = _interval_horner(num, den, cell.lo, cell.hi)
+        if hi - lo < eps:
+            first, narrow = probe, (lo, hi)
+        else:
+            iv, level, width = cell, probe, hi - lo
+    return narrow
+
+
+def _floor_log2(x: Fraction) -> int:
+    """The k with 2^k <= x < 2^(k+1), for x > 0."""
+    p, q = x.numerator, x.denominator
+    k = p.bit_length() - q.bit_length()
+    return k - 1 if p << max(-k, 0) < q << max(k, 0) else k
 
 
 def _interval_horner(num, den, lo, hi):

@@ -63,7 +63,11 @@ def mat_det(a) -> int:
 
 
 def mat_inverse_fraction(a):
-    """Exact inverse as a matrix of Fractions."""
+    """Exact inverse as a matrix of Fractions.
+
+    Nothing in the package calls it: the attractor expansion and the LLL
+    step carry their inverses.  perfbench/layers.py counts its calls by
+    name, so it stays until the benchmark drops that counter."""
     n = len(a)
     aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]

@@ -33,8 +33,7 @@ from .field import (
     enclosures,
     sign_at,
 )
-from .intmat import (charpoly, is_primitive, mat_det, mat_identity, mat_inverse_fraction,
-                     mat_mul, mat_pow)
+from .intmat import charpoly, is_primitive, mat_det, mat_identity, mat_mul, mat_pow
 from .lattice import OrderRing, ZModule
 
 if TYPE_CHECKING:
@@ -306,16 +305,21 @@ def multiplication_matrix(u: FieldElement, m: ZModule):
 
 
 def _lll_transform(gram):
-    """Unimodular U size-reducing the lattice with the given Gram matrix
-    (exact arithmetic, Lovasz condition with delta = 3/4).
+    """(U, U^-1) for the unimodular U size-reducing the lattice with the
+    given Gram matrix (exact arithmetic, Lovasz condition with delta =
+    3/4).
 
     The Gram matrix of the current basis, U G U^T, is kept up to date:
     a row operation or a swap of U is the same operation on its rows and
     then on its columns, O(n) each, so no inner product is recomputed.
+    U^-1 takes the inverse of each operation as a column operation: when
+    row k of U loses q times row j, column j of U^-1 gains q times column
+    k, and a swap of rows is the same swap of columns.
     """
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]  # U G U^T
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # U^-1
 
     def gso():
         mu = [[Fraction(0)] * n for _ in range(n)]
@@ -340,6 +344,8 @@ def _lll_transform(gram):
             q = round(mu[k][j])
             if q:
                 u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                for row in v:
+                    row[j] += q * row[k]
                 row = [a - q * b for a, b in zip(g[k], g[j])]
                 row[k] -= q * row[j]
                 g[k] = row
@@ -353,8 +359,10 @@ def _lll_transform(gram):
             g[k], g[k - 1] = g[k - 1], g[k]
             for row in g:
                 row[k], row[k - 1] = row[k - 1], row[k]
+            for row in v:
+                row[k], row[k - 1] = row[k - 1], row[k]
             k = max(k - 1, 1)
-    return tuple(tuple(row) for row in u)
+    return tuple(tuple(row) for row in u), tuple(tuple(row) for row in v)
 
 
 def _is_top_real_root(value: FieldElement, a, root: RealRootInterval) -> bool:
@@ -468,9 +476,7 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
         bases.append(attractor[:2])
     bases.append((ident, ident))
     basis = m.basis_elements()  # g
-    u_lll = _lll_transform(trace_gram(basis))
-    # U is a product of unimodular row operations: its inverse is integral
-    inv = tuple(tuple(int(x) for x in row) for row in mat_inverse_fraction(u_lll))
+    u_lll, inv = _lll_transform(trace_gram(basis))
     if u_lll != ident:
         bases.append((inv, u_lll))  # A in the LLL basis is T^-1 A T for T = U^-1
 

@@ -21,7 +21,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 from .afalg import (
     DimensionGroup,
@@ -39,7 +40,7 @@ from .errors import (
     NotTotallyReal,
     SchemaError,
 )
-from .exactnum.field import FieldElement, NumberField, enclosures, make_field
+from .exactnum.field import FieldElement, NumberField, enclosures, eval_embedding, make_field
 from .exactnum.intmat import charpoly
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
@@ -115,28 +116,57 @@ def _json_int(token: str) -> int:
     return _bounded_int(token)
 
 
-def _parse_rational(s) -> tuple:
-    """A fixture coordinate as (numerator, denominator) in lowest terms with
-    denominator > 0: a JSON integer, or a string of the schema grammar
+def _coordinates(row) -> tuple:
+    """A fixture coordinate vector as integer numerators over one
+    denominator > 0, in lowest terms (gcd(numerators..., denominator) = 1).
+    Each coordinate is a JSON integer, or a string of the schema grammar
     -?[0-9]+(/[0-9]+)? in ASCII digits, at most MAX_DIGITS of them on each
     side of the slash.  Any other spelling (whitespace, a plus sign,
     underscores, decimals, exponents, non-ASCII digits, more digits) and a
-    zero denominator are a SchemaError."""
-    if type(s) is int:  # bool is an int subclass, not a JSON integer
-        return s, 1
-    if type(s) is not str:
-        raise SchemaError(f"expected a rational string, got {type(s).__name__}")
-    m = _RATIONAL.fullmatch(s)
-    if m is None:
-        shown = repr(s) if len(s) <= 40 else f"of {len(s)} characters"
-        raise SchemaError(f"cannot parse rational {shown}: not of the form -?[0-9]+(/[0-9]+)?"
-                          f" with at most {MAX_DIGITS} digits a part")
-    num = _bounded_int(m[1])
-    den = 1 if m[2] is None else _bounded_int(m[2])
-    if den == 0:
-        raise SchemaError(f"cannot parse rational {s!r}: zero denominator")
-    g = gcd(num, den)
-    return num // g, den // g
+    zero denominator are a SchemaError, for the first coordinate that has
+    one.  Each coordinate is read straight into its numerator; only a row
+    with a slash takes the lcm of its denominators and a gcd."""
+    nums = []
+    slashed = []  # (index, denominator) of the coordinates with a slash
+    for s in row:
+        if type(s) is int:  # bool is an int subclass, not a JSON integer
+            nums.append(s)
+            continue
+        if type(s) is not str:
+            raise SchemaError(f"expected a rational string, got {type(s).__name__}")
+        m = _RATIONAL.fullmatch(s)
+        if m is None:
+            shown = repr(s) if len(s) <= 40 else f"of {len(s)} characters"
+            raise SchemaError(f"cannot parse rational {shown}: not of the form -?[0-9]+(/[0-9]+)?"
+                              f" with at most {MAX_DIGITS} digits a part")
+        digits = m[1]
+        nums.append(int(digits) if len(digits) <= 640 else _bounded_int(digits))
+        if m[2] is not None:
+            q = _bounded_int(m[2])
+            if q == 0:
+                raise SchemaError(f"cannot parse rational {s!r}: zero denominator")
+            slashed.append((len(nums) - 1, q))
+    if not slashed:
+        return nums, 1
+    den = lcm(*(q for _, q in slashed))
+    nums = [c * den for c in nums]
+    for i, q in slashed:
+        nums[i] //= q
+    g = gcd(den, *nums)
+    return [c // g for c in nums], den // g
+
+
+def _parse_rational(s) -> tuple:
+    """One coordinate of _coordinates as (numerator, denominator)."""
+    (num,), den = _coordinates([s])
+    return num, den
+
+
+def _row_element(field: NumberField, row) -> FieldElement:
+    """The element of a coordinate vector of _coordinates, zero-padded to
+    the degree, which the vector does not exceed."""
+    nums, den = _coordinates(row)
+    return FieldElement(field, tuple(nums) + (0,) * (field.degree - len(nums)), den)
 
 
 def _primes_up_to(bound: int):
@@ -170,9 +200,17 @@ def _coprime_splits(count: int):
 def load_newform(source) -> NewformData:
     """Parse and fully verify a newform fixture.
 
-    Accepts a JSON string or an already-decoded dict.  Checks the schema,
-    normalization c(1) = 1, coprime multiplicativity, and the prime-power
-    recursions up to the stored count before returning.
+    Accepts a JSON string or bytes, or an already-decoded dict.  Checks
+    the schema, normalization c(1) = 1, coprime multiplicativity, and the
+    prime-power recursions up to the stored count before returning.
+
+    Each coordinate row is read straight into integer numerators over one
+    denominator (_coordinates), and the relations are checked on those
+    numerators: a product c(a) c(b) is the field's product kernel
+    (NumberField.mul_numerators, which FieldElement.__mul__ calls) over
+    the product of the two denominators, compared with c(m) cross-
+    multiplied, so rows with and without denominators take one path and
+    no field element is built for a product.
 
     Coprime multiplicativity, c(a) c(b) = c(ab) for all coprime a, b >= 2
     with ab <= count, takes one product per coefficient: it holds exactly
@@ -226,7 +264,7 @@ def load_newform(source) -> NewformData:
     for idx, row in enumerate(an, start=1):
         if not isinstance(row, list) or len(row) > field.degree:
             raise SchemaError(f"coefficient {idx} has a bad coordinate vector")
-        coeffs.append(field.from_ratios([_parse_rational(x) for x in row]))
+        coeffs.append(_row_element(field, row))
     coeffs = tuple(coeffs)
 
     module_rows = data.get("module")
@@ -238,9 +276,7 @@ def load_newform(source) -> NewformData:
                 raise SchemaError(
                     f"module row {idx} has {len(row)} coordinates, more than the degree {field.degree}"
                 )
-        module_rows = tuple(
-            field.from_ratios([_parse_rational(x) for x in row]) for row in module_rows
-        )
+        module_rows = tuple(_row_element(field, row) for row in module_rows)
     embedding_index = data.get("embedding_index")
     if embedding_index is not None:
         if type(embedding_index) is not int or not (
@@ -252,23 +288,31 @@ def load_newform(source) -> NewformData:
         raise NotNormalized(f"c(1) = {coeffs[0]}, expected 1")
 
     count = len(coeffs)
+    mul = field.mul_numerators
 
-    def c(m):
-        return coeffs[m - 1]
+    def is_product(m, a, b):
+        """c(m) = c(a) c(b), cross-multiplied on integer numerators."""
+        x, y, z = coeffs[a - 1], coeffs[b - 1], coeffs[m - 1]
+        d, e = x.den * y.den, z.den
+        return [u * d for u in z.num] == [v * e for v in mul(x.num, y.num)]
 
-    if any(c(m) != c(q) * c(m // q) for m, q in _coprime_splits(count)):
-        # by the proof above some coprime pair fails: name the first one
-        m, n = next((m, n) for m in range(2, count + 1) for n in range(2, count // m + 1)
-                    if gcd(m, n) == 1 and c(m) * c(n) != c(m * n))
-        raise HeckeRelationViolated(f"c({m})c({n}) != c({m * n})", m=m, n=n)
+    for m, q in _coprime_splits(count):
+        if not is_product(m, q, m // q):
+            # by the proof above some coprime pair fails: name the first one
+            m, n = next((m, n) for m in range(2, count + 1) for n in range(2, count // m + 1)
+                        if gcd(m, n) == 1 and not is_product(m * n, m, n))
+            raise HeckeRelationViolated(f"c({m})c({n}) != c({m * n})", m=m, n=n)
     for p in _primes_up_to(count):
+        t = 0 if level % p == 0 else p
         r = 1
         while p ** (r + 1) <= count:
-            if p == level or level % p == 0:
-                expected = c(p) * c(p ** r)
-            else:
-                expected = c(p) * c(p ** r) - p * c(p ** (r - 1))
-            if c(p ** (r + 1)) != expected:
+            # c(p^(r+1)) = c(p) c(p^r) - t c(p^(r-1)), cross-multiplied
+            x, y = coeffs[p - 1], coeffs[p ** r - 1]
+            w, z = coeffs[p ** (r - 1) - 1], coeffs[p ** (r + 1) - 1]
+            d = x.den * y.den
+            rhs = [v * w.den - t * u * d for v, u in zip(mul(x.num, y.num), w.num)]
+            d *= w.den
+            if [u * d for u in z.num] != [v * z.den for v in rhs]:
                 raise HeckeRelationViolated(
                     f"prime power recursion fails at c({p ** (r + 1)})",
                     m=p, n=p ** r,
@@ -454,15 +498,13 @@ class EigenformAFResult:
 def _image_and_expanding(elem: FieldElement, root):
     """The first enclosure of sigma(elem) narrower than 10^-8, and the
     exact |sigma(elem)| > 1 test (units never have |image| exactly 1),
-    from one enclosure walk."""
-    image = expanding = None
-    for lo, hi in enclosures(elem, root):
-        if image is None and hi - lo < Fraction(1, 10 ** 8):
-            image = (lo, hi)
-        if expanding is None and (lo > 1 or hi < -1 or -1 < lo and hi < 1):
-            expanding = lo > 1 or hi < -1
-        if image is not None and expanding is not None:
-            return image, expanding
+    which that enclosure settles unless it straddles -1 or 1.  Only then
+    is the ladder walked, on to an enclosure that settles it; its levels
+    down to the image's contain the image and settle nothing."""
+    image = eval_embedding(elem, root, Fraction(1, 10 ** 8))
+    for lo, hi in chain([image], enclosures(elem, root)):
+        if lo > 1 or hi < -1 or -1 < lo and hi < 1:
+            return image, lo > 1 or hi < -1
 
 
 def af_of_eigenform(f: NewformData) -> EigenformAFResult:

@@ -622,6 +622,27 @@ def test_af_unknown_fixture(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("make, stage", [
+    (lambda tmp: tmp / "missing.json", "InputError"),
+    (lambda tmp: tmp, "IsADirectoryError"),
+    (lambda tmp: (tmp / "latin1.json", (tmp / "latin1.json").write_bytes(b'{"label": "\xe9"}'))[0],
+     "SchemaError"),
+])
+def test_af_fixture_that_cannot_be_read_writes_a_rejection_report(tmp_path, capsys, make, stage):
+    """A missing path, a directory and bytes that are not UTF-8 are input
+    errors like a malformed fixture: exit 2 and a report naming the error's
+    class, the fixture and the message."""
+    path = make(tmp_path)
+    report_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "af", str(path), "--report", str(report_path))
+    assert code == 2
+    assert "fixture rejected" in err
+    report = json.loads(report_path.read_text())
+    assert report["error"]["stage"] == stage
+    assert report["error"]["message"]
+    assert report["fixture"] == str(path)
+
+
 def test_report_determinism(tmp_path, capsys):
     paths = []
     for i in range(2):

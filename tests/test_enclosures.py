@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from heckeaf import hecke
 from heckeaf.exactnum import IntPolynomial, eval_embedding, exact_floor, make_field, sign_at
 from heckeaf.exactnum.field import _interval_horner, enclosures, isolate_real_roots
-from heckeaf.errors import NotSquarefree
+from heckeaf.errors import HeckeafError, NotSquarefree
 from heckeaf.exactnum.intmat import charpoly
 from heckeaf.exactnum.units import (
     _expanding_representative,
@@ -277,3 +277,50 @@ def test_enclosures_are_nested_and_contain_the_value(case):
         lo, hi = inner_lo, inner_hi
     assert lo <= ref_eval_embedding(a, root, Fraction(1, 10 ** 20))[0]
     assert ref_eval_embedding(a, root, Fraction(1, 10 ** 20))[1] <= hi
+
+
+# -- the ladder: eval_embedding jumps to the level a width needs ---------------
+
+@st.composite
+def _irreducible_field(draw):
+    """The field of a drawn monic irreducible polynomial of degree 2 to 6
+    with a real root: each real root isolates an irrational number."""
+    degree = draw(st.integers(2, 6))
+    coeffs = [draw(st.integers(-30, 30)) for _ in range(degree)] + [1]
+    try:
+        field = make_field(IntPolynomial(tuple(coeffs)))
+    except HeckeafError:  # reducible, or not squarefree
+        assume(False)
+    assume(field.real_roots)
+    return field
+
+
+_COORDS_WITH_DENOMINATORS = st.builds(
+    Fraction, st.integers(-10 ** 6, 10 ** 6), st.sampled_from([1, 1, 2, 7, 360, 10 ** 9]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_irreducible_field(), st.data())
+def test_quarter_steps_equal_one_refinement_to_the_level(field, data):
+    """Level j of the walk, the root interval after j quarter steps, is
+    the interval of one refined call to width w / 2^(3j-1), at every real
+    root: no halving meets the irrational root."""
+    for root in field.real_roots:
+        j = data.draw(st.integers(1, 140), label="j")
+        iv = root
+        for _ in range(j):
+            iv = iv.refined(iv.width / 4)
+        jumped = root.refined(root.width / 2 ** (3 * j - 1))
+        assert (jumped.lo, jumped.hi) == (iv.lo, iv.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_irreducible_field(), st.data())
+def test_eval_embedding_is_the_first_narrow_enclosure_of_the_walk(field, data):
+    """The enclosure eval_embedding returns is the walk's first narrower
+    than eps, on elements with denominators at every real root, for eps
+    from 2^-2 to 2^-400."""
+    for root in field.real_roots:
+        a = field.element([data.draw(_COORDS_WITH_DENOMINATORS) for _ in range(field.degree)])
+        eps = Fraction(1, 2 ** data.draw(st.integers(2, 400), label="bits"))
+        assert eval_embedding(a, root, eps) == ref_eval_embedding(a, root, eps)

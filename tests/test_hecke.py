@@ -197,6 +197,79 @@ def test_coordinates_up_to_the_digit_bound_load_under_any_int_limit():
     assert token == -(10 ** n - 1) // 9
 
 
+def _parent_parse_rational(s) -> tuple:
+    """The coordinate parser as it was, one (p, q) pair in lowest terms a
+    coordinate: the reference for reading rows into numerators."""
+    if type(s) is int:
+        return s, 1
+    if type(s) is not str:
+        raise SchemaError(f"expected a rational string, got {type(s).__name__}")
+    m = hecke._RATIONAL.fullmatch(s)
+    if m is None:
+        shown = repr(s) if len(s) <= 40 else f"of {len(s)} characters"
+        raise SchemaError(f"cannot parse rational {shown}: not of the form -?[0-9]+(/[0-9]+)?"
+                          f" with at most {hecke.MAX_DIGITS} digits a part")
+    num = hecke._bounded_int(m[1])
+    den = 1 if m[2] is None else hecke._bounded_int(m[2])
+    if den == 0:
+        raise SchemaError(f"cannot parse rational {s!r}: zero denominator")
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _parent_row(degree, row):
+    """(numerators, denominator) of a row by the parent parser and the
+    field's from_ratios as it was, or the SchemaError's message."""
+    try:
+        pairs = [_parent_parse_rational(x) for x in row]
+    except SchemaError as exc:
+        return str(exc)
+    den = lcm(*(q for _, q in pairs))
+    num = tuple(p * (den // q) for p, q in pairs)
+    return num + (0,) * (degree - len(num)), den
+
+
+def _big_part(digits, first):
+    return first + "0" * (digits - 1)
+
+
+_PART = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=8),
+    st.builds(_big_part, st.sampled_from([639, 640, 641, 4299, 4300, 4301]),
+              st.sampled_from("1379")),
+)
+_COORDINATE = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.builds(lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+              st.sampled_from(["", "-"]), _PART, st.none() | _PART | st.sampled_from(["0", "00"])),
+    # p/q not in lowest terms
+    st.builds(lambda p, q, k: f"{p * k}/{q * k}",
+              st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), st.integers(2, 10 ** 6)),
+    st.sampled_from(["٣", "１", "1/٣", "+1", " 1", "1 ", "1.5", "1e3", "1_0", "", "-", "/2"]),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["level23a", "level71a"]), st.data())
+def test_rows_read_into_numerators_match_the_pair_parse(name, data):
+    """Each drawn row gives the element of the parent parse, one (p, q)
+    pair a coordinate and the lcm of the q, or the same SchemaError
+    message: JSON integers, p/q not in lowest terms, negatives, parts of
+    640/641 and 4300/4301 digits, zero denominators, non-ASCII digits,
+    bools and floats."""
+    field = hecke.load_fixture(name).field
+    row = data.draw(st.lists(_COORDINATE, max_size=field.degree), label="row")
+    try:
+        element = hecke._row_element(field, row)
+        got = (element.num, element.den)
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == _parent_row(field.degree, row)
+
+
 def _reference_coefficients(data):
     """(num, den) of each an row by Fraction: numerators over the lcm of the
     coordinate denominators, zero-padded to the degree."""

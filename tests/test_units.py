@@ -535,11 +535,13 @@ def _cubic_module(draw):
 @settings(max_examples=60, deadline=None)
 @given(_cubic_module())
 def test_lll_transform_is_unimodular(module):
-    """make_nonnegative inverts the LLL transform as an integer matrix
-    with no fallback, so it must be unimodular on every full-rank module,
-    whether or not the trace form is definite."""
-    u = _lll_transform(trace_gram(module.basis_elements()))
+    """make_nonnegative takes the LLL transform's inverse as an integer
+    matrix with no fallback, so it must be unimodular on every full-rank
+    module, whether or not the trace form is definite, and the inverse
+    returned with it must be its inverse."""
+    u, inverse = _lll_transform(trace_gram(module.basis_elements()))
     assert mat_det(u) in (1, -1)
+    assert mat_mul(u, inverse) == mat_identity(len(u))
 
 
 def _ref_lll_transform(gram):
@@ -620,5 +622,8 @@ def test_lll_transform_matches_the_recomputing_reference(gram):
     """Keeping U G U^T current under each row operation and swap gives the
     U of recomputing every inner product, on trace forms of degree 2 to 5
     (definite and indefinite) and on random integer Gram matrices, where
-    some b*_j vanish."""
-    assert _lll_transform(gram) == _ref_lll_transform(gram)
+    some b*_j vanish; the inverse carried along is the one Gauss-Jordan
+    elimination over the rationals gives."""
+    u, inverse = _lll_transform(gram)
+    assert u == _ref_lll_transform(gram)
+    assert inverse == tuple(tuple(int(x) for x in row) for row in mat_inverse_fraction(u))

@@ -86,9 +86,9 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     assert roundtrip[0] == 0
     assert eigenvector[0] == 0
     assert factorize[0] == 1
-    # one inverse for the LLL basis; the attractor expansion carries its
-    # basis change and that change's inverse as integer matrices
-    assert inverse[0] == 1
+    # no matrix inverse: the attractor expansion and the LLL step carry
+    # their basis changes' inverses as integer matrices
+    assert inverse[0] == 0
     # the accepted candidate's char poly, for the report; the Perron test
     # walks the unit's images instead
     assert char_poly[0] == 1
@@ -234,18 +234,21 @@ def test_level47a_forms_no_signed_conjugate(monkeypatch):
 def test_load_checks_multiplicativity_once_per_coefficient(monkeypatch):
     """Loading level71a (200 coefficients) makes one field product per
     coefficient that is not a prime power, plus the prime-power recursion:
-    153 products, where the pairwise coprime scan made 416."""
+    153 products, where the pairwise coprime scan made 416.  The checks
+    run on integer numerators through the product kernel that
+    FieldElement.__mul__ also calls, so the kernel is what is counted, and
+    a count of 0 would mean that nothing was checked."""
     text = (Path(hecke.__file__).parent / "fixtures" / "level71a.json").read_text()
     products = [0]
-    original = FieldElement.__mul__
+    original = field.NumberField.mul_numerators
 
-    def counted(self, other):
+    def counted(self, a, b):
         products[0] += 1
-        return original(self, other)
+        return original(self, a, b)
 
-    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(field.NumberField, "mul_numerators", counted)
     load_newform(text)
-    assert products[0] < 200
+    assert 0 < products[0] < 200
 
 
 def test_level47a_walks_each_enclosure_once(monkeypatch):
@@ -267,6 +270,28 @@ def test_level47a_walks_each_enclosure_once(monkeypatch):
         hecke.af_of_eigenform(f)
     assert counts["refined"] < 300
     assert counts["degree_over_q"] <= 34
+
+
+def test_conjugate_unit_images_jump_to_their_level(monkeypatch):
+    """Each of level71a's three per-conjugate unit images, the first
+    enclosure narrower than 10^-8, lies 10 or 11 quarter steps down its
+    root's refinement ladder; eval_embedding reaches it with at most three
+    root refinements, where walking the ladder made one a step."""
+    f = hecke.load_fixture("level71a")
+    unit = hecke.af_of_eigenform(f).unit.element
+    counts = []
+    original = RealRootInterval.refined
+
+    def counted(self, max_width):
+        counts[-1] += 1
+        return original(self, max_width)
+
+    monkeypatch.setattr(RealRootInterval, "refined", counted)
+    for root in f.field.real_roots:
+        counts.append(0)
+        hecke._image_and_expanding(unit, root)
+    assert len(counts) == 3
+    assert all(0 < c <= 3 for c in counts)
 
 
 def test_level47a_refines_its_root_by_newton_jumps(monkeypatch):
