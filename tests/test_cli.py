@@ -622,11 +622,16 @@ def test_af_unknown_fixture(capsys):
     assert code == 2
 
 
+def _latin1_fixture(tmp):
+    path = tmp / "latin1.json"
+    path.write_bytes(b'{"label": "\xe9"}')
+    return path
+
+
 @pytest.mark.parametrize("make, stage", [
     (lambda tmp: tmp / "missing.json", "InputError"),
     (lambda tmp: tmp, "IsADirectoryError"),
-    (lambda tmp: (tmp / "latin1.json", (tmp / "latin1.json").write_bytes(b'{"label": "\xe9"}'))[0],
-     "SchemaError"),
+    (_latin1_fixture, "SchemaError"),
 ])
 def test_af_fixture_that_cannot_be_read_writes_a_rejection_report(tmp_path, capsys, make, stage):
     """A missing path, a directory and bytes that are not UTF-8 are input
