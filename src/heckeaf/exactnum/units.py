@@ -2,7 +2,7 @@
 
 find_unit finds a unit dominant at a chosen real embedding, or raises
 UnitNotFound.  It first takes the return unit of the Jacobi-Perron
-expansion of the order's own basis ratios (in degree 2 the regular
+expansion of the module's own basis ratios (in degree 2 the regular
 continued fraction, whose period gives the fundamental unit of the
 multiplier ring); when that expansion does not cycle within budget, it
 enumerates coordinate vectors by max-norm shells under one budget.
@@ -207,7 +207,7 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     """A unit u of the order, of the field's degree and dominant at root:
     sigma_e(u) > 1 exceeds |sigma_j(u)| at every other real embedding j.
 
-    The order's own basis ratios are expanded first (_attractor_data):
+    The module's own basis ratios are expanded first (see attractor):
     when that expansion cycles, the Perron value of one trip around the
     cycle is a unit of the order and is the one the downstream block
     factorization can realize (dominant, as the Perron root of a cycle
@@ -234,9 +234,10 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     above sigma_e(u^k), so _is_top_real_root is false.  Returning u would
     relabel a unit-stage failure as NonnegativeFormNotFound/NotSquarefree.
 
-    attractor, when given, is _attractor_data(order.module, root) as the
-    caller already computed it (None included: the expansion did not
-    cycle), so that the expansion runs once per pipeline run.
+    attractor, when given, is _attractor_data(m, root) of any module m
+    with End(m) = order, as the caller already computed it (None
+    included: the expansion did not cycle), so that the expansion runs
+    once per pipeline run; by default m is order.module.
     """
     from ..mcf import _combination
 

@@ -410,15 +410,15 @@ class EigenReport:
         return None
 
 
-def verify_eigenform(f: NewformData, max_prime: int = HECKE_CHECK_BOUND) -> EigenReport:
-    """Check T_p f = c(p) f on the comparable range for each prime p."""
-    if f.count < max_prime ** 2:
+def verify_eigenform(f: NewformData) -> EigenReport:
+    """Check T_p f = c(p) f on the comparable range for each prime p <= HECKE_CHECK_BOUND."""
+    if f.count < HECKE_CHECK_BOUND ** 2:
         raise InsufficientCoefficients(
-            f"need at least {max_prime ** 2} coefficients for primes up to {max_prime}",
-            required=max_prime ** 2,
+            f"need at least {HECKE_CHECK_BOUND ** 2} coefficients for primes up to {HECKE_CHECK_BOUND}",
+            required=HECKE_CHECK_BOUND ** 2,
         )
     checks = []
-    for p in _primes_up_to(max_prime):
+    for p in _primes_up_to(HECKE_CHECK_BOUND):
         gamma = hecke_apply(p, f.coeffs, f.level)
         cp = f.c(p)
         failure = None
@@ -508,7 +508,14 @@ def _image_and_expanding(elem: FieldElement, root):
 
 
 def af_of_eigenform(f: NewformData) -> EigenformAFResult:
-    """Run the stationary pipeline on a loaded (hence verified) eigenform.
+    """Run the stationary pipeline on a loaded (hence verified) eigenform:
+    af_of_module on its module at its working embedding."""
+    return af_of_module(module_of_eigenform(f), f.working_embedding_index())
+
+
+def af_of_module(module: ZModule, embedding_index: int) -> EigenformAFResult:
+    """Run the stationary pipeline on a full module of a number field at
+    the real embedding embedding_index (0..r-1 for r real roots).
 
     Degree 1 is the rational case: the diagram is finite and
     one-dimensional, so the result is the trivial algebra.  Otherwise the
@@ -518,19 +525,17 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
     by digit against the factorization.
 
     Each intermediate fact is computed once and passed on: the module's
-    attractor expansion feeds both the unit search (when the order's
-    module is the module itself) and the non-negative form search, and
-    the result keeps the realization make_nonnegative returns, with its
-    round-trip record (digits, Perron value u^k and eigenvector in f's
-    field, expansion).
+    attractor expansion feeds both the unit search and the non-negative
+    form search, and the result keeps the realization make_nonnegative
+    returns, with its round-trip record (digits, Perron value u^k and
+    eigenvector in the module's field, expansion).
 
     Conjugate data: the action of the conjugated unit on the conjugated
     module has the same integer matrix in coordinates, so per-conjugate
     characteristic polynomials agree by construction; the per-conjugate
     summaries record how the unit's image changes across embeddings.
     """
-    field = f.field
-    module = module_of_eigenform(f)
+    field = module.field
     if field.degree == 1:
         return EigenformAFResult(
             module=module, af=TrivialAF(),
@@ -539,14 +544,12 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
 
     if not field.real_roots:
         raise NotTotallyReal(f"field {field.minpoly} has no real root")
+    if not 0 <= embedding_index < len(field.real_roots):
+        raise ValueError(f"embedding_index {embedding_index} not in 0..{len(field.real_roots) - 1}")
     order = endomorphism_ring(module)
-    emb_index = f.working_embedding_index()
-    root = field.real_roots[emb_index]
+    root = field.real_roots[embedding_index]
     attractor = _attractor_data(module, root)
-    if order.module == module:
-        unit = find_unit(order, root, attractor=attractor)
-    else:
-        unit = find_unit(order, root)
+    unit = find_unit(order, root, attractor=attractor)
     matrix_a = multiplication_matrix(unit.element, module)
     realization = make_nonnegative(matrix_a, unit, module, root, attractor=attractor)
     roundtrip = realization.roundtrip
@@ -574,7 +577,7 @@ def af_of_eigenform(f: NewformData) -> EigenformAFResult:
         matrix_a=matrix_a,
         realization=realization,
         group=group,
-        embedding_index=emb_index,
+        embedding_index=embedding_index,
         per_conjugate=tuple(summaries),
     )
 

@@ -188,7 +188,7 @@ def test_hecke_verification_all_fixtures_and_corruption():
     started = time.time()
     for name in hecke.bundled_fixture_names():
         f = hecke.load_fixture(name)
-        report = hecke.verify_eigenform(f, 13)
+        report = hecke.verify_eigenform(f)
         assert report.all_ok, name
 
     from importlib import resources

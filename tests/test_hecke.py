@@ -317,7 +317,7 @@ def test_gamma_one_equals_cn(f23):
 
 def test_verify_eigenform_all_fixtures(f11, f23, f71a, f71b):
     for f in (f11, f23, f71a, f71b):
-        report = hecke.verify_eigenform(f, 13)
+        report = hecke.verify_eigenform(f)
         assert report.all_ok
         assert [ch.p for ch in report.checks] == [2, 3, 5, 7, 11, 13]
         assert all(ch.checked_range >= 15 for ch in report.checks)
@@ -330,7 +330,7 @@ def test_verify_eigenform_names_failure(f23):
     broken = hecke.NewformData(
         label="broken", level=23, weight=2, field=f23.field, coeffs=tuple(coeffs)
     )
-    report = hecke.verify_eigenform(broken, 13)
+    report = hecke.verify_eigenform(broken)
     assert not report.all_ok
     p, m = report.first_failure()
     assert (p, m) == (2, 13)  # gamma(13) = c(26) no longer matches c(2) c(13)
@@ -341,7 +341,7 @@ def test_verify_eigenform_needs_enough_coefficients(f23):
         label="short", level=23, weight=2, field=f23.field, coeffs=f23.coeffs[:100]
     )
     with pytest.raises(InsufficientCoefficients):
-        hecke.verify_eigenform(short, 13)
+        hecke.verify_eigenform(short)
 
 
 def test_load_rejects_every_table_verify_rejects(f11):
@@ -356,7 +356,7 @@ def test_load_rejects_every_table_verify_rejects(f11):
         broken = hecke.NewformData(
             label="broken", level=11, weight=2, field=f11.field, coeffs=tuple(coeffs)
         )
-        if hecke.verify_eigenform(broken, 13).all_ok:
+        if hecke.verify_eigenform(broken).all_ok:
             continue
         caught += 1
         an = [list(row) for row in data["an"]]

@@ -13,8 +13,9 @@ import pytest
 from heckeaf import afalg, cli, hecke, mcf
 from heckeaf.errors import NonnegativeFormNotFound
 from heckeaf.exactnum import field, intmat, polynomial, units
-from heckeaf.exactnum.field import FieldElement, RealRootInterval
-from heckeaf.exactnum.lattice import endomorphism_ring
+from heckeaf.exactnum.field import FieldElement, RealRootInterval, make_field
+from heckeaf.exactnum.lattice import endomorphism_ring, module_from_generators
+from heckeaf.exactnum.polynomial import IntPolynomial
 from heckeaf.hecke import load_newform
 
 LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
@@ -175,36 +176,26 @@ def test_attractor_expansion_makes_no_field_step_or_division(monkeypatch):
     assert inverse[0] == 0
 
 
-def test_find_unit_expands_its_own_module_when_it_differs(monkeypatch):
-    """A module that is not a ring has End(m) != m; the unit search then
-    expands the order's module, not the one shared with the form search."""
-    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
-    f = dataclasses.replace(
-        hecke.load_fixture("level71a"),
-        module_rows=tuple(tuple(Fraction(x) for x in row) for row in rows),
-    )
-    module = hecke.module_of_eigenform(f)
-    order_module = endomorphism_ring(module).module
-    assert order_module != module
-    expanded = []
+def test_af_of_module_expands_a_module_that_is_not_a_ring_once(monkeypatch):
+    """Z + Z a + 2Z a^2 in Q(a), a^3 - 4a^2 - 3a + 1 = 0, is not its own
+    multiplier ring.  One run at embedding 0 expands that module once, and
+    its unit is the return unit of that expansion, a unit of End(m)."""
+    k = make_field(IntPolynomial((1, -3, -4, 1)))
+    a = k.element([0, 1, 0])
+    module = module_from_generators(k, [k.one, a, 2 * a * a])
+    assert endomorphism_ring(module).module != module
+    returned = []
     original = units._attractor_data
 
     def recorded(m, root, *args):
-        expanded.append(m)
-        return original(m, root, *args)
-
-    class Stop(Exception):
-        pass
-
-    def stop(*args, **kwargs):
-        raise Stop
+        returned.append(original(m, root, *args))
+        return returned[-1]
 
     monkeypatch.setattr(units, "_attractor_data", recorded)
     monkeypatch.setattr(hecke, "_attractor_data", recorded)
-    monkeypatch.setattr(hecke, "make_nonnegative", stop)
-    with pytest.raises(Stop):
-        hecke.af_of_eigenform(f)
-    assert expanded == [module, order_module]
+    result = hecke.af_of_module(module, 0)
+    assert len(returned) == 1
+    assert result.unit.element == returned[0][3]
 
 
 def test_level47a_forms_no_signed_conjugate(monkeypatch):
