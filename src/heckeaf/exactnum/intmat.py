@@ -7,6 +7,7 @@ field degree), so clarity wins over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .polynomial import IntPolynomial
 
@@ -16,23 +17,8 @@ def mat_identity(n: int):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def mat_pow(a, e: int):
-    n = len(a)
-    result = mat_identity(n)
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_is_nonnegative(a) -> bool:

@@ -33,7 +33,7 @@ from .field import (
     enclosures,
     sign_at,
 )
-from .intmat import charpoly, is_primitive, mat_det, mat_identity, mat_mul, mat_pow
+from .intmat import charpoly, is_primitive, mat_det, mat_identity, mat_mul
 from .lattice import OrderRing, ZModule
 
 if TYPE_CHECKING:
@@ -316,33 +316,42 @@ def _lll_transform(gram):
     U^-1 takes the inverse of each operation as a column operation: when
     row k of U loses q times row j, column j of U^-1 gains q times column
     k, and a swap of rows is the same swap of columns.
+
+    The Gram-Schmidt data mu, b* are not recomputed after a size
+    reduction.  Row i of them is a function of the leading (i+1) x (i+1)
+    block of U G U^T alone, so rows 0..k-1 stay current while row k is
+    reduced, and a size reduction b_k -= q b_j leaves b*_k and every row
+    of mu but row k unchanged, and there mu_kt -= q mu_jt for t < j and
+    mu_kj -= q: the recurrence defining mu gives exactly that, b*_t = 0
+    included (mu_kt = mu_jt = 0 there, and q != 0 needs b*_j != 0).  Rows
+    are computed only as far as k, from the first one a swap changed.
     """
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]  # U G U^T
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # U^-1
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
 
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                if bstar[j] == 0:
-                    continue
-                mu[i][j] = (
-                    g[i][j]
-                    - sum(mu[i][t] * mu[j][t] * bstar[t] for t in range(j))
-                ) / bstar[j]
-            bstar[i] = g[i][i] - sum(mu[i][t] ** 2 * bstar[t] for t in range(i))
-        return mu, bstar
+    def gso_row(i):
+        mu_i = mu[i]
+        for j in range(i):
+            mu_i[j] = 0 if bstar[j] == 0 else (
+                g[i][j] - sum(mu_i[t] * mu[j][t] * bstar[t] for t in range(j))
+            ) / bstar[j]
+        bstar[i] = g[i][i] - sum(mu_i[t] ** 2 * bstar[t] for t in range(i))
 
     k = 1
+    current = 0  # rows 0..current-1 of mu and b* are those of U G U^T
     guard = 0
     while k < n and guard < 1000:
         guard += 1
-        mu, bstar = gso()
+        for i in range(current, k + 1):
+            gso_row(i)
+        current = k + 1
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(mu_k[j])
             if q:
                 u[k] = [a - q * b for a, b in zip(u[k], u[j])]
                 for row in v:
@@ -352,7 +361,10 @@ def _lll_transform(gram):
                 g[k] = row
                 for t in range(n):
                     g[t][k] = row[t]
-                mu, bstar = gso()
+                mu_j = mu[j]
+                for t in range(j):
+                    mu_k[t] -= q * mu_j[t]
+                mu_k[j] -= q
         if bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:
@@ -362,6 +374,7 @@ def _lll_transform(gram):
                 row[k], row[k - 1] = row[k - 1], row[k]
             for row in v:
                 row[k], row[k - 1] = row[k - 1], row[k]
+            current = k - 1
             k = max(k - 1, 1)
     return tuple(tuple(row) for row in u), tuple(tuple(row) for row in v)
 
@@ -414,20 +427,62 @@ def _nonnegative_conjugates(m):
 
     The entries of P^T M P are those of D_t M D_t for P's sign class t,
     permuted; so the conjugate is non-negative exactly when D_t M D_t is,
-    whatever the permutation.  The 2^n sign classes are tested first (n^2
-    entries each), and when none is admissible no conjugate is formed.
+    whatever the permutation.  The sign classes are tested first, and when
+    none is admissible no conjugate is formed.  t is admissible exactly
+    when the diagonal is non-negative and t_a t_b is the sign of each
+    non-zero off-diagonal entry M[a][b]; t and -t are admissible together,
+    so only the t with t_0 = 1 are tested.
     """
     n = len(m)
-    classes = [t for t in product((1, -1), repeat=n)
-               if all(t[a] * t[b] * m[a][b] >= 0 for a in range(n) for b in range(n))]
-    if classes:
-        yield from _signed_conjugates(m, classes)
+    if any(m[a][a] < 0 for a in range(n)):
+        return
+    entries = [(a, b, m[a][b] > 0) for a in range(n) for b in range(n) if a != b and m[a][b]]
+    half = [t for t in ((1, *rest) for rest in product((1, -1), repeat=n - 1))
+            if all((t[a] == t[b]) == positive for a, b, positive in entries)]
+    if half:
+        yield from _signed_conjugates(m, half + [tuple(-x for x in t) for t in half])
 
 
 def _times_signed_permutation(base, q, signs):
     """base * P for the signed permutation P given as in _signed_conjugates."""
     n = len(base)
     return tuple(tuple(signs[j] * base[i][q[j]] for j in range(n)) for i in range(n))
+
+
+def _base_changes(m: ZModule, attractor, ident):
+    """The base changes (B, B^-1) make_nonnegative tries, in its order: the
+    attractor's, when the module's expansion cycled, the identity, and the
+    LLL one unless it is the identity.  Each inverse is already known, so
+    no B is inverted; and as a generator this computes the LLL transform
+    only when the search first reaches it."""
+    if attractor is not None:
+        yield attractor[:2]
+    yield ident, ident
+    u_lll, inv = _lll_transform(trace_gram(m.basis_elements()))
+    if u_lll != ident:
+        yield inv, u_lll  # A in the LLL basis is T^-1 A T for T = U^-1
+
+
+def _powers_in_bases(a, k_step, bases):
+    """(k, B, B^-1, B^-1 A^k B) for k = k_step, 2 k_step, ... up to _K_MAX,
+    k outer, and each (B, B^-1) of bases inner.
+
+    C_B = B^-1 A^k_step B is formed once per base, when the first power
+    reaches it (so bases is drawn lazily), and each later power is carried:
+    B^-1 A^k B = (B^-1 A^(k - k_step) B) C_B.  For the identity base C_B is
+    A^k_step itself.
+    """
+    a_step = a if k_step == 1 else mat_mul(a, a)
+    ident = mat_identity(len(a))
+    forms = []  # [B, B^-1, C_B, B^-1 A^k B] for each base reached
+    for base, base_inv in bases:
+        c = a_step if base == ident else mat_mul(mat_mul(base_inv, a_step), base)
+        forms.append([base, base_inv, c, c])
+        yield k_step, base, base_inv, c
+    for k in range(2 * k_step, _K_MAX + 1, k_step):
+        for form in forms:
+            form[3] = mat_mul(form[3], form[2])
+            yield k, form[0], form[1], form[3]
 
 
 def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
@@ -454,6 +509,14 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     and T = B P is formed only for the candidate returned.  attractor,
     when given, is _attractor_data(m, root) as the caller computed it.
 
+    Nothing is recomputed from one power to the next (_powers_in_bases):
+    each M is the previous power's times C_B = B^-1 A^k_step B, formed
+    once per base, and u^k the previous one times u^k_step.  The LLL base
+    is computed only when the search first reaches it (_base_changes),
+    so a search that returns earlier never runs LLL.  M goes to
+    _is_top_real_root in place of A^k: it is similar to A^k, so the char
+    poly a NotSquarefree names is the same.
+
     Candidates are visited in the order of _signed_conjugates, but only
     those of an admissible sign class (_nonnegative_conjugates): a
     conjugate is non-negative exactly when D_t M D_t is for its sign
@@ -464,57 +527,48 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     """
     from .. import mcf
 
-    n = len(a)
     s = sign_at(u.element, root)
-    k_start, k_step = (1, 1) if s > 0 else (2, 2)
-
-    # base changes B with their inverses, each of which is already known
-    ident = mat_identity(n)
-    bases = []
+    k_step = 1 if s > 0 else 2
+    u_step = u.element if k_step == 1 else u.element * u.element
     if attractor is _NOT_COMPUTED:
         attractor = _attractor_data(m, root)
-    if attractor is not None:
-        bases.append(attractor[:2])
-    bases.append((ident, ident))
     basis = m.basis_elements()  # g
-    u_lll, inv = _lll_transform(trace_gram(basis))
-    if u_lll != ident:
-        bases.append((inv, u_lll))  # A in the LLL basis is T^-1 A T for T = U^-1
+    ident = mat_identity(len(a))
 
     seen = set()
     found_nonneg = False
-    for k in range(k_start, _K_MAX + 1, k_step):
-        ak = mat_pow(a, k)
-        u_pow = u.element ** k
-        perron = None  # the Perron verdict of power k, at its first candidate
-        for base, base_inv in bases:
-            conjugated = mat_mul(mat_mul(base_inv, ak), base)
-            for cand, q, signs in _nonnegative_conjugates(conjugated):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if cand == ident:
-                    continue
-                found_nonneg = True
-                if perron is None:
-                    perron = _is_top_real_root(u_pow, ak, root)
-                if not perron:
-                    continue
-                try:
-                    digits = tuple(mcf.bauer_factorize(cand))
-                except NotFactorizable:
-                    continue
-                if not is_primitive(cand):
-                    continue  # the Perron root may be non-simple
-                lam = [sign * mcf._combination(base_inv[i], basis, m.field)
-                       for sign, i in zip(signs, q)]  # P^T B^-1 g
-                scale = lam[0].inverse()
-                try:
-                    roundtrip = mcf.check_period(digits, u_pow, tuple(v * scale for v in lam), root)
-                except RoundTripMismatch:
-                    continue  # the candidate's digit cycle is not canonical
-                transform = _times_signed_permutation(base, q, signs)
-                return Realization(cand, k, transform, roundtrip)
+    power = u_pow = perron = None
+    for k, base, base_inv, mk in _powers_in_bases(a, k_step, _base_changes(m, attractor, ident)):
+        if k != power:
+            power = k
+            u_pow = u_step if u_pow is None else u_pow * u_step
+            perron = None  # the Perron verdict of power k, at its first candidate
+        for cand, q, signs in _nonnegative_conjugates(mk):
+            if cand in seen:
+                continue
+            seen.add(cand)
+            if cand == ident:
+                continue
+            found_nonneg = True
+            if perron is None:
+                perron = _is_top_real_root(u_pow, mk, root)
+            if not perron:
+                continue
+            try:
+                digits = tuple(mcf.bauer_factorize(cand))
+            except NotFactorizable:
+                continue
+            if not is_primitive(cand):
+                continue  # the Perron root may be non-simple
+            lam = [sign * mcf._combination(base_inv[i], basis, m.field)
+                   for sign, i in zip(signs, q)]  # P^T B^-1 g
+            scale = lam[0].inverse()
+            try:
+                roundtrip = mcf.check_period(digits, u_pow, tuple(v * scale for v in lam), root)
+            except RoundTripMismatch:
+                continue  # the candidate's digit cycle is not canonical
+            transform = _times_signed_permutation(base, q, signs)
+            return Realization(cand, k, transform, roundtrip)
     if found_nonneg:
         raise NonnegativeFormNotFound(
             "non-negative forms exist but none passed the Perron/canonical "

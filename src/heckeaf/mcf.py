@@ -170,9 +170,10 @@ def _floor_pair(lo, hi, lo0, hi0, bits):
 
 class _BasisEnclosure:
     """Integer enclosures a_k <= 2^p sigma(g_k) <= b_k of a basis g of
-    field elements at one real embedding, sharpened on demand, and
-    enclosures [lo_j, hi_j] of 2^p sigma(v_j) for the rows of the
-    expansion's current state, v = W g, carried from step to step.
+    field elements at one real embedding, sharpened on demand.
+    ratio_floors encloses every row of a state v = W g from them and
+    leaves those enclosures [lo_j, hi_j] of 2^p sigma(v_j) in `rows`, for
+    the expansion to carry from step to step.
 
     An instance lives for one expansion: it refines its own copy of the
     root interval, so nothing outlives the call that made it.
@@ -181,7 +182,7 @@ class _BasisEnclosure:
     def __init__(self, basis, root: RealRootInterval, prec: int):
         self._basis = basis
         self._root = root
-        self._rows = None
+        self.rows = None
         self._sharpen(prec)
 
     def _sharpen(self, prec: int) -> None:
@@ -223,23 +224,7 @@ class _BasisEnclosure:
                 return None
             key.append(floor_hi)
             rows.append((lo, hi))
-        self._rows = rows
-        return tuple(key)
-
-    def _carried_floors(self, bits):
-        """The floors from the carried row enclosures, or None when they
-        do not separate."""
-        if self._rows is None:
-            return None
-        (lo0, hi0), *rows = self._rows
-        if lo0 <= 0:
-            return None
-        key = []
-        for lo, hi in rows:
-            floor_lo, floor_hi = _floor_pair(lo, hi, lo0, hi0, bits)
-            if floor_lo != floor_hi:
-                return None
-            key.append(floor_hi)
+        self.rows = rows
         return tuple(key)
 
     def ratio_floors(self, w, bits: int):
@@ -248,21 +233,10 @@ class _BasisEnclosure:
         ratios are settled by sharper enclosures, v_0 = 0 and ratios on a
         boundary by an exact test once the enclosures fail to separate.
 
-        The floors come from the row enclosures carried by step() when
-        those separate.  Otherwise every row is enclosed again from the
-        basis bounds at the current precision, then tested exactly, then
-        sharpened, and the rows enclosed last are carried on.  The outcome,
-        down to the precisions sharpened to, is the one that enclosing
-        every row at every state gives: the bounds change only at a
-        sharpening, after which every row is enclosed again, so a carried
-        enclosure is interval arithmetic of the same integer row over the
-        same bounds and, by the triangle inequality, contains the one
-        _enclose gives.  When the carried rows separate, the enclosed ones
-        would too, with the same floors and no exact test or sharpening.
+        Every row is enclosed from the basis bounds at the current
+        precision, then tested exactly, then sharpened, and the rows
+        enclosed last are left in `rows`.
         """
-        key = self._carried_floors(bits)
-        if key is not None:
-            return key
         while True:
             lo0, hi0 = self._enclose(w[0])
             if lo0 > 0:
@@ -274,14 +248,6 @@ class _BasisEnclosure:
             elif self._is_zero(w[0]):
                 return None
             self._sharpen(2 * self._prec)
-
-    def step(self, digit) -> None:
-        """Carry the row enclosures through the step W'_{j-1} = W_j - d_j W_0,
-        W'_{n-1} = W_0: with d_j >= 0, v'_{j-1} lies in
-        [lo_j - d_j hi_0, hi_j - d_j lo_0]."""
-        (lo0, hi0), *rows = self._rows
-        self._rows = [(lo - d * hi0, hi - d * lo0)
-                      for (lo, hi), d in zip(rows, digit)] + [(lo0, hi0)]
 
 
 def _same_direction(w_a, w_b, basis, field) -> bool:
@@ -296,7 +262,8 @@ def _expand_states(basis, root: RealRootInterval, w, max_states: int):
     """Expand theta_j = v_j / v_0 for v = W g, sigma(v_0) > 0 and the
     other sigma(v_j) >= 0, checking states 0..max_states-1 for a repeat.
     A step with digit d is the row operation W'_{j-1} = W_j - d_j W_0,
-    W'_{n-1} = W_0, which keeps v = B(d) v' exactly.
+    W'_{n-1} = W_0, which keeps v = B(d) v' exactly; a row whose digit is
+    0 is kept as it is.
 
     Returns (digits, states, start, terminated): the digits and integer
     states stepped, the index of the state the next one repeats (None if
@@ -304,18 +271,45 @@ def _expand_states(basis, root: RealRootInterval, w, max_states: int):
     floor(2^F theta_j), F = _FINGERPRINT_BITS, shifted right by F bits;
     a fingerprint hit counts as a repeat only after _same_direction, so
     the repeat is the first literal repeat of the field-state expansion.
+
+    The row enclosures [lo_j, hi_j] of 2^p sigma(v_j) are carried through
+    each step: with d_j >= 0, v'_{j-1} lies in [lo_j - d_j hi_0,
+    hi_j - d_j lo_0].  The fingerprints come from the carried rows when
+    those separate, and from the enclosure's ratio_floors, which encloses
+    every row again from the basis bounds, only when they do not.  The
+    outcome, down to the precisions sharpened to, is the one enclosing
+    every row at every state gives: the bounds change only at a
+    sharpening, after which every row is enclosed again, so a carried
+    enclosure is interval arithmetic of the same integer row over the
+    same bounds and, by the triangle inequality, contains the one
+    ratio_floors would give.  When the carried rows separate, the
+    enclosed ones would too, with the same floors and no exact test or
+    sharpening.
     """
-    n = len(basis)
     field = basis[0].field
     bits = _FINGERPRINT_BITS
     enclosure = _BasisEnclosure(basis, root, bits + 32)
+    rows = None  # the carried row enclosures of the current state
     seen = {}
     states = []
     digits = []
     for step in range(max_states):
-        key = enclosure.ratio_floors(w, bits)
+        key = None
+        if rows is not None and rows[0][0] > 0:
+            lo0, hi0 = rows[0]
+            floors = []
+            for lo, hi in rows[1:]:
+                floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
+                if (lo << bits) // (hi0 if lo >= 0 else lo0) != floor_hi:
+                    break
+                floors.append(floor_hi)
+            else:
+                key = tuple(floors)
         if key is None:
-            return digits, states, None, True
+            key = enclosure.ratio_floors(w, bits)
+            if key is None:
+                return digits, states, None, True
+            rows = enclosure.rows
         for start in seen.get(key, ()):
             if _same_direction(states[start], w, basis, field):
                 return digits, states, start, False
@@ -323,13 +317,14 @@ def _expand_states(basis, root: RealRootInterval, w, max_states: int):
             break
         seen.setdefault(key, []).append(step)
         states.append(w)
-        digit = tuple(f >> bits for f in key)
+        digit = tuple([f >> bits for f in key])
         digits.append(digit)
-        enclosure.step(digit)
         w0 = w[0]
-        w = tuple(
-            tuple(x - d * y for x, y in zip(w[j], w0)) for j, d in zip(range(1, n), digit)
-        ) + (w0,)
+        lo0, hi0 = rows[0]
+        w = tuple([row if d == 0 else tuple([x - d * y for x, y in zip(row, w0)])
+                   for row, d in zip(w[1:], digit)]) + (w0,)
+        rows = [row if d == 0 else (row[0] - d * hi0, row[1] - d * lo0)
+                for row, d in zip(rows[1:], digit)] + [rows[0]]
     return digits, states, None, False
 
 

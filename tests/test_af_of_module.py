@@ -24,6 +24,7 @@ from heckeaf import hecke
 from heckeaf.exactnum import IntPolynomial, make_field, module_from_generators
 from heckeaf.exactnum.units import _attractor_data
 from heckeaf.mcf import convergent_matrix
+from util import CUBIC_FAMILIES, irreducible_totally_real
 
 X = sympy.symbols("x")
 
@@ -86,27 +87,8 @@ def test_every_quadratic_module_certifies(d, gens, index):
     check_oracles(module, index, hecke.af_of_module(module, index))
 
 
-def _irreducible_totally_real(abc) -> bool:
-    """x^3 + a x^2 + b x + c has no rational root (an integer root divides
-    c) and a positive discriminant."""
-    a, b, c = abc
-    if any(r ** 3 + a * r * r + b * r + c == 0 for r in range(-abs(c), abs(c) + 1)):
-        return False
-    return 18 * a * b * c - 4 * a ** 3 * c + a * a * b * b - 4 * b ** 3 - 27 * c * c > 0
-
-
-# Z[a], Z + Za + 2Za^2, 2Z + Za + Za^2 and Z + 3Za + Za^2, as generator
-# coordinates in 1, a, a^2
-FAMILIES = (
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 1, 0), (0, 0, 2)),
-    ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 3, 0), (0, 0, 1)),
-)
-
-
 @settings(max_examples=25, deadline=None)
-@given(abc=st.tuples(*[st.integers(-8, 8)] * 3).filter(_irreducible_totally_real))
+@given(abc=st.tuples(*[st.integers(-8, 8)] * 3).filter(irreducible_totally_real))
 @example(abc=(-4, -3, 1))  # Z+Za+2Za^2 at embedding 0 is not its own ring and cycles
 def test_cubic_modules_certify_wherever_their_expansion_cycles(abc):
     """Every embedding of every family at which _attractor_data(m, root)
@@ -116,7 +98,7 @@ def test_cubic_modules_certify_wherever_their_expansion_cycles(abc):
     seconds, so af_of_module runs only where the expansion cycles."""
     a, b, c = abc
     k = make_field(IntPolynomial((c, b, a, 1)))
-    for rows in FAMILIES:
+    for rows in CUBIC_FAMILIES:
         module = module_from_generators(k, [k.element(row) for row in rows])
         for index, root in enumerate(k.real_roots):
             attractor = _attractor_data(module, root)

@@ -670,7 +670,8 @@ def test_version_flag(capsys):
 
 def test_stage_times_prints_one_row_of_medians(capsys):
     """tools/stage_times.py runs load, af and report on a fixture and prints
-    a header and one row: the fixture and three non-negative medians (ms)."""
+    a header and one row: the fixture and six non-negative medians (ms),
+    load, the af stage split into expand, unit, form and rest, and report."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
@@ -681,7 +682,8 @@ def test_stage_times_prints_one_row_of_medians(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     fields = lines[1].split()
-    assert fields[0] == "level23a@0" and len(fields) == 4
+    assert lines[0].split()[1:12:2] == ["load", "expand", "unit", "form", "rest", "report"]
+    assert fields[0] == "level23a@0" and len(fields) == 7
     assert all(float(ms) >= 0 for ms in fields[1:])
     # a fixture that does not load is a usage error before anything is timed
     for spec in ("level23a@7", "level23a@x", "nofixture"):

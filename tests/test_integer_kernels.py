@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from heckeaf.errors import DivisionByZero
 from heckeaf.exactnum import IntPolynomial, make_field
 from heckeaf.exactnum.field import _rank
+from heckeaf.exactnum.intmat import mat_mul
 
 # degree 1 to 5: Q, Q(sqrt 5), x^3 - 2 (one real root), sqrt 2 + sqrt 3
 # (with the subfield Q(sqrt 6)) and the real subfield of Q(zeta_11)
@@ -230,3 +231,29 @@ def test_rank_matches_sympy(rows):
     """The fraction-free elimination, whose divisions by the previous
     pivot must be exact, gives sympy's rank, singular inputs included."""
     assert _rank(rows) == sympy.Matrix(rows).rank()
+
+
+def ref_mat_mul(a, b):
+    """The index loop mat_mul replaced."""
+    n, k, m = len(a), len(b), len(b[0])
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
+                 for i in range(n))
+
+
+@st.composite
+def _matrix_pair(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                      st.fractions(-100, 100, max_denominator=7))
+    a = tuple(tuple(draw(entry) for _ in range(k)) for _ in range(n))
+    b = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(k))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pair())
+def test_mat_mul_matches_the_index_loop(pair):
+    """Row-by-column products over the columns of B give the index loop's
+    product, on rectangular integer and Fraction matrices."""
+    a, b = pair
+    assert mat_mul(a, b) == ref_mat_mul(a, b)

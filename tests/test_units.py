@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations, product
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from heckeaf import hecke
 from heckeaf.errors import (
     DegenerateSpectrum,
+    HeckeafError,
     NonnegativeFormNotFound,
     NotEndomorphism,
     NotFactorizable,
@@ -28,7 +30,9 @@ from heckeaf.exactnum import (
     eval_embedding,
     sign_at,
 )
-from heckeaf.exactnum.intmat import charpoly, mat_det, mat_identity, mat_inverse_fraction, mat_mul, mat_pow
+from heckeaf.exactnum.intmat import (
+    charpoly, is_primitive, mat_det, mat_identity, mat_inverse_fraction, mat_mul,
+)
 from heckeaf.exactnum import units
 from heckeaf.exactnum.units import (
     UnitElement,
@@ -41,6 +45,7 @@ from heckeaf.exactnum.units import (
     trace_gram,
 )
 from heckeaf import mcf
+from util import CUBIC_FAMILIES, irreducible_totally_real, mat_pow
 
 LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
 
@@ -584,6 +589,145 @@ def _ref_lll_transform(gram):
             u[k], u[k - 1] = u[k - 1], u[k]
             k = max(k - 1, 1)
     return tuple(tuple(row) for row in u)
+
+
+def ref_make_nonnegative(a, u, m, root, attractor):
+    """make_nonnegative as it was: A^k by repeated squaring at every power,
+    both products of each base change at every (power, base), u^k from
+    scratch, and the LLL transform before any candidate is tried."""
+    n = len(a)
+    s = sign_at(u.element, root)
+    k_start, k_step = (1, 1) if s > 0 else (2, 2)
+    ident = mat_identity(n)
+    bases = []
+    if attractor is not None:
+        bases.append(attractor[:2])
+    bases.append((ident, ident))
+    basis = m.basis_elements()
+    u_lll, inv = _lll_transform(trace_gram(basis))
+    if u_lll != ident:
+        bases.append((inv, u_lll))
+    seen = set()
+    found_nonneg = False
+    for k in range(k_start, units._K_MAX + 1, k_step):
+        ak = mat_pow(a, k)
+        u_pow = u.element ** k
+        perron = None
+        for base, base_inv in bases:
+            conjugated = mat_mul(mat_mul(base_inv, ak), base)
+            for cand, q, signs in _nonnegative_conjugates(conjugated):
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if cand == ident:
+                    continue
+                found_nonneg = True
+                if perron is None:
+                    perron = units._is_top_real_root(u_pow, ak, root)
+                if not perron:
+                    continue
+                try:
+                    digits = tuple(mcf.bauer_factorize(cand))
+                except NotFactorizable:
+                    continue
+                if not is_primitive(cand):
+                    continue
+                lam = [sign * mcf._combination(base_inv[i], basis, m.field)
+                       for sign, i in zip(signs, q)]
+                scale = lam[0].inverse()
+                try:
+                    roundtrip = mcf.check_period(digits, u_pow, tuple(v * scale for v in lam), root)
+                except RoundTripMismatch:
+                    continue
+                transform = _times_signed_permutation(base, q, signs)
+                return units.Realization(cand, k, transform, roundtrip)
+    if found_nonneg:
+        raise NonnegativeFormNotFound(
+            "non-negative forms exist but none passed the Perron/canonical "
+            f"cycle checks within k <= {units._K_MAX}"
+        )
+    raise NonnegativeFormNotFound(
+        f"no non-negative conjugate of a power up to {units._K_MAX} found"
+    )
+
+
+def _form_search_outcomes(m, root):
+    """make_nonnegative's and ref_make_nonnegative's outcomes for the unit
+    find_unit gives on m at root: a Realization, or the typed error's class
+    and message; None when the unit search finds no unit."""
+    attractor = units._attractor_data(m, root)
+    try:
+        u = find_unit(endomorphism_ring(m), root, attractor=attractor)
+    except UnitNotFound:
+        return None
+    a = multiplication_matrix(u.element, m)
+    outcomes = []
+    for search in (make_nonnegative, ref_make_nonnegative):
+        try:
+            outcomes.append(search(a, u, m, root, attractor=attractor))
+        except HeckeafError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(abc=st.tuples(*[st.integers(-8, 8)] * 3).filter(irreducible_totally_real),
+       rows=st.sampled_from(CUBIC_FAMILIES), index=st.integers(0, 2))
+@example(abc=(-4, -3, 1), rows=CUBIC_FAMILIES[1], index=0)  # cycles: a realization
+@example(abc=(6, 0, -1), rows=CUBIC_FAMILIES[0], index=2)  # forms, none passes
+@example(abc=(6, 0, -1), rows=CUBIC_FAMILIES[1], index=0)  # no non-negative form
+def test_make_nonnegative_matches_the_recomputing_reference(abc, rows, index):
+    """Carrying the powers, the base changes and u^k from power to power,
+    and computing the LLL base only when it is reached, changes no
+    outcome: on drawn cubic modules, cycling or not, the Realization is
+    equal field by field, or the error has the same class and message.
+    The unit search runs under a smaller budget, and a module it finds no
+    unit of is skipped."""
+    a, b, c = abc
+    k = make_field(IntPolynomial((c, b, a, 1)))
+    module = module_from_generators(k, [k.element(row) for row in rows])
+    with patch.object(units, "_MAX_CANDIDATES", 20_000):
+        outcomes = _form_search_outcomes(module, k.real_roots[index])
+    if outcomes is not None:
+        assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_make_nonnegative_matches_the_recomputing_reference_on_level47a(index):
+    """level47a's form searches, at each of its four embeddings, end in
+    the reference's error with the same message."""
+    f = hecke.load_newform(LEVEL47A.read_text())
+    root = f.field.real_roots[index]
+    got, want = _form_search_outcomes(hecke.module_of_eigenform(f), root)
+    assert got == want
+    assert got[0] is NonnegativeFormNotFound
+
+
+def test_perron_test_gets_the_carried_power_of_the_unit_and_matrix(monkeypatch):
+    """At level47a@2 every power k = 1..12 has a non-negative candidate,
+    so the form search asks _is_top_real_root once per power: with u^k,
+    stepped by one multiplication a power, and with a matrix B^-1 A^k B
+    carried from the previous power, whose char poly is that of A^k."""
+    f = hecke.load_newform(LEVEL47A.read_text())
+    root = f.field.real_roots[2]
+    module = hecke.module_of_eigenform(f)
+    attractor = units._attractor_data(module, root)
+    u = find_unit(endomorphism_ring(module), root, attractor=attractor)
+    a = multiplication_matrix(u.element, module)
+    calls = []
+    original = units._is_top_real_root
+
+    def recorded(value, m, at):
+        calls.append((value, m))
+        return original(value, m, at)
+
+    monkeypatch.setattr(units, "_is_top_real_root", recorded)
+    with pytest.raises(NonnegativeFormNotFound):
+        make_nonnegative(a, u, module, root, attractor=attractor)
+    assert sign_at(u.element, root) > 0
+    assert [value for value, _ in calls] == [u.element ** k for k in range(1, units._K_MAX + 1)]
+    assert [charpoly(m) for _, m in calls] == [charpoly(mat_pow(a, k))
+                                              for k in range(1, units._K_MAX + 1)]
 
 
 # totally real fields of degree 2 to 5 (definite trace forms) and x^3 - 2

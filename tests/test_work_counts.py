@@ -410,3 +410,50 @@ def test_level47a_carries_its_row_enclosures(monkeypatch):
         hecke.af_of_eigenform(f)
     assert counts["_enclose"] < 300
     assert counts["_sharpen"] == 5
+
+
+def test_level47a_form_search_carries_its_powers(monkeypatch):
+    """level47a@3's form search forms C_B = B^-1 A B once for each of its
+    two bases (the identity's is A) and steps B^-1 A^k B by one product
+    with it per power: 24 integer matrix products in the whole run, where
+    A^k by repeated squaring at every power (12 mat_pow calls) and both
+    base-change products at every (power, base) made 107."""
+    f = load_newform(LEVEL47A.read_text())
+    assert f.working_embedding_index() == 3
+    products = _count(monkeypatch, "mat_mul", intmat, units)
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert 0 < products[0] <= 26
+
+
+_STATIONARY = ["level23a@0", "level23a@1", "level71a@0", "level71a@1", "level71a@2",
+               "level71b@0", "level71b@1", "level71b@2"]
+
+
+@pytest.mark.parametrize("spec", _STATIONARY)
+def test_stationary_runs_compute_no_lll_base(monkeypatch, spec):
+    """Every bundled stationary run realizes its form in the attractor
+    basis, before the form search reaches the LLL base, so none computes
+    the LLL transform (each computed it once, before any candidate)."""
+    name, index = spec.split("@")
+    f = dataclasses.replace(hecke.load_fixture(name), embedding_index=int(index))
+    lll = _count(monkeypatch, "_lll_transform", units)
+    assert isinstance(hecke.af_of_eigenform(f).af, hecke.StationaryAF)
+    assert lll[0] == 0
+
+
+def test_level47a_expansion_recomputes_the_same_states(capsys):
+    """tools/expand_times.py counts the states whose row enclosures are
+    enclosed again from the basis bounds: with the carried step taken
+    inline, level47a@3's 512-state expansion still encloses 12 of them
+    again, as many as when the enclosure object carried the step."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "expand_times.py"
+    spec = importlib.util.spec_from_file_location("expand_times", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main([f"{LEVEL47A}@3", "--steps", "512"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:3] == ["3", "511", "no"]
+    assert row[-3:-1] == ["1536", "12"]

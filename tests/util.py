@@ -2,7 +2,19 @@
 
 from fractions import Fraction
 
-from heckeaf.exactnum.intmat import mat_identity
+from heckeaf.exactnum.intmat import mat_identity, mat_mul
+
+
+def mat_pow(a, e: int):
+    """A^e for e >= 0, by repeated squaring."""
+    result = mat_identity(len(a))
+    base = a
+    while e:
+        if e & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
+        e >>= 1
+    return result
 
 
 def random_unimodular(n, rng, steps=14):
@@ -48,3 +60,22 @@ def random_rational(rng, span=40):
 
 def random_element(field, rng, span=12):
     return field.element([random_rational(rng, span) for _ in range(field.degree)])
+
+
+def irreducible_totally_real(abc) -> bool:
+    """x^3 + a x^2 + b x + c has no rational root (an integer root divides
+    c) and a positive discriminant."""
+    a, b, c = abc
+    if any(r ** 3 + a * r * r + b * r + c == 0 for r in range(-abs(c), abs(c) + 1)):
+        return False
+    return 18 * a * b * c - 4 * a ** 3 * c + a * a * b * b - 4 * b ** 3 - 27 * c * c > 0
+
+
+# Z[a], Z + Za + 2Za^2, 2Z + Za + Za^2 and Z + 3Za + Za^2, as generator
+# coordinates in 1, a, a^2
+CUBIC_FAMILIES = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 2)),
+    ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 3, 0), (0, 0, 1)),
+)

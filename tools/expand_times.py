@@ -45,7 +45,7 @@ def expand(module, root, steps: int):
     seen, bits, recomputed = [], [0], [0]
     engine = mcf._expand_states
     sharpen = mcf._BasisEnclosure._sharpen
-    carried = mcf._BasisEnclosure._carried_floors
+    enclosed = mcf._BasisEnclosure.ratio_floors
 
     def recorded(*args):
         seen.append(engine(*args))
@@ -55,14 +55,13 @@ def expand(module, root, steps: int):
         bits[0] = prec
         sharpen(self, prec)
 
-    def carried_or_none(self, *args):
-        key = carried(self, *args)
-        recomputed[0] += key is None
-        return key
+    def recomputing(self, *args):
+        recomputed[0] += 1
+        return enclosed(self, *args)
 
     with patch.object(mcf, "_expand_states", recorded), \
             patch.object(mcf._BasisEnclosure, "_sharpen", sharpened), \
-            patch.object(mcf._BasisEnclosure, "_carried_floors", carried_or_none):
+            patch.object(mcf._BasisEnclosure, "ratio_floors", recomputing):
         started = perf_counter()
         _attractor_data(module, root, max_steps=steps)
         elapsed = perf_counter() - started

@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""Median in-process wall time of the three stages of `heckeaf af`.
+"""Median in-process wall time of the stages of `heckeaf af`.
 
 For each fixture (a bundled name or a path, with an optional `@i` that
 sets the embedding index) the script runs, REPEATS times after one
 untimed warm-up run:
 
   load    read the fixture file and `load_newform` it (parse and verify)
-  af      `af_of_eigenform` (a typed pipeline failure ends the stage)
+  af      `af_of_eigenform` (a typed pipeline failure ends the stage),
+          split into
+    expand  the module's Jacobi-Perron expansion (`_attractor_data`)
+    unit    the unit search (`find_unit`)
+    form    the non-negative form search (`make_nonnegative`)
+    rest    the rest of `af_of_eigenform`
   report  `build_report` plus `report_json`
 
-and prints the median of each stage in milliseconds.  The fixture is
-written with its embedding index to a temporary file first, so the read
-is a plain file read, as in `heckeaf af <path>`.  A fixture that does
-not load (an unknown name, an index that is not an integer or is out of
-range) is a usage error (exit code 2), before anything is timed.
+and prints the median of each column in milliseconds.  The three parts
+of af are timed by wrapping the functions of those names where `hecke`
+calls them, for the run only, so the pipeline runs as it is.  The
+fixture is written with its embedding index to a temporary file first,
+so the read is a plain file read, as in `heckeaf af <path>`.  A
+fixture that does not load (an unknown name, an index that is not an
+integer or is out of range) is a usage error (exit code 2), before
+anything is timed.
 
 Usage: python3 tools/stage_times.py level23a level71a@2 perfbench/data/level47a.json
 """
@@ -24,18 +32,25 @@ import json
 import statistics
 import sys
 import tempfile
+from contextlib import ExitStack
 from importlib import resources
 from pathlib import Path
 from time import perf_counter
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from heckeaf import hecke  # noqa: E402
 from heckeaf.cli import build_report, report_json  # noqa: E402
 from heckeaf.errors import HeckeafError  # noqa: E402
 from heckeaf.hecke import af_of_eigenform, load_newform  # noqa: E402
 
 REPEATS = 11
+
+# the parts of the af stage, by the hecke function each one times
+AF_PARTS = {"expand": "_attractor_data", "unit": "find_unit", "form": "make_nonnegative"}
+COLUMNS = ("load", *AF_PARTS, "rest", "report")
 
 
 def fixture_text(spec: str) -> str:
@@ -51,19 +66,39 @@ def fixture_text(spec: str) -> str:
     return json.dumps(dict(json.loads(text), embedding_index=int(index)))
 
 
+def _timed(function, spent: dict, part: str):
+    """function, adding the wall time of each call to spent[part]."""
+    def wrapper(*args, **kwargs):
+        started = perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            spent[part] += perf_counter() - started
+    return wrapper
+
+
 def stage_times(path: Path):
-    """One run of the three stages on the fixture file: their wall times."""
+    """One run of the stages on the fixture file: their wall times, in the
+    order of COLUMNS."""
+    spent = dict.fromkeys(AF_PARTS, 0.0)
     started = perf_counter()
     f = load_newform(path.read_text())
     loaded = perf_counter()
     result = error = None
-    try:
-        result = af_of_eigenform(f)
-    except HeckeafError as exc:
-        error = {"stage": type(exc).__name__, "message": str(exc)}
-    computed = perf_counter()
+    with ExitStack() as stack:
+        for part, name in AF_PARTS.items():
+            timed = _timed(getattr(hecke, name), spent, part)
+            stack.enter_context(patch.object(hecke, name, timed))
+        began = perf_counter()
+        try:
+            result = af_of_eigenform(f)
+        except HeckeafError as exc:
+            error = {"stage": type(exc).__name__, "message": str(exc)}
+        computed = perf_counter()
     report_json(build_report(f, result=result, error=error, timings={"total_s": "0"}))
-    return loaded - started, computed - loaded, perf_counter() - computed
+    reported = perf_counter()
+    parts = list(spent.values())
+    return (loaded - started, *parts, computed - began - sum(parts), reported - computed)
 
 
 def main(specs) -> int:
@@ -76,7 +111,8 @@ def main(specs) -> int:
         except (OSError, ValueError, HeckeafError) as exc:
             print(f"stage_times.py: cannot load {spec}: {exc}", file=sys.stderr)
             return 2
-    print(f"{'fixture':<32} {'load ms':>9} {'af ms':>9} {'report ms':>9}   (median of {REPEATS})")
+    header = " ".join(f"{column + ' ms':>9}" for column in COLUMNS)
+    print(f"{'fixture':<32} {header}   (median of {REPEATS})")
     with tempfile.TemporaryDirectory() as tmp:
         for spec in specs:
             path = Path(tmp) / "fixture.json"
