@@ -5,24 +5,30 @@ element is an integer numerator vector over one positive denominator in
 the power basis 1, x, ..., x^(n-1), in lowest terms (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, 4.2): sums and products
 are integer operations normalized once, and the inverse, norm and trace
-come from the integer multiplication matrix.  Real embeddings are
-represented by isolating intervals with rational endpoints; every
-numeric question is answered on one ladder of enclosures,
-enclosures(a, root): the interval values of a over the root interval and
-over its successive refinements to a quarter of the previous width, each
-an interval Horner sum on integers scaled by the endpoints' common
-denominator, never by floating point.  Signs and floors walk the ladder
-until an enclosure settles them; an interval value of width < eps
-(eval_embedding) jumps to the first level that narrow, by one refinement
-a probe from the deepest level known too wide.  A root interval is
-refined by bisection on integers, with Newton jumps over many halvings at
-once; a jump is taken only when two signs certify that it lands on the
-interval bisection would return (RealRootInterval.refined).
+come from the integer multiplication matrix.
+
+Real embeddings are represented by isolating intervals with rational
+endpoints, and every numeric question is answered on integers, never by
+floating point.  Each root interval carries a refinement ladder: level j
+is the interval after 3j halvings, refined once, when a question first
+needs it, from the deepest level known below it, and kept for every later
+question at that root (_level).  enclosures(a, root) walks the ladder:
+at each level one interval Horner sum on integers scaled by the
+endpoints' common denominator gives a triple (lo, hi, scale), scale > 0,
+with lo / scale <= sigma(a) <= hi / scale (_interval_horner).  Signs,
+floors and comparisons between images read the triples, cross-multiplying
+scales where two roots meet, and build no Fraction; an interval value of
+width < eps (eval_embedding) probes to the first level that narrow, and
+only that interval becomes two Fractions.  A root interval is refined by
+bisection on integers, with Newton jumps over many halvings at once; a
+jump is taken only when two signs certify that it lands on the interval
+bisection would return (RealRootInterval.refined), so a level is the same
+interval from whichever coarser level it is refined.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -36,12 +42,19 @@ class RealRootInterval:
     """An open interval (lo, hi) isolating a single real root of poly.
 
     poly changes sign across the interval and has exactly one root inside.
-    Refinement returns new intervals; instances are immutable.
+    Refinement returns new intervals; the endpoints never change.  The
+    interval carries its refinement ladder (_level): level j is the
+    interval after 3j halvings, and each level is refined once, when a
+    question first needs it, and kept for every later question at this
+    root.  The ladder is not part of the value (equality, hash and repr
+    ignore it) and lives as long as the interval, so no two fields share
+    one.
     """
 
     poly: IntPolynomial
     lo: Fraction
     hi: Fraction
+    _ladder: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def width(self) -> Fraction:
@@ -489,35 +502,53 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # embeddings: interval evaluation, signs, floors
 
-def enclosures(a: FieldElement, root: RealRootInterval):
-    """Rational intervals certifiably containing sigma(a), without end: the
-    interval value of a over root, then over root refined to a quarter of
-    its width, and so on.  The intervals are nested and shrink to sigma(a),
-    so a walk over them settles any strict inequality between sigma(a) and
-    a rational, or another such walk, once the two differ."""
-    iv = root
+def _level(root: RealRootInterval, j: int) -> RealRootInterval:
+    """Level j of root's refinement ladder: root after 3j halvings, the
+    interval of one refined call to width < 2 w / 8^j, w = root.width.
+
+    A missing level is refined once, from the deepest level below it known
+    so far, and kept.  For an irrational root no cut is the root, so each
+    halving is bisection's and Newton jumps land on bisection's cells
+    (RealRootInterval.refined): the interval is the same from every
+    coarser level, whatever levels were made before.
+    """
+    if j == 0:
+        return root
+    ladder = root._ladder
+    iv = ladder.get(j)
+    if iv is None:
+        below = max((k for k in ladder if k < j), default=0)
+        iv = ladder[below] if below else root
+        iv = ladder[j] = iv.refined(2 * root.width / (1 << 3 * j))
+    return iv
+
+
+def enclosures(a: FieldElement, root: RealRootInterval, level: int = 0):
+    """Integer enclosures (lo, hi, scale), scale > 0, of sigma(a), without
+    end: lo / scale <= sigma(a) <= hi / scale is the interval Horner value
+    of a over level j of root's ladder, for j = level, level + 1, ...
+    Each level is a quarter of the width of the one before, so the
+    enclosures are nested and shrink to sigma(a), and a walk over them
+    settles any strict inequality between sigma(a) and a rational, or
+    another such walk, once the two differ.  A walk refines only the
+    levels no earlier walk at root has made, and builds no Fraction
+    beyond their endpoints."""
+    num, den = a.num, a.den
     while True:
-        yield _interval_horner(a.num, a.den, iv.lo, iv.hi)
-        iv = iv.refined(iv.width / 4)
+        iv = _level(root, level)
+        yield _interval_horner(num, den, iv.lo, iv.hi)
+        level += 1
 
 
 def eval_embedding(a: FieldElement, root: RealRootInterval, eps) -> tuple:
-    """The first of enclosures(a, root) of width < eps, where root isolates
-    an irrational root: one of a field's minimal polynomial, irreducible of
-    degree >= 2.
+    """The first of enclosures(a, root) of width < eps, as two Fractions,
+    where root isolates an irrational root: one of a field's minimal
+    polynomial, irreducible of degree >= 2.  A rational a is (a, a).
 
-    Level j of enclosures is a over the root interval after 3j halvings.
-    No cut is the irrational root, so each halving is bisection's and the
-    interval of level j is that of one refined call to width w / 2^(3j-1),
-    w = root.width, made from the interval of any coarser level: Newton
-    jumps land on bisection's cells (RealRootInterval.refined).  The
-    intervals are nested and interval Horner is inclusion-isotone, so the
-    widths never grow with j, and the first level narrower than eps lies
-    above the deepest level known wide and at or below the shallowest
-    known narrow.  Each probe is refined from the deepest wide level to
-    the level the known widths point at, as a level shrinks a narrow
-    interval's enclosure about 8-fold; two probes usually settle it, a
-    wide level and the next one narrow.
+    The width tests and probes run on the integer triples and on root's
+    ladder, which they extend by at most one level a probe (_first_narrow);
+    the interval returned is the only one made into Fractions, for the
+    reports that print it.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -525,44 +556,64 @@ def eval_embedding(a: FieldElement, root: RealRootInterval, eps) -> tuple:
     if a.is_rational():
         v = Fraction(a.num[0], a.den)
         return (v, v)
+    _, lo, hi, scale = _first_narrow(a, root, eps.numerator, eps.denominator)
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
+def _first_narrow(a: FieldElement, root: RealRootInterval, p: int, q: int) -> tuple:
+    """(j, lo, hi, scale) for the first level j whose enclosure (lo, hi,
+    scale) of enclosures(a, root) is narrower than p / q > 0: the test
+    (hi - lo) q < p scale is on integers.  A rational a is exact at
+    level 0.
+
+    The intervals are nested and interval Horner is inclusion-isotone, so
+    the widths never grow with j, and the first level narrower than p / q
+    lies above the deepest level known wide and at or below the shallowest
+    known narrow.  Each probe is the level the known widths point at, as a
+    level shrinks a narrow interval's enclosure about 8-fold, and costs at
+    most one refinement (_level); two probes usually settle it, a wide
+    level and the next one narrow.
+    """
     num, den = a.num, a.den
-    top = 2 * root.width  # level j is at width < top / 8^j
-    iv, level = root, 0  # the deepest level known wide
-    lo, hi = _interval_horner(num, den, root.lo, root.hi)
-    if hi - lo < eps:
-        return lo, hi
-    width = hi - lo
+    lo, hi, scale = _interval_horner(num, den, root.lo, root.hi)
+    if (hi - lo) * q < p * scale:
+        return 0, lo, hi, scale
+    level, wide = 0, ((hi - lo) * q, p * scale)  # the deepest level known wide, width / eps
     first = narrow = None  # the shallowest level known narrow, its enclosure
     while first != level + 1:
         if first is None:
-            probe = level + max(1, _floor_log2(width / eps) // 3)
+            probe = level + max(1, _floor_log2(*wide) // 3)
         else:
-            probe = max(level + 1, first - 1 - _floor_log2(eps / (narrow[1] - narrow[0])) // 3)
-        cell = iv.refined(top / (1 << 3 * probe))
-        lo, hi = _interval_horner(num, den, cell.lo, cell.hi)
-        if hi - lo < eps:
-            first, narrow = probe, (lo, hi)
+            bits = _floor_log2(p * narrow[2], (narrow[1] - narrow[0]) * q)  # of eps / width
+            probe = max(level + 1, first - 1 - bits // 3)
+        iv = _level(root, probe)
+        lo, hi, scale = _interval_horner(num, den, iv.lo, iv.hi)
+        if (hi - lo) * q < p * scale:
+            first, narrow = probe, (lo, hi, scale)
         else:
-            iv, level, width = cell, probe, hi - lo
-    return narrow
+            level, wide = probe, ((hi - lo) * q, p * scale)
+    return (first, *narrow)
 
 
-def _floor_log2(x: Fraction) -> int:
-    """The k with 2^k <= x < 2^(k+1), for x > 0."""
-    p, q = x.numerator, x.denominator
+def _floor_log2(p: int, q: int) -> int:
+    """The k with 2^k <= p / q < 2^(k+1), for integers p, q > 0."""
     k = p.bit_length() - q.bit_length()
     return k - 1 if p << max(-k, 0) < q << max(k, 0) else k
 
 
 def _interval_horner(num, den, lo, hi):
-    """Evaluate sum num[i] t^i / den over t in [lo, hi], exactly.
+    """(l, h, scale), scale > 0, with l / scale <= sum num[i] t^i / den <=
+    h / scale for every t in [lo, hi]: interval Horner, exactly, on
+    integers.
 
-    Interval Horner on integers: with lo = a / D and hi = b / D over the
-    endpoints' common denominator D, the accumulator after j steps is
-    kept times D^j, so the coefficient added at step j is scaled by D^j,
-    and min and max, which commute with positive scaling, pick the same
-    candidates as over the rationals.  The two endpoints divided by
-    D^(n-1) den are the only Fractions built.
+    With lo = a / D and hi = b / D over the endpoints' common denominator
+    D, the accumulator after j steps is kept times D^j, so the coefficient
+    added at step j is scaled by D^j; the scale is D^(n-1) den.  The
+    product of the accumulator [L, H] with [a, b] has its ends among the
+    four corner products, and the signs pick them, as positive scaling
+    keeps every sign: for a >= 0 the ends are L times a or b and H times b
+    or a, for b <= 0 the same with L and H swapped, and across 0 they are
+    min(L b, H a) and max(L a, H b).  No Fraction is built.
     """
     dl, dh = lo.denominator, hi.denominator
     d = dl * dh // gcd(dl, dh)
@@ -572,18 +623,24 @@ def _interval_horner(num, den, lo, hi):
     scale = 1
     for c in num[-2::-1]:
         scale *= d
-        cands = (cur_lo * a, cur_lo * b, cur_hi * a, cur_hi * b)
         c *= scale
-        cur_lo, cur_hi = min(cands) + c, max(cands) + c
-    scale *= den
-    return Fraction(cur_lo, scale), Fraction(cur_hi, scale)
+        if a >= 0:
+            cur_lo, cur_hi = cur_lo * (a if cur_lo >= 0 else b), cur_hi * (b if cur_hi >= 0 else a)
+        elif b <= 0:
+            cur_lo, cur_hi = cur_hi * (a if cur_hi >= 0 else b), cur_lo * (b if cur_lo >= 0 else a)
+        else:
+            cur_lo, cur_hi = min(cur_lo * b, cur_hi * a), max(cur_lo * a, cur_hi * b)
+        cur_lo += c
+        cur_hi += c
+    return cur_lo, cur_hi, scale * den
 
 
 def sign_at(a: FieldElement, root: RealRootInterval) -> int:
-    """Exact sign of sigma(a): symbolic zero test first, then intervals."""
+    """Exact sign of sigma(a): symbolic zero test first, then the first
+    enclosure on one side of 0."""
     if a.is_zero():
         return 0
-    for lo, hi in enclosures(a, root):
+    for lo, hi, _ in enclosures(a, root):
         if lo > 0:
             return 1
         if hi < 0:
@@ -596,9 +653,9 @@ def exact_floor(a: FieldElement, root: RealRootInterval) -> int:
         return a.num[0] // a.den
     # irrational image: both endpoints eventually share a floor, and the
     # image itself is never an integer, so that floor is the answer
-    for lo, hi in enclosures(a, root):
-        if lo.numerator // lo.denominator == hi.numerator // hi.denominator:
-            return lo.numerator // lo.denominator
+    for lo, hi, scale in enclosures(a, root):
+        if lo // scale == hi // scale:
+            return lo // scale
 
 
 # ---------------------------------------------------------------------------

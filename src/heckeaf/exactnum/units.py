@@ -79,15 +79,19 @@ def _dominant_of_full_degree(u: FieldElement, root: RealRootInterval) -> bool:
 def _exceeds_other_images(v: FieldElement, root: RealRootInterval) -> bool:
     """Whether sigma(v) at root exceeds v's other real images, for v of the
     field's degree: one walk over the enclosures of v at every real root,
-    in step, until root's interval lies above all the others or below one."""
+    in step, until root's interval lies above all the others or below one.
+    Enclosures at two roots have their own scales, so each comparison
+    cross-multiplies them: hi / s < lo_e / s_e exactly when hi s_e < lo_e s.
+    Each root's ladder keeps its levels, so a later candidate's walk
+    refines only below the deepest level an earlier one reached."""
     roots = v.field.real_roots
     idx = roots.index(root)
     for vals in zip(*(enclosures(v, r) for r in roots)):
-        lo_e, hi_e = vals[idx]
+        lo_e, hi_e, s_e = vals[idx]
         others = [w for j, w in enumerate(vals) if j != idx]
-        if all(hi < lo_e for lo, hi in others):
+        if all(hi * s_e < lo_e * s for lo, hi, s in others):
             return True
-        if any(lo > hi_e for lo, hi in others):
+        if any(lo * s_e > hi_e * s for lo, hi, s in others):
             return False
 
 
@@ -140,16 +144,17 @@ def _expanding_representative(alpha: FieldElement, root: RealRootInterval):
     """The member of {alpha, -alpha, alpha^-1, -alpha^-1} with image > 1.
 
     alpha must be irrational: then sigma(alpha) is none of -1, 0, 1, and
-    one walk over its enclosures ends when an interval avoids all three.
+    one walk over its enclosures (lo, hi, scale) ends when an interval
+    avoids all three, compared as lo and hi against -scale, 0 and scale.
     """
-    for lo, hi in enclosures(alpha, root):
-        if lo > 1:
+    for lo, hi, scale in enclosures(alpha, root):
+        if lo > scale:
             return alpha
-        if hi < -1:
+        if hi < -scale:
             return -alpha
-        if 0 < lo and hi < 1:
+        if 0 < lo and hi < scale:
             return alpha.inverse()
-        if -1 < lo and hi < 0:
+        if -scale < lo and hi < 0:
             return -alpha.inverse()
 
 

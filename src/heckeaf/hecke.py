@@ -40,7 +40,7 @@ from .errors import (
     NotTotallyReal,
     SchemaError,
 )
-from .exactnum.field import FieldElement, NumberField, enclosures, eval_embedding, make_field
+from .exactnum.field import FieldElement, NumberField, _first_narrow, enclosures, make_field
 from .exactnum.intmat import charpoly
 from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
@@ -496,15 +496,19 @@ class EigenformAFResult:
 
 
 def _image_and_expanding(elem: FieldElement, root):
-    """The first enclosure of sigma(elem) narrower than 10^-8, and the
-    exact |sigma(elem)| > 1 test (units never have |image| exactly 1),
-    which that enclosure settles unless it straddles -1 or 1.  Only then
-    is the ladder walked, on to an enclosure that settles it; its levels
-    down to the image's contain the image and settle nothing."""
-    image = eval_embedding(elem, root, Fraction(1, 10 ** 8))
-    for lo, hi in chain([image], enclosures(elem, root)):
-        if lo > 1 or hi < -1 or -1 < lo and hi < 1:
-            return image, lo > 1 or hi < -1
+    """The first enclosure of sigma(elem) narrower than 10^-8, as the two
+    Fractions eval_embedding gives, and the exact |sigma(elem)| > 1 test
+    (units never have |image| exactly 1), which that enclosure settles
+    unless it straddles -1 or 1.  Only then is the root's ladder walked,
+    from the level below the image's, on to an enclosure that settles it:
+    the levels above contain the image and settle nothing.  The walk
+    compares the integer enclosures (lo, hi, scale) with -scale and scale,
+    and reuses the levels the image's probes refined."""
+    level, lo, hi, scale = _first_narrow(elem, root, 1, 10 ** 8)
+    image = (Fraction(lo, scale), Fraction(hi, scale))
+    for lo, hi, scale in chain([(lo, hi, scale)], enclosures(elem, root, level + 1)):
+        if lo > scale or hi < -scale or -scale < lo and hi < scale:
+            return image, lo > scale or hi < -scale
 
 
 def af_of_eigenform(f: NewformData) -> EigenformAFResult:

@@ -42,7 +42,7 @@ from .exactnum.field import (
     FieldElement,
     NumberField,
     RealRootInterval,
-    eval_embedding,
+    _first_narrow,
     exact_floor,
     make_field,
     sign_at,
@@ -162,10 +162,14 @@ def _combination(row, basis, field) -> FieldElement:
 
 
 def _floor_pair(lo, hi, lo0, hi0, bits):
-    """floor(2^bits x / y) at the two ends of x / y for x in [lo, hi] and y
-    in [lo0, hi0], lo0 > 0."""
-    return ((lo << bits) // (hi0 if lo >= 0 else lo0),
-            (hi << bits) // (lo0 if hi >= 0 else hi0))
+    """(f, same): f = floor(2^bits x / y) at the top end of x / y for x in
+    [lo, hi] and y in [lo0, hi0], lo0 > 0, and whether the bottom end
+    lo / y (y = hi0 if lo >= 0 else lo0) has the same floor.  That is
+    f y <= 2^bits lo < (f + 1) y, one product and a remainder test in
+    place of a second division."""
+    floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
+    y = hi0 if lo >= 0 else lo0
+    return floor_hi, 0 <= (lo << bits) - floor_hi * y < y
 
 
 class _BasisEnclosure:
@@ -186,13 +190,14 @@ class _BasisEnclosure:
         self._sharpen(prec)
 
     def _sharpen(self, prec: int) -> None:
+        """Bounds at precision prec, from the first enclosure (lo, hi,
+        scale) of each basis element narrower than 2^-prec, floored and
+        ceiled on integers: a_k = floor(2^p lo / scale)."""
         self._root = self._root.refined(Fraction(1, 1 << (prec + 8)))
-        eps = Fraction(1, 1 << prec)
         bounds = []
         for g in self._basis:
-            lo, hi = eval_embedding(g, self._root, eps)
-            bounds.append(((lo.numerator << prec) // lo.denominator,
-                           -((-hi.numerator << prec) // hi.denominator)))
+            _, lo, hi, scale = _first_narrow(g, self._root, 1, 1 << prec)
+            bounds.append(((lo << prec) // scale, -((-hi << prec) // scale)))
         self._prec = prec
         self._bounds = bounds
 
@@ -217,9 +222,9 @@ class _BasisEnclosure:
         for row in w[1:]:
             lo, hi = self._enclose(row)
             # the ratio lies in [lo, hi] / [lo0, hi0] with a positive divisor
-            floor_lo, floor_hi = _floor_pair(lo, hi, lo0, hi0, bits)
+            floor_hi, same = _floor_pair(lo, hi, lo0, hi0, bits)
             # a rational ratio may sit on a boundary: 2^bits v_j = floor_hi v_0
-            if floor_lo != floor_hi and not self._is_zero(
+            if not same and not self._is_zero(
                     [(x << bits) - floor_hi * y for x, y in zip(row, w[0])]):
                 return None
             key.append(floor_hi)
@@ -299,8 +304,10 @@ def _expand_states(basis, root: RealRootInterval, w, max_states: int):
             lo0, hi0 = rows[0]
             floors = []
             for lo, hi in rows[1:]:
+                # _floor_pair, inline
                 floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
-                if (lo << bits) // (hi0 if lo >= 0 else lo0) != floor_hi:
+                y = hi0 if lo >= 0 else lo0
+                if not 0 <= (lo << bits) - floor_hi * y < y:
                     break
                 floors.append(floor_hi)
             else:

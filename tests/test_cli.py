@@ -671,7 +671,9 @@ def test_version_flag(capsys):
 def test_stage_times_prints_one_row_of_medians(capsys):
     """tools/stage_times.py runs load, af and report on a fixture and prints
     a header and one row: the fixture and six non-negative medians (ms),
-    load, the af stage split into expand, unit, form and rest, and report."""
+    load, the af stage split into expand, unit, form and rest, and report,
+    then the af stage's calls of RealRootInterval.refined and
+    _scaled_value in one run, as non-negative integers."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
@@ -683,8 +685,10 @@ def test_stage_times_prints_one_row_of_medians(capsys):
     assert len(lines) == 2
     fields = lines[1].split()
     assert lines[0].split()[1:12:2] == ["load", "expand", "unit", "form", "rest", "report"]
-    assert fields[0] == "level23a@0" and len(fields) == 7
-    assert all(float(ms) >= 0 for ms in fields[1:])
+    assert lines[0].split()[13:15] == ["refined", "scaled"]
+    assert fields[0] == "level23a@0" and len(fields) == 9
+    assert all(float(ms) >= 0 for ms in fields[1:7])
+    assert all(count.isdigit() for count in fields[7:])
     # a fixture that does not load is a usage error before anything is timed
     for spec in ("level23a@7", "level23a@x", "nofixture"):
         assert tool.main(["level23a@0", spec]) == 2

@@ -8,20 +8,37 @@ walks the images of the value at every real root, keeps the Sturm
 isolation of the char poly as its reference.  The interval Horner sum,
 which now runs on integers scaled by the endpoints' common denominator,
 keeps its Fraction version as its reference, and the loops run on it.
+
+The walks now read integer triples (lo, hi, scale) off a refinement
+ladder kept on each root.  The Fraction walks they replaced, which
+refined every walk from the coarse root interval in quarter steps and
+compared Fractions from a Horner sum that built them, are kept here as
+references too (walk_*): the integer walks must give the same signs,
+floors, dominance verdicts and representatives, on the bundled fields
+and on drawn totally real cubics, whatever the ladders already hold.
 """
 
 from fractions import Fraction
 from functools import cache
+from itertools import islice
+from math import gcd
 from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
 from heckeaf import hecke
 from heckeaf.exactnum import IntPolynomial, eval_embedding, exact_floor, make_field, sign_at
-from heckeaf.exactnum.field import _interval_horner, enclosures, isolate_real_roots
+from heckeaf.exactnum.field import (
+    RealRootInterval,
+    _interval_horner,
+    _level,
+    enclosures,
+    isolate_real_roots,
+)
 from heckeaf.errors import HeckeafError, NotSquarefree
 from heckeaf.exactnum.intmat import charpoly
 from heckeaf.exactnum.units import (
+    _exceeds_other_images,
     _expanding_representative,
     _is_top_real_root,
     is_dominant_at,
@@ -153,6 +170,78 @@ def ref_expanding_representative(alpha, root):
     return None
 
 
+# -- the Fraction walks, as they were -----------------------------------------
+
+def fraction_interval_horner(num, den, lo, hi):
+    """The interval Horner sum on integers that returned its two ends as
+    Fractions: the accumulator after j steps kept times D^j over the
+    endpoints' common denominator D, min and max of the four products."""
+    dl, dh = lo.denominator, hi.denominator
+    d = dl * dh // gcd(dl, dh)
+    a = lo.numerator * (d // dl)
+    b = hi.numerator * (d // dh)
+    cur_lo = cur_hi = num[-1]
+    scale = 1
+    for c in num[-2::-1]:
+        scale *= d
+        cands = (cur_lo * a, cur_lo * b, cur_hi * a, cur_hi * b)
+        c *= scale
+        cur_lo, cur_hi = min(cands) + c, max(cands) + c
+    scale *= den
+    return Fraction(cur_lo, scale), Fraction(cur_hi, scale)
+
+
+def walk_enclosures(a, root):
+    """The Fraction enclosures of sigma(a) over root and its successive
+    quarter-width refinements, each refined from the one before."""
+    iv = root
+    while True:
+        yield fraction_interval_horner(a.num, a.den, iv.lo, iv.hi)
+        iv = iv.refined(iv.width / 4)
+
+
+def walk_sign_at(a, root):
+    if a.is_zero():
+        return 0
+    for lo, hi in walk_enclosures(a, root):
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+
+
+def walk_exact_floor(a, root):
+    if a.is_rational():
+        return a.num[0] // a.den
+    for lo, hi in walk_enclosures(a, root):
+        if lo.numerator // lo.denominator == hi.numerator // hi.denominator:
+            return lo.numerator // lo.denominator
+
+
+def walk_exceeds_other_images(v, root):
+    roots = v.field.real_roots
+    idx = roots.index(root)
+    for vals in zip(*(walk_enclosures(v, r) for r in roots)):
+        lo_e, hi_e = vals[idx]
+        others = [w for j, w in enumerate(vals) if j != idx]
+        if all(hi < lo_e for lo, hi in others):
+            return True
+        if any(lo > hi_e for lo, hi in others):
+            return False
+
+
+def walk_expanding_representative(alpha, root):
+    for lo, hi in walk_enclosures(alpha, root):
+        if lo > 1:
+            return alpha
+        if hi < -1:
+            return -alpha
+        if 0 < lo and hi < 1:
+            return alpha.inverse()
+        if -1 < lo and hi < 0:
+            return -alpha.inverse()
+
+
 # -- drawn elements at drawn roots ---------------------------------------------
 
 _RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
@@ -182,12 +271,16 @@ _ENDPOINTS = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 
 @settings(max_examples=200, deadline=None)
 @given(_element_at_root(), _ENDPOINTS, _ENDPOINTS)
 def test_integer_horner_matches_the_fraction_horner(case, p, q):
-    """The same Fraction pair as the Fraction Horner, on drawn elements
-    and drawn intervals (a point interval included), not only on root
-    intervals."""
+    """The integer triple (lo, hi, scale) is the Fraction Horner's pair
+    over scale > 0, on drawn elements and drawn intervals (a point
+    interval included, and intervals on either side of 0 and across it),
+    not only on root intervals."""
     a, _ = case
     lo, hi = min(p, q), max(p, q)
-    assert _interval_horner(a.num, a.den, lo, hi) == ref_interval_horner(a.coords, lo, hi)
+    low, high, scale = _interval_horner(a.num, a.den, lo, hi)
+    assert scale > 0
+    assert ((Fraction(low, scale), Fraction(high, scale)) == ref_interval_horner(a.coords, lo, hi)
+            == fraction_interval_horner(a.num, a.den, lo, hi))
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,7 +362,7 @@ def test_expanding_representative_in_each_region():
 @given(_element_at_root())
 def test_enclosures_are_nested_and_contain_the_value(case):
     a, root = case
-    walk = enclosures(a, root)
+    walk = ((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi, scale in enclosures(a, root))
     lo, hi = next(walk)
     for _ in range(6):
         inner_lo, inner_hi = next(walk)
@@ -324,3 +417,94 @@ def test_eval_embedding_is_the_first_narrow_enclosure_of_the_walk(field, data):
         a = field.element([data.draw(_COORDS_WITH_DENOMINATORS) for _ in range(field.degree)])
         eps = Fraction(1, 2 ** data.draw(st.integers(2, 400), label="bits"))
         assert eval_embedding(a, root, eps) == ref_eval_embedding(a, root, eps)
+
+
+# -- the ladder: one refinement per level and root, shared by every walk -------
+
+@settings(max_examples=60, deadline=None)
+@given(_irreducible_field(), st.data())
+def test_a_ladder_level_does_not_depend_on_the_levels_before_it(field, data):
+    """_level(root, j) is the interval of one refined call to width
+    2 w / 8^j from a fresh copy of the root, whichever levels were made
+    before it and in whatever order; it is made once and kept, and the
+    ladder changes neither equality nor hash of the root."""
+    for root in field.real_roots:
+        for k in data.draw(st.lists(st.integers(1, 60), max_size=4), label="earlier"):
+            _level(root, k)
+        j = data.draw(st.integers(0, 60), label="j")
+        fresh = RealRootInterval(root.poly, root.lo, root.hi)
+        assert not fresh._ladder
+        level = _level(root, j)
+        assert level == fresh.refined(2 * root.width / 8 ** j)
+        assert _level(root, j) is level
+        assert fresh == root and hash(fresh) == hash(root)
+
+
+def test_a_later_walk_refines_only_the_levels_it_adds(monkeypatch):
+    """Two walks at one root of a fresh field: the first, over levels 0
+    to 5, refines five levels; the second, over levels 0 to 7, only the
+    two the first did not reach."""
+    field = make_field(IntPolynomial((-1, -1, 1)))
+    root = field.real_roots[-1]
+    calls = [0]
+    original = RealRootInterval.refined
+
+    def counted(self, max_width):
+        calls[0] += 1
+        return original(self, max_width)
+
+    monkeypatch.setattr(RealRootInterval, "refined", counted)
+    first = list(islice(enclosures(field.gen, root), 6))
+    assert calls == [5]
+    second = list(islice(enclosures(field.gen, root), 8))
+    assert calls == [7]
+    assert second[:6] == first
+
+
+# -- the integer walks against the Fraction walks ------------------------------
+
+# the bundled fields of degree >= 2, and level47a's
+_BUNDLED = ("level23a", "level71a", "level71b", "level47a")
+
+
+@st.composite
+def _totally_real_cubic(draw):
+    """The field of a drawn monic irreducible cubic with three real roots."""
+    coeffs = [draw(st.integers(-12, 12)) for _ in range(3)] + [1]
+    try:
+        field = make_field(IntPolynomial(tuple(coeffs)))
+    except HeckeafError:  # reducible
+        assume(False)
+    assume(len(field.real_roots) == 3)
+    return field
+
+
+@st.composite
+def _walk_case(draw):
+    """A drawn element at a drawn real root of a bundled field, whose
+    ladders earlier examples may have filled, or of a fresh drawn totally
+    real cubic, whose ladders start empty."""
+    if draw(st.booleans()):
+        field = _field(draw(st.sampled_from(_BUNDLED)))
+    else:
+        field = draw(_totally_real_cubic())
+    root = draw(st.sampled_from(field.real_roots))
+    return field.element([draw(_RATIONALS) for _ in range(field.degree)]), root
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walk_case())
+def test_integer_walks_match_the_fraction_walks(case):
+    """Signs, floors and eval_embedding intervals, and for irrational
+    elements the expanding representative, and for elements of the
+    field's degree the dominance verdict, are those of the Fraction
+    walks."""
+    a, root = case
+    assert sign_at(a, root) == walk_sign_at(a, root)
+    assert exact_floor(a, root) == walk_exact_floor(a, root)
+    for eps in (Fraction(1, 10), Fraction(1, 10 ** 8), Fraction(1, 10 ** 30)):
+        assert eval_embedding(a, root, eps) == ref_eval_embedding(a, root, eps)
+    if not a.is_rational():
+        assert _expanding_representative(a, root) == walk_expanding_representative(a, root)
+    if a.degree_over_q() == a.field.degree:
+        assert _exceeds_other_images(a, root) == walk_exceeds_other_images(a, root)

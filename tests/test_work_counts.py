@@ -267,9 +267,12 @@ def test_conjugate_unit_images_jump_to_their_level(monkeypatch):
     """Each of level71a's three per-conjugate unit images, the first
     enclosure narrower than 10^-8, lies 10 or 11 quarter steps down its
     root's refinement ladder; eval_embedding reaches it with at most three
-    root refinements, where walking the ladder made one a step."""
+    root refinements, where walking the ladder made one a step.  The unit
+    comes from one load and is counted on the roots of another, whose
+    ladders no pipeline run has filled."""
+    unit = hecke.af_of_eigenform(hecke.load_fixture("level71a")).unit.element
     f = hecke.load_fixture("level71a")
-    unit = hecke.af_of_eigenform(f).unit.element
+    unit = f.field.from_integers(unit.num, unit.den)
     counts = []
     original = RealRootInterval.refined
 
@@ -283,6 +286,44 @@ def test_conjugate_unit_images_jump_to_their_level(monkeypatch):
         hecke._image_and_expanding(unit, root)
     assert len(counts) == 3
     assert all(0 < c <= 3 for c in counts)
+
+
+def test_level47a_dominance_walks_share_their_ladders(monkeypatch):
+    """find_unit's dominance walks (_exceeds_other_images) step the
+    enclosures of each candidate at all four real roots of level47a's
+    field, and every walk reads 2 to 4 levels of the roots' ladders.  Each
+    level is refined once and kept on its root, so one level47a@3 run
+    makes at most 20 root refinements (57 when every walk refined from the
+    coarse root interval), and the walks compare integer enclosures, so
+    they build no Fraction outside the ladder (_level), which builds a new
+    level's width and endpoints."""
+    f = load_newform(LEVEL47A.read_text())
+    assert f.working_embedding_index() == 3
+    refinements = _count(monkeypatch, "refined", RealRootInterval)
+    state = {"walking": False, "laddering": False, "built": 0}
+    level, walk, new = field._level, units._exceeds_other_images, Fraction.__new__
+
+    def within(key, function):
+        def wrapper(*args):
+            outer, state[key] = state[key], True
+            try:
+                return function(*args)
+            finally:
+                state[key] = outer
+        return wrapper
+
+    def counted_new(cls, *args, **kwargs):
+        if state["walking"] and not state["laddering"]:
+            state["built"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(field, "_level", within("laddering", level))
+    monkeypatch.setattr(units, "_exceeds_other_images", within("walking", walk))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert 0 < refinements[0] <= 20
+    assert state["built"] == 0
 
 
 def test_level47a_refines_its_root_by_newton_jumps(monkeypatch):

@@ -14,7 +14,13 @@ untimed warm-up run:
     rest    the rest of `af_of_eigenform`
   report  `build_report` plus `report_json`
 
-and prints the median of each column in milliseconds.  The three parts
+and prints the median of each column in milliseconds, then two work
+counts of one af stage: its calls of `RealRootInterval.refined` (root
+refinements, each a new level of a root's refinement ladder or a
+sharpening of the expansion's basis enclosures) and of `_scaled_value`
+(the polynomial signs those refinements evaluate).  Each run loads a
+fresh field, whose ladders start empty, so the counts are the same in
+every run; they are taken in the untimed warm-up run.  The three parts
 of af are timed by wrapping the functions of those names where `hecke`
 calls them, for the run only, so the pipeline runs as it is.  The
 fixture is written with its embedding index to a temporary file first,
@@ -44,6 +50,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from heckeaf import hecke  # noqa: E402
 from heckeaf.cli import build_report, report_json  # noqa: E402
 from heckeaf.errors import HeckeafError  # noqa: E402
+from heckeaf.exactnum import field  # noqa: E402
 from heckeaf.hecke import af_of_eigenform, load_newform  # noqa: E402
 
 REPEATS = 11
@@ -51,6 +58,8 @@ REPEATS = 11
 # the parts of the af stage, by the hecke function each one times
 AF_PARTS = {"expand": "_attractor_data", "unit": "find_unit", "form": "make_nonnegative"}
 COLUMNS = ("load", *AF_PARTS, "rest", "report")
+# the af stage's work counts, by the function each one counts the calls of
+COUNTS = {"refined": (field.RealRootInterval, "refined"), "scaled": (field, "_scaled_value")}
 
 
 def fixture_text(spec: str) -> str:
@@ -77,9 +86,18 @@ def _timed(function, spent: dict, part: str):
     return wrapper
 
 
-def stage_times(path: Path):
+def _counted(function, counts: dict, name: str):
+    """function, adding 1 to counts[name] at each call."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return function(*args, **kwargs)
+    return wrapper
+
+
+def stage_times(path: Path, counts: dict | None = None):
     """One run of the stages on the fixture file: their wall times, in the
-    order of COLUMNS."""
+    order of COLUMNS.  With a dict counts, the af stage's calls of the
+    functions in COUNTS are counted into it, by name."""
     spent = dict.fromkeys(AF_PARTS, 0.0)
     started = perf_counter()
     f = load_newform(path.read_text())
@@ -89,6 +107,9 @@ def stage_times(path: Path):
         for part, name in AF_PARTS.items():
             timed = _timed(getattr(hecke, name), spent, part)
             stack.enter_context(patch.object(hecke, name, timed))
+        for name, (owner, attribute) in (COUNTS.items() if counts is not None else ()):
+            counted = _counted(getattr(owner, attribute), counts, name)
+            stack.enter_context(patch.object(owner, attribute, counted))
         began = perf_counter()
         try:
             result = af_of_eigenform(f)
@@ -112,15 +133,18 @@ def main(specs) -> int:
             print(f"stage_times.py: cannot load {spec}: {exc}", file=sys.stderr)
             return 2
     header = " ".join(f"{column + ' ms':>9}" for column in COLUMNS)
-    print(f"{'fixture':<32} {header}   (median of {REPEATS})")
+    header += "".join(f" {name:>8}" for name in COUNTS)
+    print(f"{'fixture':<32} {header}   (median of {REPEATS}; af calls per run)")
     with tempfile.TemporaryDirectory() as tmp:
         for spec in specs:
             path = Path(tmp) / "fixture.json"
             path.write_text(fixture_text(spec))
-            stage_times(path)
+            counts = dict.fromkeys(COUNTS, 0)
+            stage_times(path, counts)
             runs = [stage_times(path) for _ in range(REPEATS)]
             medians = [statistics.median(column) * 1e3 for column in zip(*runs)]
-            print(f"{spec:<32} " + " ".join(f"{m:>9.3f}" for m in medians))
+            print(f"{spec:<32} " + " ".join(f"{m:>9.3f}" for m in medians)
+                  + "".join(f" {n:>8}" for n in counts.values()))
     return 0
 
 
