@@ -192,6 +192,8 @@ def cmd_cf(args) -> int:
 
 def cmd_jpa(args) -> int:
     _check_step_budget(args.max_steps)
+    if args.export and args.export[0] not in ("dot", "json"):
+        raise InputError(f"unknown export format {args.export[0]!r}")
     field = make_field(parse_poly(args.poly))
     if not field.real_roots:
         raise HeckeafError(f"{args.poly} has no real roots")
@@ -206,8 +208,6 @@ def cmd_jpa(args) -> int:
     _print_expansion(exp)
     if args.export:
         fmt, path = args.export
-        if fmt not in ("dot", "json"):
-            raise InputError(f"unknown export format {fmt!r}")
         descriptor = af_from_expansion(exp)
         Path(path).write_text(export_bratteli(descriptor, fmt))
         print(f"wrote {fmt} export to {path}")
@@ -280,8 +280,8 @@ def build_report(f, result=None, companion=None, error=None, timings=None) -> di
         else:
             report["type"] = "stationary"
             report["order"] = {
-                "den": str(result.order.module.den),
-                "rows": _matrix_strings(result.order.module.rows),
+                "den": str(result.unit.order.module.den),
+                "rows": _matrix_strings(result.unit.order.module.rows),
             }
             report["unit"] = {
                 "coords": [str(c) for c in result.unit.element.coords],

@@ -43,7 +43,8 @@ class RealRootInterval:
 
     poly changes sign across the interval and has exactly one root inside.
     Refinement returns new intervals; the endpoints never change.  The
-    interval carries its refinement ladder (_level): level j is the
+    interval carries its refinement ladder (_level), the one store of its
+    refinements, which every question at the root reads: level j is the
     interval after 3j halvings, and each level is refined once, when a
     question first needs it, and kept for every later question at this
     root.  The ladder is not part of the value (equality, hash and repr
@@ -510,14 +511,16 @@ def _level(root: RealRootInterval, j: int) -> RealRootInterval:
     so far, and kept.  For an irrational root no cut is the root, so each
     halving is bisection's and Newton jumps land on bisection's cells
     (RealRootInterval.refined): the interval is the same from every
-    coarser level, whatever levels were made before.
+    coarser level, whatever levels were made before.  The levels known
+    are read as one snapshot, so a level another thread stores meanwhile
+    changes no iteration.
     """
     if j == 0:
         return root
     ladder = root._ladder
     iv = ladder.get(j)
     if iv is None:
-        below = max((k for k in ladder if k < j), default=0)
+        below = max((k for k in tuple(ladder) if k < j), default=0)
         iv = ladder[below] if below else root
         iv = ladder[j] = iv.refined(2 * root.width / (1 << 3 * j))
     return iv

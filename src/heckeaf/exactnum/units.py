@@ -103,32 +103,6 @@ def _exceeds_other_images(v: FieldElement, root: RealRootInterval) -> bool:
 _MAX_CANDIDATES = 500_000
 
 
-def _norm_tester(order: OrderRing):
-    """Fast exact |norm| == 1 test for integer combinations of the basis.
-
-    Uses integer matrices: with d the basis denominator, N(sum c_i g_i) =
-    det(sum c_i * d * M_{g_i}) / d^n, where d M_{g_i} is the integer
-    multiplication matrix of the module's HNF row i.
-    """
-    m = order.module
-    n = m.rank
-    mats = [m.field.mult_rows(row) for row in m.rows]
-    dn = m.den ** n
-
-    def is_unit_norm(coords):
-        acc = [[0] * n for _ in range(n)]
-        for c, mat in zip(coords, mats):
-            if c:
-                for i in range(n):
-                    row = mat[i]
-                    arow = acc[i]
-                    for j in range(n):
-                        arow[j] += c * row[j]
-        return abs(mat_det(acc)) == dn
-
-    return is_unit_norm
-
-
 def _shell(bound: int, n: int):
     """Integer vectors with max-norm exactly bound, deterministic order."""
     full = range(-bound, bound + 1)
@@ -203,12 +177,7 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = 
     return t_mat, star, period, v
 
 
-# the attractor data of a module has not been computed yet
-_NOT_COMPUTED = object()
-
-
-def find_unit(order: OrderRing, root: RealRootInterval,
-              attractor=_NOT_COMPUTED) -> UnitElement:
+def find_unit(order: OrderRing, root: RealRootInterval, attractor) -> UnitElement:
     """A unit u of the order, of the field's degree and dominant at root:
     sigma_e(u) > 1 exceeds |sigma_j(u)| at every other real embedding j.
 
@@ -239,21 +208,21 @@ def find_unit(order: OrderRing, root: RealRootInterval,
     above sigma_e(u^k), so _is_top_real_root is false.  Returning u would
     relabel a unit-stage failure as NonnegativeFormNotFound/NotSquarefree.
 
-    attractor, when given, is _attractor_data(m, root) of any module m
-    with End(m) = order, as the caller already computed it (None
-    included: the expansion did not cycle), so that the expansion runs
-    once per pipeline run; by default m is order.module.
-    """
-    from ..mcf import _combination
+    attractor is _attractor_data(m, root) of any module m with
+    End(m) = order, as the caller computed it, or None when that
+    expansion did not cycle.
 
+    A shell candidate sum_i c_i g_i over the order's HNF basis is summed
+    on integer numerators over the basis' common denominator d, and its
+    norm tested as FieldElement.norm computes it: |det M| == d^n for the
+    integer multiplication matrix M of the numerators.
+    """
     field = order.field
     if field.degree < 2:
         raise UnitNotFound("degree-1 orders have only the torsion units +1, -1")
     if root not in field.real_roots:
         raise ValueError("embedding does not belong to the order's field")
     n = field.degree
-    if attractor is _NOT_COMPUTED:
-        attractor = _attractor_data(order.module, root)
     if attractor is not None:
         v = attractor[3]
         nrm = v.norm()
@@ -265,17 +234,19 @@ def find_unit(order: OrderRing, root: RealRootInterval,
         ):
             return UnitElement(v, int(nrm), order)
 
-    basis = order.basis_elements()
-    is_unit_norm = _norm_tester(order)
+    den = order.module.den
+    cols = tuple(zip(*order.module.rows))  # the basis' numerators, coordinate by coordinate
+    unit_det = den ** n
     tested = bound = 0
     while tested + (2 * bound + 3) ** n - (2 * bound + 1) ** n <= _MAX_CANDIDATES:
         bound += 1
         reps = {}  # each unit once, though the shell may hold all of +-alpha^+-1
         for coords in _shell(bound, n):
             tested += 1
-            if not is_unit_norm(coords):
+            num = [sum(c * x for c, x in zip(coords, col)) for col in cols]
+            if abs(mat_det(field.mult_rows(num))) != unit_det:
                 continue
-            alpha = _combination(coords, basis, field)
+            alpha = field.from_integers(num, den)
             if not alpha.is_rational():
                 reps[_expanding_representative(alpha, root)] = None
         best = None
@@ -491,7 +462,7 @@ def _powers_in_bases(a, k_step, bases):
 
 
 def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
-                     attractor=_NOT_COMPUTED) -> Realization:
+                     attractor) -> Realization:
     """Search for T and k with A' = T^-1 A^k T entrywise non-negative.
 
     T = B P ranges over base changes B (the module's attractor basis
@@ -511,8 +482,9 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     No B is inverted here: the attractor expansion and the LLL step
     already hold each inverse.  Since P^-1 = P^T, the candidate
     P^T (B^-1 A^k B) P is read off M = B^-1 A^k B by index and sign,
-    and T = B P is formed only for the candidate returned.  attractor,
-    when given, is _attractor_data(m, root) as the caller computed it.
+    and T = B P is formed only for the candidate returned.  attractor is
+    _attractor_data(m, root) as the caller computed it, or None when that
+    expansion did not cycle.
 
     Nothing is recomputed from one power to the next (_powers_in_bases):
     each M is the previous power's times C_B = B^-1 A^k_step B, formed
@@ -535,8 +507,6 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     s = sign_at(u.element, root)
     k_step = 1 if s > 0 else 2
     u_step = u.element if k_step == 1 else u.element * u.element
-    if attractor is _NOT_COMPUTED:
-        attractor = _attractor_data(m, root)
     basis = m.basis_elements()  # g
     ident = mat_identity(len(a))
 

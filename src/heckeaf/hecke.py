@@ -42,7 +42,7 @@ from .errors import (
 )
 from .exactnum.field import FieldElement, NumberField, _first_narrow, enclosures, make_field
 from .exactnum.intmat import charpoly
-from .exactnum.lattice import OrderRing, ZModule, endomorphism_ring, module_from_generators
+from .exactnum.lattice import ZModule, endomorphism_ring, module_from_generators
 from .exactnum.polynomial import IntPolynomial
 from .exactnum.units import (
     Realization,
@@ -486,7 +486,6 @@ class ConjugateSummary:
 class EigenformAFResult:
     module: ZModule
     af: object                # StationaryAF or TrivialAF
-    order: OrderRing | None = None
     unit: UnitElement | None = None
     matrix_a: tuple | None = None
     realization: Realization | None = None
@@ -530,9 +529,10 @@ def af_of_module(module: ZModule, embedding_index: int) -> EigenformAFResult:
 
     Each intermediate fact is computed once and passed on: the module's
     attractor expansion feeds both the unit search and the non-negative
-    form search, and the result keeps the realization make_nonnegative
-    returns, with its round-trip record (digits, Perron value u^k and
-    eigenvector in the module's field, expansion).
+    form search, the unit keeps the order End(module) it was found in,
+    and the result keeps the realization make_nonnegative returns, with
+    its round-trip record (digits, Perron value u^k and eigenvector in
+    the module's field, expansion).
 
     Conjugate data: the action of the conjugated unit on the conjugated
     module has the same integer matrix in coordinates, so per-conjugate
@@ -550,12 +550,11 @@ def af_of_module(module: ZModule, embedding_index: int) -> EigenformAFResult:
         raise NotTotallyReal(f"field {field.minpoly} has no real root")
     if not 0 <= embedding_index < len(field.real_roots):
         raise ValueError(f"embedding_index {embedding_index} not in 0..{len(field.real_roots) - 1}")
-    order = endomorphism_ring(module)
     root = field.real_roots[embedding_index]
     attractor = _attractor_data(module, root)
-    unit = find_unit(order, root, attractor=attractor)
+    unit = find_unit(endomorphism_ring(module), root, attractor)
     matrix_a = multiplication_matrix(unit.element, module)
-    realization = make_nonnegative(matrix_a, unit, module, root, attractor=attractor)
+    realization = make_nonnegative(matrix_a, unit, module, root, attractor)
     roundtrip = realization.roundtrip
     af = StationaryAF(realization.matrix, roundtrip.digits, charpoly(realization.matrix))
     group = dimension_group(roundtrip.eigenvector[1:], root)
@@ -576,7 +575,6 @@ def af_of_module(module: ZModule, embedding_index: int) -> EigenformAFResult:
     return EigenformAFResult(
         module=module,
         af=af,
-        order=order,
         unit=unit,
         matrix_a=matrix_a,
         realization=realization,

@@ -42,7 +42,8 @@ from .exactnum.field import (
     FieldElement,
     NumberField,
     RealRootInterval,
-    _first_narrow,
+    _floor_log2,
+    enclosures,
     exact_floor,
     make_field,
     sign_at,
@@ -179,8 +180,12 @@ class _BasisEnclosure:
     leaves those enclosures [lo_j, hi_j] of 2^p sigma(v_j) in `rows`, for
     the expansion to carry from step to step.
 
-    An instance lives for one expansion: it refines its own copy of the
-    root interval, so nothing outlives the call that made it.
+    The enclosures are read off the root's refinement ladder
+    (field._level), which a sharpening extends where it needs deeper
+    levels.  Those levels stay with the root for every later question at
+    it, among them the next expansion at the same root; a level is the
+    same interval whichever coarser level it was refined from, so what a
+    sharpening adds is what any other question would have made there.
     """
 
     def __init__(self, basis, root: RealRootInterval, prec: int):
@@ -192,11 +197,18 @@ class _BasisEnclosure:
     def _sharpen(self, prec: int) -> None:
         """Bounds at precision prec, from the first enclosure (lo, hi,
         scale) of each basis element narrower than 2^-prec, floored and
-        ceiled on integers: a_k = floor(2^p lo / scale)."""
-        self._root = self._root.refined(Fraction(1, 1 << (prec + 8)))
+        ceiled on integers: a_k = floor(2^p lo / scale).  Each walk starts
+        at the first ladder level narrower than 2^-(prec+8), whose
+        enclosure is usually narrow enough, so no coarser level is
+        evaluated: level j has width w / 8^j for the root's width w, so
+        with 2^t <= w < 2^(t+1) that is the least j with 3j > t + prec + 8."""
+        width = self._root.width
+        start = max(0, (_floor_log2(width.numerator, width.denominator) + prec + 8) // 3 + 1)
         bounds = []
         for g in self._basis:
-            _, lo, hi, scale = _first_narrow(g, self._root, 1, 1 << prec)
+            for lo, hi, scale in enclosures(g, self._root, start):
+                if (hi - lo) << prec < scale:
+                    break
             bounds.append(((lo << prec) // scale, -((-hi << prec) // scale)))
         self._prec = prec
         self._bounds = bounds

@@ -191,6 +191,20 @@ def test_jpa_export(tmp_path, capsys):
     assert out_dot.read_text().startswith("digraph")
 
 
+def test_jpa_unknown_export_format_is_rejected_before_expanding(tmp_path, capsys):
+    """An export format that is neither dot nor json is an input error
+    before any step: nothing is printed and no file is written."""
+    out_png = tmp_path / "out.png"
+    code, out, err = run(
+        capsys, "jpa", "--poly", "x^3-x-1", "--theta", "0,1,0;0,0,1", "--max-steps", "50",
+        "--export", "png", str(out_png),
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown export format 'png'" in err
+    assert not out_png.exists()
+
+
 def test_factor_command(capsys):
     code, out, _ = run(capsys, "factor", "[[0,1],[1,1]]")
     assert code == 0 and out.strip() == "[1]"

@@ -18,6 +18,8 @@ floors, dominance verdicts and representatives, on the bundled fields
 and on drawn totally real cubics, whatever the ladders already hold.
 """
 
+import sys
+import threading
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -459,6 +461,41 @@ def test_a_later_walk_refines_only_the_levels_it_adds(monkeypatch):
     second = list(islice(enclosures(field.gen, root), 8))
     assert calls == [7]
     assert second[:6] == first
+
+
+def test_concurrent_fills_of_one_ladder_store_the_sequential_levels():
+    """Two threads that fill one root's ladder at once, with the thread
+    switch interval at its smallest, raise nothing and store the levels
+    one thread stores alone: the scan of the known levels reads a
+    snapshot, so a level the other thread stores meanwhile changes no
+    iteration, and a level is the same interval whichever coarser level it
+    came from."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            root = make_field(IntPolynomial((-2, 0, 1))).real_roots[-1]
+            for j in range(1, 400, 2):
+                _level(root, j)
+            errors = []
+
+            def fill(first):
+                try:
+                    for j in range(first, 1000, 2):
+                        _level(root, j)
+                except RuntimeError as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=fill, args=(first,)) for first in (400, 401)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+    finally:
+        sys.setswitchinterval(switch)
+    alone = make_field(IntPolynomial((-2, 0, 1))).real_roots[-1]
+    assert all(_level(alone, j) == level for j, level in sorted(root._ladder.items()))
 
 
 # -- the integer walks against the Fraction walks ------------------------------

@@ -14,7 +14,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heckeaf.errors import DivisionByZero
 from heckeaf.exactnum import IntPolynomial, make_field
@@ -196,16 +196,24 @@ def test_invariants_match_the_fraction_reference(case):
 
 @settings(max_examples=80, deadline=None)
 @given(_elements(1))
+@example(case=(FIELDS[2], [FIELDS[2].element((0, 0, Fraction(1, 2)))]))
 def test_min_poly_matches_sympy(case):
     """sympy's minimal polynomial of the same polynomial in a root of the
     field polynomial: primitive over Z, so a.min_poly() exists exactly
-    when its leading coefficient is 1, and then the two agree."""
+    when its leading coefficient is 1, and then the two agree.  sympy
+    1.14 fails on some AlgebraicNumbers with an AttributeError (x^2 / 2 in
+    Q(2^(1/3)), the example); those go to it again as the same polynomial
+    in the root, an expression it handles, more slowly."""
     field, (a,) = case
     x = sympy.symbols("x")
     root = sympy.CRootOf(sympy.Poly(list(reversed(field.minpoly.coeffs)), x), 0)
     expr = sympy.AlgebraicNumber(root, [sympy.Rational(c.numerator, c.denominator)
                                         for c in reversed(a.coords)])
-    want = sympy.Poly(sympy.minimal_polynomial(expr, x), x)
+    try:
+        want = sympy.minimal_polynomial(expr, x)
+    except AttributeError:
+        want = sympy.minimal_polynomial(expr.as_expr(), x)
+    want = sympy.Poly(want, x)
     if want.LC() == 1:
         assert a.min_poly() == IntPolynomial(tuple(int(c) for c in reversed(want.all_coeffs())))
     else:

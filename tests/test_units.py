@@ -36,6 +36,7 @@ from heckeaf.exactnum.intmat import (
 from heckeaf.exactnum import units
 from heckeaf.exactnum.units import (
     UnitElement,
+    _attractor_data,
     _dominant_of_full_degree,
     _lll_transform,
     _nonnegative_conjugates,
@@ -63,7 +64,8 @@ def test_find_unit_golden(golden):
     field, phi, module, order = golden
     # the order is Z[(1 + sqrt5)/2], the maximal order of discriminant 5
     assert order.module == module_from_generators(field, [field.one, phi])
-    u = find_unit(order, field.real_roots[-1])
+    root = field.real_roots[-1]
+    u = find_unit(order, root, _attractor_data(order.module, root))
     # Pell oracle: x^2 - x - 1 has constant term -1
     assert u.element == phi
     assert u.norm == -1
@@ -74,7 +76,8 @@ def test_find_unit_sqrt2():
     field = make_field(IntPolynomial((-2, 0, 1)))
     module = module_from_generators(field, [field.one, field.gen])
     order = endomorphism_ring(module)
-    u = find_unit(order, field.real_roots[-1])
+    root = field.real_roots[-1]
+    u = find_unit(order, root, _attractor_data(order.module, root))
     # continued fraction oracle: sqrt2 = [1; 2, 2, ...] gives 1 + sqrt2
     assert u.element == field.one + field.gen
     assert u.norm == -1
@@ -86,7 +89,8 @@ def test_find_unit_suborder():
     order = endomorphism_ring(module)
     # the order is Z[sqrt5], of discriminant 20
     assert order.module == module_from_generators(field, [field.one, field.gen])
-    u = find_unit(order, field.real_roots[-1])
+    root = field.real_roots[-1]
+    u = find_unit(order, root, _attractor_data(order.module, root))
     # fundamental unit of Z[sqrt5] is 2 + sqrt5 (phi^3)
     assert u.element == field.element((2, 1))
     assert u.norm == -1
@@ -97,7 +101,7 @@ def test_find_unit_degree_one():
     field = make_field(IntPolynomial((-1, 1)))
     order = endomorphism_ring(module_from_generators(field, [field.one]))
     with pytest.raises(UnitNotFound):
-        find_unit(order, field.real_roots[0])
+        find_unit(order, field.real_roots[0], None)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -152,17 +156,14 @@ def test_unit_search_reaches_the_shell_of_max_norm_three(monkeypatch, sqrt2_plus
     root = field.real_roots[index]
     monkeypatch.setattr(units, "_MAX_CANDIDATES", 2400)
     tested = Counter()
-    norm_tester = units._norm_tester
+    shell = units._shell
 
-    def recorded(order):
-        is_unit_norm = norm_tester(order)
-
-        def counted(coords):
+    def recorded(bound, n):
+        for coords in shell(bound, n):
             tested[coords] += 1
-            return is_unit_norm(coords)
-        return counted
+            yield coords
 
-    monkeypatch.setattr(units, "_norm_tester", recorded)
+    monkeypatch.setattr(units, "_shell", recorded)
     u = find_unit(order, root, attractor=None)
     assert set(tested) == set(product(range(-3, 4), repeat=4)) - {(0,) * 4}
     assert set(tested.values()) == {1}
@@ -196,7 +197,7 @@ def test_pipeline_units_are_dominant(spec):
     module = hecke.module_of_eigenform(f)
     root = f.field.real_roots[int(index)]
     order = endomorphism_ring(module)
-    u = find_unit(order, root)
+    u = find_unit(order, root, _attractor_data(order.module, root))
     assert u.element.degree_over_q() == f.field.degree
     assert _dominant_of_full_degree(u.element, root)
     if name == "level47a":
@@ -253,7 +254,7 @@ def test_unit_invariants_various_orders():
         module = module_from_generators(field, gens)
         order = endomorphism_ring(module)
         root = field.real_roots[-1]
-        u = find_unit(order, root)
+        u = find_unit(order, root, _attractor_data(order.module, root))
         assert abs(u.element.norm()) == 1
         a = multiplication_matrix(u.element, module)
         assert mat_det(a) in (1, -1)
@@ -286,9 +287,9 @@ def test_multiplication_matrix_charpoly_property(golden):
 def test_make_nonnegative_golden(golden):
     field, phi, module, order = golden
     root = field.real_roots[-1]
-    u = find_unit(order, root)
+    u = find_unit(order, root, _attractor_data(order.module, root))
     a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root)
+    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
     assert r.matrix == ((0, 1), (1, 1))
     assert r.power == 1
     assert mat_det(r.transform) in (1, -1)
@@ -302,7 +303,7 @@ def test_make_nonnegative_negative_unit(golden):
     u = UnitElement(neg, int(neg.norm()), order)
     a = multiplication_matrix(neg, module)
     assert any(x < 0 for row in a for x in row)
-    r = make_nonnegative(a, u, module, root)
+    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
     assert r.power % 2 == 0
     assert all(x >= 0 for row in r.matrix for x in row)
     assert charpoly(r.matrix) == (neg ** r.power).min_poly()
@@ -313,9 +314,9 @@ def test_make_nonnegative_spectral_radius(golden):
     # value of the factorized matrix
     field, phi, module, order = golden
     root = field.real_roots[-1]
-    u = find_unit(order, root)
+    u = find_unit(order, root, _attractor_data(order.module, root))
     a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root)
+    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
     k = r.power
     perron, _ = mcf.satz12_eigenvector(r.matrix)
     eps = Fraction(1, 10 ** 12)
@@ -330,7 +331,7 @@ def test_make_nonnegative_identity_rejected(golden):
     u = UnitElement(field.one, 1, order)
     ident = multiplication_matrix(field.one, module)
     with pytest.raises(NonnegativeFormNotFound):
-        make_nonnegative(ident, u, module, root)
+        make_nonnegative(ident, u, module, root, _attractor_data(module, root))
 
 
 def test_dominance_predicate(golden):
@@ -348,9 +349,9 @@ def test_cubic_unit_search_end_to_end():
     module = module_from_generators(field, [field.one, t, t * t])
     order = endomorphism_ring(module)
     root = field.real_roots[-1]
-    u = find_unit(order, root)
+    u = find_unit(order, root, _attractor_data(order.module, root))
     a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root)
+    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
     digits = mcf.bauer_factorize(r.matrix)
     assert mcf.convergent_matrix(digits, 3) == r.matrix
     assert charpoly(r.matrix) == (u.element ** r.power).min_poly()
@@ -452,9 +453,10 @@ def test_make_nonnegative_realization_is_consistent(poly):
         gens.append(gens[-1] * field.gen)
     module = module_from_generators(field, gens)
     root = field.real_roots[-1]
-    u = find_unit(endomorphism_ring(module), root)
+    order = endomorphism_ring(module)
+    u = find_unit(order, root, _attractor_data(order.module, root))
     a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root)
+    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
     t = r.transform
     assert mat_mul(mat_mul(mat_inverse_fraction(t), mat_pow(a, r.power)), t) == r.matrix
     digits = tuple(mcf.bauer_factorize(r.matrix))

@@ -483,6 +483,31 @@ def test_stationary_runs_compute_no_lll_base(monkeypatch, spec):
     assert lll[0] == 0
 
 
+@pytest.mark.parametrize("spec", _STATIONARY)
+def test_round_trip_expansion_reads_the_ladder_it_finds(monkeypatch, spec):
+    """The round trip's expansion (mcf.check_period) reads its basis
+    enclosures off the levels the module's expansion left on the root's
+    ladder, so on every bundled stationary run it refines the root no
+    further (it made one refinement when it sharpened a copy of the root
+    from the coarse interval)."""
+    name, index = spec.split("@")
+    f = dataclasses.replace(hecke.load_fixture(name), embedding_index=int(index))
+    refined = _count(monkeypatch, "refined", RealRootInterval)
+    in_check = []
+    original = mcf.check_period
+
+    def counted(*args):
+        before = refined[0]
+        try:
+            return original(*args)
+        finally:
+            in_check.append(refined[0] - before)
+
+    monkeypatch.setattr(mcf, "check_period", counted)
+    assert isinstance(hecke.af_of_eigenform(f).af, hecke.StationaryAF)
+    assert in_check and set(in_check) == {0}
+
+
 def test_level47a_expansion_recomputes_the_same_states(capsys):
     """tools/expand_times.py counts the states whose row enclosures are
     enclosed again from the basis bounds: with the carried step taken

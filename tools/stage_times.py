@@ -16,18 +16,18 @@ untimed warm-up run:
 
 and prints the median of each column in milliseconds, then two work
 counts of one af stage: its calls of `RealRootInterval.refined` (root
-refinements, each a new level of a root's refinement ladder or a
-sharpening of the expansion's basis enclosures) and of `_scaled_value`
-(the polynomial signs those refinements evaluate).  Each run loads a
-fresh field, whose ladders start empty, so the counts are the same in
-every run; they are taken in the untimed warm-up run.  The three parts
-of af are timed by wrapping the functions of those names where `hecke`
-calls them, for the run only, so the pipeline runs as it is.  The
-fixture is written with its embedding index to a temporary file first,
-so the read is a plain file read, as in `heckeaf af <path>`.  A
-fixture that does not load (an unknown name, an index that is not an
-integer or is out of range) is a usage error (exit code 2), before
-anything is timed.
+refinements, each a new level of a root's refinement ladder, which the
+enclosure walks and the expansions' basis enclosures share) and of
+`_scaled_value` (the polynomial signs those refinements evaluate).  Each
+run loads a fresh field, whose ladders start empty, so the counts are
+the same in every run; they are taken in the untimed warm-up run.  The
+three parts of af are timed by wrapping the functions of those names
+where `hecke` calls them, for the run only, so the pipeline runs as it
+is.  The fixture is written with its embedding index to a temporary
+file first, so the read is a plain file read, as in `heckeaf af
+<path>`.  A fixture that does not load (an unknown name, an index that
+is not an integer or is out of range) is a usage error (exit code 2),
+before anything is timed.
 
 Usage: python3 tools/stage_times.py level23a level71a@2 perfbench/data/level47a.json
 """
