@@ -11,6 +11,7 @@ failure.  Reports serialize unbounded integers as strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -99,6 +100,7 @@ def parse_rational(text: str) -> tuple:
 def _parse_theta(text: str, field):
     """Semicolon-separated coordinate vectors of the fixture grammar."""
     out = []
+    parsed = {}
     for part in text.split(";"):
         row = part.split(",")
         if len(row) > field.degree:
@@ -106,7 +108,7 @@ def _parse_theta(text: str, field):
                 f"coordinate vector {part!r} too long for degree {field.degree}"
             )
         try:
-            out.append(_row_element(field, row))
+            out.append(_row_element(field, row, parsed))
         except SchemaError as exc:
             raise InputError(str(exc)) from exc
     return tuple(out)
@@ -382,7 +384,11 @@ def cmd_af(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The heckeaf argument parser, built at the first call and shared by
+    every later one: parse_args reads it and returns a new namespace, so no
+    call sees another's arguments."""
     ap = argparse.ArgumentParser(
         prog="heckeaf",
         description="Exact continued fractions, block factorizations, and "

@@ -522,7 +522,8 @@ def _level(root: RealRootInterval, j: int) -> RealRootInterval:
     if iv is None:
         below = max((k for k in tuple(ladder) if k < j), default=0)
         iv = ladder[below] if below else root
-        iv = ladder[j] = iv.refined(2 * root.width / (1 << 3 * j))
+        w = root.width
+        iv = ladder[j] = iv.refined(Fraction(2 * w.numerator, w.denominator << 3 * j))
     return iv
 
 

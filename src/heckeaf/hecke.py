@@ -116,35 +116,54 @@ def _json_int(token: str) -> int:
     return _bounded_int(token)
 
 
-def _coordinates(row) -> tuple:
+def _coordinate(s) -> tuple:
+    """One fixture coordinate as (numerator, denominator or None): a JSON
+    integer, or a string of the schema grammar -?[0-9]+(/[0-9]+)? in ASCII
+    digits, at most MAX_DIGITS of them on each side of the slash, read
+    straight into integers; the denominator is None without a slash.  Any
+    other value or spelling (whitespace, a plus sign, underscores,
+    decimals, exponents, non-ASCII digits, more digits) and a zero
+    denominator are a SchemaError."""
+    if type(s) is int:  # bool is an int subclass, not a JSON integer
+        return s, None
+    if type(s) is not str:
+        raise SchemaError(f"expected a rational string, got {type(s).__name__}")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        shown = repr(s) if len(s) <= 40 else f"of {len(s)} characters"
+        raise SchemaError(f"cannot parse rational {shown}: not of the form -?[0-9]+(/[0-9]+)?"
+                          f" with at most {MAX_DIGITS} digits a part")
+    digits = m[1]
+    num = int(digits) if len(digits) <= 640 else _bounded_int(digits)
+    if m[2] is None:
+        return num, None
+    q = _bounded_int(m[2])
+    if q == 0:
+        raise SchemaError(f"cannot parse rational {s!r}: zero denominator")
+    return num, q
+
+
+def _coordinates(row, parsed: dict) -> tuple:
     """A fixture coordinate vector as integer numerators over one
-    denominator > 0, in lowest terms (gcd(numerators..., denominator) = 1).
-    Each coordinate is a JSON integer, or a string of the schema grammar
-    -?[0-9]+(/[0-9]+)? in ASCII digits, at most MAX_DIGITS of them on each
-    side of the slash.  Any other spelling (whitespace, a plus sign,
-    underscores, decimals, exponents, non-ASCII digits, more digits) and a
-    zero denominator are a SchemaError, for the first coordinate that has
-    one.  Each coordinate is read straight into its numerator; only a row
-    with a slash takes the lcm of its denominators and a gcd."""
+    denominator > 0, in lowest terms (gcd(numerators..., denominator) = 1),
+    each coordinate read by _coordinate; the first coordinate it refuses
+    raises its SchemaError.  A string coordinate is looked up in the dict
+    parsed first and its parse stored there, so a caller that passes one
+    dict for many rows parses each distinct string once; only successful
+    parses are stored, so a bad string fails wherever it occurs.  Only a
+    row with a slash takes the lcm of its denominators and a gcd."""
     nums = []
     slashed = []  # (index, denominator) of the coordinates with a slash
     for s in row:
-        if type(s) is int:  # bool is an int subclass, not a JSON integer
-            nums.append(s)
-            continue
-        if type(s) is not str:
-            raise SchemaError(f"expected a rational string, got {type(s).__name__}")
-        m = _RATIONAL.fullmatch(s)
-        if m is None:
-            shown = repr(s) if len(s) <= 40 else f"of {len(s)} characters"
-            raise SchemaError(f"cannot parse rational {shown}: not of the form -?[0-9]+(/[0-9]+)?"
-                              f" with at most {MAX_DIGITS} digits a part")
-        digits = m[1]
-        nums.append(int(digits) if len(digits) <= 640 else _bounded_int(digits))
-        if m[2] is not None:
-            q = _bounded_int(m[2])
-            if q == 0:
-                raise SchemaError(f"cannot parse rational {s!r}: zero denominator")
+        if type(s) is str:
+            c = parsed.get(s)
+            if c is None:
+                c = parsed[s] = _coordinate(s)
+        else:
+            c = _coordinate(s)
+        num, q = c
+        nums.append(num)
+        if q is not None:
             slashed.append((len(nums) - 1, q))
     if not slashed:
         return nums, 1
@@ -158,14 +177,15 @@ def _coordinates(row) -> tuple:
 
 def _parse_rational(s) -> tuple:
     """One coordinate of _coordinates as (numerator, denominator)."""
-    (num,), den = _coordinates([s])
+    (num,), den = _coordinates([s], {})
     return num, den
 
 
-def _row_element(field: NumberField, row) -> FieldElement:
-    """The element of a coordinate vector of _coordinates, zero-padded to
-    the degree, which the vector does not exceed."""
-    nums, den = _coordinates(row)
+def _row_element(field: NumberField, row, parsed: dict) -> FieldElement:
+    """The element of a coordinate vector of _coordinates (read through the
+    dict parsed), zero-padded to the degree, which the vector does not
+    exceed."""
+    nums, den = _coordinates(row, parsed)
     return FieldElement(field, tuple(nums) + (0,) * (field.degree - len(nums)), den)
 
 
@@ -205,8 +225,11 @@ def load_newform(source) -> NewformData:
     prime-power recursions up to the stored count before returning.
 
     Each coordinate row is read straight into integer numerators over one
-    denominator (_coordinates), and the relations are checked on those
-    numerators: a product c(a) c(b) is the field's product kernel
+    denominator (_coordinates).  The an and module rows share one dict of
+    parsed coordinate strings, which lives for this call only, so each
+    distinct string is parsed once per load: a fixture repeats a few dozen
+    strings over hundreds of coordinates.  The relations are checked on
+    those numerators: a product c(a) c(b) is the field's product kernel
     (NumberField.mul_numerators, which FieldElement.__mul__ calls) over
     the product of the two denominators, compared with c(m) cross-
     multiplied, so rows with and without denominators take one path and
@@ -260,11 +283,12 @@ def load_newform(source) -> NewformData:
     an = data["an"]
     if not isinstance(an, list) or len(an) < MIN_COEFFS:
         raise SchemaError(f"an must be a list of at least {MIN_COEFFS} coordinate vectors")
+    parsed = {}  # coordinate string -> _coordinate of it, for this load only
     coeffs = []
     for idx, row in enumerate(an, start=1):
         if not isinstance(row, list) or len(row) > field.degree:
             raise SchemaError(f"coefficient {idx} has a bad coordinate vector")
-        coeffs.append(_row_element(field, row))
+        coeffs.append(_row_element(field, row, parsed))
     coeffs = tuple(coeffs)
 
     module_rows = data.get("module")
@@ -276,7 +300,7 @@ def load_newform(source) -> NewformData:
                 raise SchemaError(
                     f"module row {idx} has {len(row)} coordinates, more than the degree {field.degree}"
                 )
-        module_rows = tuple(_row_element(field, row) for row in module_rows)
+        module_rows = tuple(_row_element(field, row, parsed) for row in module_rows)
     embedding_index = data.get("embedding_index")
     if embedding_index is not None:
         if type(embedding_index) is not int or not (

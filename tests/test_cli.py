@@ -19,6 +19,7 @@ from heckeaf.errors import (
 from heckeaf.exactnum import IntPolynomial
 
 LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -682,12 +683,59 @@ def test_version_flag(capsys):
     assert code == 0
 
 
+def test_main_builds_its_parser_at_the_first_call_only(monkeypatch, capsys):
+    """cli.main builds the argument parser (and its four subparsers) during
+    its first call in a process; later calls reuse it and construct no
+    ArgumentParser."""
+    import argparse
+
+    cli.build_parser.cache_clear()
+    built = [0]
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    per_call = []
+    for argv in (["cf", "355/113"], ["--version"], ["af", "level11a"]):
+        before = built[0]
+        assert cli.main(argv) == 0
+        per_call.append(built[0] - before)
+    capsys.readouterr()
+    assert per_call[0] > 0 and per_call[1:] == [0, 0]
+
+
+def test_calls_of_main_share_no_arguments(tmp_path, capsys):
+    """A usage error, --version, a rejected export and an af run with
+    --conjugates leave nothing behind in the shared parser: a following
+    `af level23a --report` writes the golden report of level23a at its
+    default embedding, apart from timings, with no conjugates block."""
+    assert cli.main(["af"]) == 2
+    assert cli.main(["--version"]) == 0
+    assert cli.main(["jpa", "--poly", "x^2-x-1", "--theta", "0,1", "--root", "1",
+                     "--export", "png", str(tmp_path / "out.png")]) == 2
+    assert cli.main(["af", "level71a", "--conjugates"]) == 0
+    capsys.readouterr()
+    path = tmp_path / "report.json"
+    assert cli.main(["af", "level23a", "--report", str(path)]) == 0
+    assert capsys.readouterr().out == f"report written to {path}\n"
+    report = json.loads(path.read_text())
+    report.pop("timings")
+    golden = json.loads((GOLDEN / "level23a@1.json").read_text())
+    assert golden["exit_code"] == 0
+    assert report == golden["report"]
+    assert "companion" not in report
+
+
 def test_stage_times_prints_one_row_of_medians(capsys):
-    """tools/stage_times.py runs load, af and report on a fixture and prints
-    a header and one row: the fixture and six non-negative medians (ms),
-    load, the af stage split into expand, unit, form and rest, and report,
-    then the af stage's calls of RealRootInterval.refined and
-    _scaled_value in one run, as non-negative integers."""
+    """tools/stage_times.py runs load, af and report on a fixture, and the
+    whole in-process `heckeaf af` command, and prints a header and one row:
+    the fixture and seven non-negative medians (ms), load, the af stage
+    split into expand, unit, form and rest, report and main, then the af
+    stage's calls of RealRootInterval.refined and _scaled_value in one
+    run, as non-negative integers."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
@@ -698,11 +746,12 @@ def test_stage_times_prints_one_row_of_medians(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     fields = lines[1].split()
-    assert lines[0].split()[1:12:2] == ["load", "expand", "unit", "form", "rest", "report"]
-    assert lines[0].split()[13:15] == ["refined", "scaled"]
-    assert fields[0] == "level23a@0" and len(fields) == 9
-    assert all(float(ms) >= 0 for ms in fields[1:7])
-    assert all(count.isdigit() for count in fields[7:])
+    assert lines[0].split()[1:14:2] == ["load", "expand", "unit", "form", "rest", "report",
+                                        "main"]
+    assert lines[0].split()[15:17] == ["refined", "scaled"]
+    assert fields[0] == "level23a@0" and len(fields) == 10
+    assert all(float(ms) >= 0 for ms in fields[1:8])
+    assert all(count.isdigit() for count in fields[8:])
     # a fixture that does not load is a usage error before anything is timed
     for spec in ("level23a@7", "level23a@x", "nofixture"):
         assert tool.main(["level23a@0", spec]) == 2

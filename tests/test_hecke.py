@@ -257,17 +257,27 @@ _COORDINATE = st.one_of(
 def test_rows_read_into_numerators_match_the_pair_parse(name, data):
     """Each drawn row gives the element of the parent parse, one (p, q)
     pair a coordinate and the lcm of the q, or the same SchemaError
-    message: JSON integers, p/q not in lowest terms, negatives, parts of
-    640/641 and 4300/4301 digits, zero denominators, non-ASCII digits,
-    bools and floats."""
+    message, read alone or after other rows through one shared dict of
+    parsed strings: JSON integers, p/q not in lowest terms, negatives,
+    parts of 640/641 and 4300/4301 digits, zero denominators, non-ASCII
+    digits, bools and floats."""
     field = hecke.load_fixture(name).field
-    row = data.draw(st.lists(_COORDINATE, max_size=field.degree), label="row")
-    try:
-        element = hecke._row_element(field, row)
-        got = (element.num, element.den)
-    except SchemaError as exc:
-        got = str(exc)
-    assert got == _parent_row(field.degree, row)
+    rows = data.draw(st.lists(st.lists(_COORDINATE, max_size=field.degree), min_size=1,
+                              max_size=3), label="rows")
+
+    def element_or_message(row, parsed):
+        try:
+            element = hecke._row_element(field, row, parsed)
+            return element.num, element.den
+        except SchemaError as exc:
+            return str(exc)
+
+    # alone, and in sequence through one dict of parsed strings, as a load reads them
+    parsed = {}
+    for row in rows:
+        expected = _parent_row(field.degree, row)
+        assert element_or_message(row, {}) == expected
+        assert element_or_message(row, parsed) == expected
 
 
 def _reference_coefficients(data):
@@ -291,6 +301,85 @@ def test_loaded_coefficients_equal_the_fraction_parse(name):
         data = fixture_dict(name)
     f = hecke.load_newform(data)
     assert [(c.num, c.den) for c in f.coeffs] == _reference_coefficients(data)
+
+
+def _count_coordinate_parses(monkeypatch):
+    """Wrap hecke._coordinate with a call counter; returns a one-item list
+    holding the count."""
+    calls = [0]
+    original = hecke._coordinate
+
+    def counted(s):
+        calls[0] += 1
+        return original(s)
+
+    monkeypatch.setattr(hecke, "_coordinate", counted)
+    return calls
+
+
+def _expected_parses(data):
+    """One parse per distinct coordinate string of the an and module rows,
+    and one per coordinate that is not a string."""
+    entries = [s for row in data["an"] + data.get("module", []) for s in row]
+    return len({s for s in entries if type(s) is str}) + sum(type(s) is not str for s in entries)
+
+
+@pytest.mark.parametrize("name", ["level11a", "level23a", "level71a", "level71b", "level47a"])
+def test_load_parses_each_distinct_coordinate_string_once(monkeypatch, name):
+    """A load parses each distinct coordinate string once, however often
+    it repeats; module rows share the parses of the an rows, so a module
+    spelled in strings the an rows hold adds none."""
+    if name == "level47a":
+        data = json.loads(LEVEL47A.read_text())
+    else:
+        data = fixture_dict(name)
+    calls = _count_coordinate_parses(monkeypatch)
+    hecke.load_newform(data)
+    assert 0 < calls[0] == _expected_parses(data) < sum(len(row) for row in data["an"])
+    degree = len(data["field_poly"]) - 1
+    identity = [["1" if i == j else "0" for j in range(degree)] for i in range(degree)]
+    with_module = dict(data, module=identity)
+    calls[0] = 0
+    f = hecke.load_newform(with_module)
+    assert calls[0] == _expected_parses(with_module) == _expected_parses(data)
+    assert f.module_rows == tuple(f.field.element([int(x) for x in row]) for row in identity)
+
+
+@pytest.mark.parametrize("entry", [[1], ["1"], {"a": "1"}, 1.5, True, None])
+@pytest.mark.parametrize("rows", ["an", "module"])
+def test_coordinates_that_are_not_integers_or_strings_are_schema_errors(entry, rows):
+    """A row entry of another JSON type is a SchemaError in an an row and
+    in a module row, also when it repeats, not the TypeError an unhashable
+    value raises as a dict key."""
+    data = fixture_dict("level23a")
+    bad = [entry, entry]
+    if rows == "an":
+        data = dict(data, an=[list(row) for row in data["an"]])
+        data["an"][2] = bad
+    else:
+        data = dict(data, module=[["1", "0"], bad])
+    with pytest.raises(SchemaError, match=f"expected a rational string, got {type(entry).__name__}"):
+        hecke.load_newform(data)
+
+
+@pytest.mark.parametrize("text", ["1/0", "+1", "1.5"])
+def test_a_repeated_bad_string_fails_at_its_first_row(monkeypatch, text):
+    """A bad coordinate string in an rows 3 and 10 raises its own
+    SchemaError at row 3, before row 6, which is longer than the degree,
+    is reached: a failed parse is not stored, and nothing is deferred."""
+    data = fixture_dict("level23a")
+    data = dict(data, an=[list(row) for row in data["an"]])
+    data["an"][2] = [text, "0"]
+    data["an"][5] = ["1", "0", "0"]
+    data["an"][9] = ["0", text]
+    calls = _count_coordinate_parses(monkeypatch)
+    with pytest.raises(SchemaError) as info:
+        hecke.load_newform(data)
+    # the distinct strings of rows 1 and 2, then the bad one
+    assert calls[0] == len({s for row in data["an"][:2] for s in row}) + 1
+    with pytest.raises(SchemaError) as alone:
+        hecke._coordinate(text)
+    assert str(info.value) == str(alone.value)
 
 
 def test_hecke_apply_examples(f11):

@@ -243,10 +243,11 @@ def test_load_checks_multiplicativity_once_per_coefficient(monkeypatch):
 
 
 def test_level47a_walks_each_enclosure_once(monkeypatch):
-    """Every certified embedding question walks one refinement sequence,
-    with no eps-restart from the coarse root interval, and the unit search
-    finds each candidate's degree once: a level47a run makes 253 root
-    refinements (487 with the restarts) and 34 degree computations (50)."""
+    """Every certified embedding question walks the root's shared
+    refinement ladder, with no eps-restart from the coarse root interval,
+    and the unit search finds each candidate's degree once: a level47a run
+    makes 17 root refinements (487 with the restarts) and 18 degree
+    computations (50)."""
     f = load_newform(LEVEL47A.read_text())
     counts = {"refined": 0, "degree_over_q": 0}
     for cls, name in ((RealRootInterval, "refined"), (FieldElement, "degree_over_q")):
@@ -259,8 +260,8 @@ def test_level47a_walks_each_enclosure_once(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     with pytest.raises(NonnegativeFormNotFound):
         hecke.af_of_eigenform(f)
-    assert counts["refined"] < 300
-    assert counts["degree_over_q"] <= 34
+    assert 0 < counts["refined"] <= 17
+    assert 0 < counts["degree_over_q"] <= 18
 
 
 def test_conjugate_unit_images_jump_to_their_level(monkeypatch):
@@ -331,14 +332,14 @@ def test_level47a_refines_its_root_by_newton_jumps(monkeypatch):
     steps, to a width under 2^-104 and, doubling the bits, on to under
     2^-1544: at one sign per halving, 1550 of the run's 2542 evaluations of
     the scaled polynomial (_scaled_value).  Newton jumps take each doubling
-    with a few signs, so the run, at its default embedding 3, makes under
-    1300."""
+    with a few signs, and each level of the root's ladder is refined once,
+    so the run, at its default embedding 3, makes 112."""
     f = load_newform(LEVEL47A.read_text())
     assert f.working_embedding_index() == 3
     evaluations = _count(monkeypatch, "_scaled_value", field)
     with pytest.raises(NonnegativeFormNotFound):
         hecke.af_of_eigenform(f)
-    assert evaluations[0] < 1300
+    assert 0 < evaluations[0] <= 112
 
 
 def test_level47a_builds_few_fractions(monkeypatch):
@@ -433,9 +434,9 @@ def test_loading_a_fixture_builds_no_fraction_per_coefficient(monkeypatch, name)
 def test_level47a_carries_its_row_enclosures(monkeypatch):
     """The attractor expansion carries each state's row enclosures from the
     step that made it, and encloses rows from the basis bounds only when
-    the carried ones fail to separate: one level47a run makes under 300
-    _enclose calls (2058 when every row of every state was enclosed), with
-    the same 5 sharpenings, and still ends in NonnegativeFormNotFound."""
+    the carried ones fail to separate: one level47a run makes 58 _enclose
+    calls (2058 when every row of every state was enclosed), with the same
+    5 sharpenings, and still ends in NonnegativeFormNotFound."""
     f = load_newform(LEVEL47A.read_text())
     assert f.working_embedding_index() == 3
     counts = {"_enclose": 0, "_sharpen": 0}
@@ -449,7 +450,7 @@ def test_level47a_carries_its_row_enclosures(monkeypatch):
         monkeypatch.setattr(mcf._BasisEnclosure, name, counted)
     with pytest.raises(NonnegativeFormNotFound):
         hecke.af_of_eigenform(f)
-    assert counts["_enclose"] < 300
+    assert 0 < counts["_enclose"] <= 58
     assert counts["_sharpen"] == 5
 
 

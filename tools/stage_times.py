@@ -14,16 +14,24 @@ untimed warm-up run:
     rest    the rest of `af_of_eigenform`
   report  `build_report` plus `report_json`
 
+and, in separate runs, times
+
+  main    the whole in-process `heckeaf.cli.main(["af", path, "--report",
+          tmp])`, stdout and stderr captured: the three stages plus what
+          the command line adds (parsing the arguments, reading the file,
+          writing the report)
+
 and prints the median of each column in milliseconds, then two work
 counts of one af stage: its calls of `RealRootInterval.refined` (root
 refinements, each a new level of a root's refinement ladder, which the
 enclosure walks and the expansions' basis enclosures share) and of
 `_scaled_value` (the polynomial signs those refinements evaluate).  Each
 run loads a fresh field, whose ladders start empty, so the counts are
-the same in every run; they are taken in the untimed warm-up run.  The
-three parts of af are timed by wrapping the functions of those names
-where `hecke` calls them, for the run only, so the pipeline runs as it
-is.  The fixture is written with its embedding index to a temporary
+the same in every run; they are taken in the untimed warm-up run, which
+also calls `main` once, so what a process builds at its first call (the
+argument parser) is not timed.  The three parts of af are timed by
+wrapping the functions of those names where `hecke` calls them, for the
+run only, so the pipeline runs as it is.  The fixture is written with its embedding index to a temporary
 file first, so the read is a plain file read, as in `heckeaf af
 <path>`.  A fixture that does not load (an unknown name, an index that
 is not an integer or is out of range) is a usage error (exit code 2),
@@ -34,11 +42,12 @@ Usage: python3 tools/stage_times.py level23a level71a@2 perfbench/data/level47a.
 
 from __future__ import annotations
 
+import io
 import json
 import statistics
 import sys
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 from time import perf_counter
@@ -47,7 +56,7 @@ from unittest.mock import patch
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from heckeaf import hecke  # noqa: E402
+from heckeaf import cli, hecke  # noqa: E402
 from heckeaf.cli import build_report, report_json  # noqa: E402
 from heckeaf.errors import HeckeafError  # noqa: E402
 from heckeaf.exactnum import field  # noqa: E402
@@ -57,7 +66,7 @@ REPEATS = 11
 
 # the parts of the af stage, by the hecke function each one times
 AF_PARTS = {"expand": "_attractor_data", "unit": "find_unit", "form": "make_nonnegative"}
-COLUMNS = ("load", *AF_PARTS, "rest", "report")
+COLUMNS = ("load", *AF_PARTS, "rest", "report", "main")
 # the af stage's work counts, by the function each one counts the calls of
 COUNTS = {"refined": (field.RealRootInterval, "refined"), "scaled": (field, "_scaled_value")}
 
@@ -122,6 +131,16 @@ def stage_times(path: Path, counts: dict | None = None):
     return (loaded - started, *parts, computed - began - sum(parts), reported - computed)
 
 
+def main_time(path: Path, report: Path) -> float:
+    """The wall time of one in-process `heckeaf af <path> --report
+    <report>`, with its output captured."""
+    sink = io.StringIO()
+    with redirect_stdout(sink), redirect_stderr(sink):
+        started = perf_counter()
+        cli.main(["af", str(path), "--report", str(report)])
+        return perf_counter() - started
+
+
 def main(specs) -> int:
     if not specs:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
@@ -138,10 +157,12 @@ def main(specs) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for spec in specs:
             path = Path(tmp) / "fixture.json"
+            report = Path(tmp) / "report.json"
             path.write_text(fixture_text(spec))
             counts = dict.fromkeys(COUNTS, 0)
             stage_times(path, counts)
-            runs = [stage_times(path) for _ in range(REPEATS)]
+            main_time(path, report)
+            runs = [(*stage_times(path), main_time(path, report)) for _ in range(REPEATS)]
             medians = [statistics.median(column) * 1e3 for column in zip(*runs)]
             print(f"{spec:<32} " + " ".join(f"{m:>9.3f}" for m in medians)
                   + "".join(f" {n:>8}" for n in counts.values()))
