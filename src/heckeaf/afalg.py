@@ -5,7 +5,7 @@ vertices with non-negative partial multiplicity matrices between them.
 A periodic digit expansion yields a stationary descriptor (one constant
 matrix); a terminating one yields a finite diagram; rank one collapses to
 the trivial algebra.  Dimension groups are (Z^n, cone, order unit) with
-the cone decided by exact sign evaluation of the defining functional.
+the cone given by its exact defining functional.
 """
 
 from __future__ import annotations
@@ -131,17 +131,6 @@ def dimension_group(theta, root: RealRootInterval | None) -> DimensionGroup:
     rank = len(theta) + 1
     unit = (0,) * (rank - 1) + (1,)
     return DimensionGroup(theta=theta, root=root, order_unit=unit)
-
-
-def cone_contains(group: DimensionGroup, x) -> bool:
-    """Exact decision: symbolic zero test first, then certified sign."""
-    x = tuple(int(v) for v in x)
-    if group.rank == 1:
-        return x[0] >= 0
-    value = group.functional(x)
-    if value.is_zero():
-        return True
-    return sign_at(value, group.root) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Units of orders, unit action matrices, and non-negative realizations.
 
-find_unit finds a unit dominant at a chosen real embedding, or raises
-UnitNotFound.  It first takes the return unit of the Jacobi-Perron
-expansion of the module's own basis ratios (in degree 2 the regular
-continued fraction, whose period gives the fundamental unit of the
-multiplier ring); when that expansion does not cycle within budget, it
-enumerates coordinate vectors by max-norm shells under one budget.
-multiplication_matrix writes the unit action on a full module as an
-integer matrix, and make_nonnegative hunts for a power/basis change
-making that matrix entrywise non-negative with a canonical digit cycle,
-checked on the Perron data the unit and the module basis already give.
+_attractor_data expands the module's own basis ratios by Jacobi-Perron
+(in degree 2 the regular continued fraction).  When that expansion
+cycles, the cycle gives the unit, its non-negative realization and the
+round trip in closed form, and check_cycle_form checks that form on
+integers.  Otherwise find_unit enumerates max-norm shells of coordinate
+vectors under one budget for a unit dominant at the chosen real
+embedding, or raises UnitNotFound, and make_nonnegative hunts for a
+power/basis change making its integer action matrix
+(multiplication_matrix) entrywise non-negative with a canonical digit
+cycle, checked on the Perron data the unit and the module basis give.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _exceeds_other_images(v: FieldElement, root: RealRootInterval) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the unit search: the attractor return unit, else a bounded enumeration
+# the closed form of a cycling expansion, else a bounded unit enumeration
 
 # the enumeration's budget of tested candidates: whole max-norm shells 1, 2,
 # 3, ... while the next fits (up to 39, 12, 6, 3 at degree 3, 4, 5, 6)
@@ -133,27 +133,42 @@ def _expanding_representative(alpha: FieldElement, root: RealRootInterval):
 
 
 def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = None):
-    """Expand the module's own basis ratios to their periodic tail.
-
-    Returns (T, W, period_digits, return_unit) where T is the basis change
-    with T^-1 A T the action in the attractor basis, W = T^-1 (the
-    attractor basis rows), the digits are the detected cycle, and the
-    return unit v is the Perron value of one trip around it (v * L = L for
-    the attractor-scaled module L, so v lies in End(m) and expands at
-    root).  Returns None when the expansion does not cycle within the
-    budget: the Jacobi-Perron expansion of a module direction is not
-    periodic in general.  The default budget is set by the module's rank:
-    4096 steps for rank 2, where the expansion is the regular continued
-    fraction of a quadratic irrational and always cycles, with a period
-    of length O(sqrt(D) log D) for discriminant D; 512 steps for
-    rank >= 3, where an expansion need not cycle and has to be cut off.
+    """(v, Realization) read off the cycle of the module's own expansion,
+    or None when it does not cycle within the budget: 4096 steps at rank
+    2, where it is a quadratic irrational's regular continued fraction,
+    which cycles with a period O(sqrt(D) log D) for discriminant D; 512
+    at rank >= 3, where it need not cycle.
 
     The expansion runs on the HNF basis g from W = S, the diagonal of the
-    basis signs at root, and checks states 0..max_steps-1 for a repeat.
-    After the digits of C = B(d_1)...B(d_k) the state is W = C^-1 S: at
-    the start of the cycle W is the attractor basis, with no matrix to
-    invert.  W stays unimodular, so the v_j are Q-linearly independent
-    and every theta_j is irrational and positive.
+    basis signs at root.  After the digits of C = B(d_1)...B(d_k) the
+    state is W = C^-1 S, so at the start of the cycle W is the attractor
+    basis, the inverse of T = S C(preperiod), and x = W g has positive
+    images with irrational ratios (W stays unimodular).  With M =
+    C(period), p its length and lam = x / x_0 (Perron 1907, Satz XII;
+    Bernstein, The Jacobi-Perron Algorithm, LNM 207):
+
+    1. v is a unit of End(m) and T^-1 A T = M for its action matrix A on g.
+       Steps keep x = B(d) x', so x = M y for the state y after p steps,
+       and the repeat is y = x / v: M x = v x, v = row_0(M) lam.  So
+       v g = T M T^-1 g, and A = T M T^-1 is integral with det M = +-1.
+    2. M's Bauer digits are the period.  For M_k = C(d_k..d_p) =
+       B(d_k) M_(k+1), row i less d_k,i times r = row_0(M_k) is a row of
+       M_(k+1) >= 0, so the peel's digit b_i >= d_k,i; and the state before
+       step k is M_k y, y >= 0, whose ratio row_i(M_k) y / r y is at least
+       min(M_k[i][c] / r_c : r_c > 0), of floor b_i, so d_k,i >= b_i.  No
+       block is a permutation (theta_(n-1) > 1 after a step makes every
+       cycle digit end in an entry >= 1), so the peel ends after p blocks.
+    3. lam's expansion is purely periodic with the period: its ratios are
+       x's, so it returns to itself after p steps and not before.  No
+       shorter word e repeats to the period: C(e) would commute with M and
+       map x to an eigenvector for v, by 4 a multiple of x, a repeat
+       after fewer than p steps.  So mcf.check_period would only repeat
+       this expansion, and the round trip is (period, v, lam, it).
+    4. Once M is primitive, sigma(v) is its Perron root, the one eigenvalue
+       with a positive eigenvector (x).  That root is simple and exceeds
+       |sigma_j(v)| for v's other images (char A = char M), so v has full
+       degree, is dominant at root, and sigma(v) > 1, as the images
+       multiply to +-1.  check_cycle_form tests primitivity.
     """
     from .. import mcf
 
@@ -169,34 +184,44 @@ def _attractor_data(m: ZModule, root: RealRootInterval, max_steps: int | None = 
     if start is None:
         return None
     t_mat = mat_mul(s_diag, mcf.convergent_matrix(digits[:start], n))  # (C^-1 S)^-1 = S C
-    star = states[start]
     period = tuple(digits[start:])
     p_mat = mcf.convergent_matrix(period, n)
-    star_elems = [mcf._combination(row, basis, m.field) for row in star]
-    v = mcf._combination(p_mat[0], star_elems, m.field) / star_elems[0]
-    return t_mat, star, period, v
+    x = [mcf._combination(row, basis, m.field) for row in states[start]]
+    scale = x[0].inverse()
+    lam = tuple(e * scale for e in x)
+    v = mcf._combination(p_mat[0], x, m.field) * scale
+    roundtrip = mcf.RoundTrip(period, v, lam, mcf.JpaExpansion(n, (), period, False))
+    return v, Realization(p_mat, 1, t_mat, roundtrip)
 
 
-def find_unit(order: OrderRing, root: RealRootInterval, attractor) -> UnitElement:
+def check_cycle_form(a, realization: Realization) -> None:
+    """Raise NonnegativeFormNotFound, naming the period, unless a cycle's
+    form M is primitive (claim 4 of _attractor_data) and A T == T M for
+    the unit's action matrix A and T = realization.transform, on integers.
+    With M unimodular and non-negative, A T == T M gives what a unit check
+    would: the norm det A = det M = +-1, v and v^-1 in End(m) as A and
+    A^-1 are integral, and sigma(v) > 1, M's Perron root."""
+    m, t = realization.matrix, realization.transform
+    period = realization.roundtrip.digits
+    if not is_primitive(m):
+        raise NonnegativeFormNotFound(f"the block product of the cycle {period} is not primitive")
+    if mat_mul(a, t) != mat_mul(t, m):
+        raise NonnegativeFormNotFound(f"the block product of the cycle {period} is not T^-1 A T "
+                                      "for the unit's action matrix A")
+
+
+def find_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
     """A unit u of the order, of the field's degree and dominant at root:
     sigma_e(u) > 1 exceeds |sigma_j(u)| at every other real embedding j.
 
-    The module's own basis ratios are expanded first (see attractor):
-    when that expansion cycles, the Perron value of one trip around the
-    cycle is a unit of the order and is the one the downstream block
-    factorization can realize (dominant, as the Perron root of a cycle
-    product some power of which is positive; Perron 1907).  In degree 2
-    the expansion is the regular continued fraction of a reduced
-    quadratic irrational, and one period gives the fundamental unit of
-    the order.  The return unit is verified exactly (unit norm, it and
-    its inverse in the order, image > 1).  When the expansion does not
-    cycle within budget, the shells of max-norm 1, 2, 3, ... are tested
-    while the next whole shell fits in _MAX_CANDIDATES: the first one
-    holding a dominant unit gives its one of least image, and else
-    UnitNotFound names the candidates tested and the max-norm done.  A
-    shell may hold a unit as any of +-alpha^+-1; each unit is tested once,
-    as the member with image > 1, and images are ordered by the exact sign
-    of their difference (distinct elements have distinct images).
+    The unit search of a module whose expansion does not cycle.  The shells
+    of max-norm 1, 2, 3, ... are tested while the next whole shell fits in
+    _MAX_CANDIDATES: the first one holding a dominant unit gives its one
+    of least image, and else UnitNotFound names the candidates tested and
+    the max-norm done.  A shell may hold a unit as any of +-alpha^+-1;
+    each unit is tested once, as the member with image > 1, and images
+    are ordered by the exact sign of their difference (distinct elements
+    have distinct images).
 
     A non-dominant u with sigma_e(u) > 1 is never realized, so it is not
     returned.  If u has lower degree, so has every u^k: _is_top_real_root
@@ -207,10 +232,6 @@ def find_unit(order: OrderRing, root: RealRootInterval, attractor) -> UnitElemen
     degree a non-negative candidate's Perron root is a real image of u^k
     above sigma_e(u^k), so _is_top_real_root is false.  Returning u would
     relabel a unit-stage failure as NonnegativeFormNotFound/NotSquarefree.
-
-    attractor is _attractor_data(m, root) of any module m with
-    End(m) = order, as the caller computed it, or None when that
-    expansion did not cycle.
 
     A shell candidate sum_i c_i g_i over the order's HNF basis is summed
     on integer numerators over the basis' common denominator d, and its
@@ -223,17 +244,6 @@ def find_unit(order: OrderRing, root: RealRootInterval, attractor) -> UnitElemen
     if root not in field.real_roots:
         raise ValueError("embedding does not belong to the order's field")
     n = field.degree
-    if attractor is not None:
-        v = attractor[3]
-        nrm = v.norm()
-        if (
-            nrm in (1, -1)
-            and order.contains(v)
-            and order.contains(v.inverse())
-            and sign_at(v - field.one, root) > 0
-        ):
-            return UnitElement(v, int(nrm), order)
-
     den = order.module.den
     cols = tuple(zip(*order.module.rows))  # the basis' numerators, coordinate by coordinate
     unit_det = den ** n
@@ -425,14 +435,11 @@ def _times_signed_permutation(base, q, signs):
     return tuple(tuple(signs[j] * base[i][q[j]] for j in range(n)) for i in range(n))
 
 
-def _base_changes(m: ZModule, attractor, ident):
+def _base_changes(m: ZModule, ident):
     """The base changes (B, B^-1) make_nonnegative tries, in its order: the
-    attractor's, when the module's expansion cycled, the identity, and the
-    LLL one unless it is the identity.  Each inverse is already known, so
-    no B is inverted; and as a generator this computes the LLL transform
-    only when the search first reaches it."""
-    if attractor is not None:
-        yield attractor[:2]
+    identity, and the LLL one unless it is the identity.  Each inverse is
+    already known, so no B is inverted; and as a generator this computes
+    the LLL transform only when the search first reaches it."""
     yield ident, ident
     u_lll, inv = _lll_transform(trace_gram(m.basis_elements()))
     if u_lll != ident:
@@ -461,13 +468,12 @@ def _powers_in_bases(a, k_step, bases):
             yield k, form[0], form[1], form[3]
 
 
-def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
-                     attractor) -> Realization:
+def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval) -> Realization:
     """Search for T and k with A' = T^-1 A^k T entrywise non-negative.
 
-    T = B P ranges over base changes B (the module's attractor basis
-    change, the identity and an LLL-derived basis change) times signed
-    permutations P; k runs over 1.._K_MAX, even values only when the unit's
+    The form search of a module whose expansion does not cycle.  T = B P
+    ranges over base changes B (the identity and an LLL-derived basis
+    change) times signed permutations P; k runs over 1.._K_MAX, even values only when the unit's
     image is negative so that the spectral radius of A' is sigma_e(u)^k
     (this is verified, not assumed).  The candidates at power k are all
     conjugate to A^k: _is_top_real_root decides at the first of them
@@ -479,12 +485,10 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     the module basis g, so the candidate has the Perron root u^k at root
     and the eigenvector P^T B^-1 g, scaled to lam_0 = 1.
 
-    No B is inverted here: the attractor expansion and the LLL step
-    already hold each inverse.  Since P^-1 = P^T, the candidate
-    P^T (B^-1 A^k B) P is read off M = B^-1 A^k B by index and sign,
-    and T = B P is formed only for the candidate returned.  attractor is
-    _attractor_data(m, root) as the caller computed it, or None when that
-    expansion did not cycle.
+    No B is inverted here: the LLL step already holds its inverse.  Since
+    P^-1 = P^T, the candidate P^T (B^-1 A^k B) P is read off M =
+    B^-1 A^k B by index and sign, and T = B P is formed only for the
+    candidate returned.
 
     Nothing is recomputed from one power to the next (_powers_in_bases):
     each M is the previous power's times C_B = B^-1 A^k_step B, formed
@@ -513,7 +517,7 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval,
     seen = set()
     found_nonneg = False
     power = u_pow = perron = None
-    for k, base, base_inv, mk in _powers_in_bases(a, k_step, _base_changes(m, attractor, ident)):
+    for k, base, base_inv, mk in _powers_in_bases(a, k_step, _base_changes(m, ident)):
         if k != power:
             power = k
             u_pow = u_step if u_pow is None else u_pow * u_step

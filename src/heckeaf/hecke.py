@@ -48,6 +48,7 @@ from .exactnum.units import (
     Realization,
     UnitElement,
     _attractor_data,
+    check_cycle_form,
     find_unit,
     make_nonnegative,
     multiplication_matrix,
@@ -545,18 +546,15 @@ def af_of_module(module: ZModule, embedding_index: int) -> EigenformAFResult:
     the real embedding embedding_index (0..r-1 for r real roots).
 
     Degree 1 is the rational case: the diagram is finite and
-    one-dimensional, so the result is the trivial algebra.  Otherwise the
-    module's endomorphism order supplies an expanding unit whose action
-    matrix, made non-negative in a proper basis, factorizes into the
-    period of the expansion; the expansion's first period is checked digit
-    by digit against the factorization.
-
-    Each intermediate fact is computed once and passed on: the module's
-    attractor expansion feeds both the unit search and the non-negative
-    form search, the unit keeps the order End(module) it was found in,
-    and the result keeps the realization make_nonnegative returns, with
-    its round-trip record (digits, Perron value u^k and eigenvector in
-    the module's field, expansion).
+    one-dimensional, so the result is the trivial algebra.  Otherwise,
+    when the module's own Jacobi-Perron expansion cycles, the cycle gives
+    the unit of End(module), its non-negative form and the round trip in
+    closed form (_attractor_data), checked by check_cycle_form; when it
+    does not, find_unit searches for the unit and make_nonnegative for the
+    form.  Each fact is computed once and passed on: the unit keeps the
+    order End(module), and the result keeps the realization with its
+    round-trip record (digits, Perron value u^k and eigenvector in the
+    module's field, expansion).
 
     Conjugate data: the action of the conjugated unit on the conjugated
     module has the same integer matrix in coordinates, so per-conjugate
@@ -575,10 +573,17 @@ def af_of_module(module: ZModule, embedding_index: int) -> EigenformAFResult:
     if not 0 <= embedding_index < len(field.real_roots):
         raise ValueError(f"embedding_index {embedding_index} not in 0..{len(field.real_roots) - 1}")
     root = field.real_roots[embedding_index]
-    attractor = _attractor_data(module, root)
-    unit = find_unit(endomorphism_ring(module), root, attractor)
-    matrix_a = multiplication_matrix(unit.element, module)
-    realization = make_nonnegative(matrix_a, unit, module, root, attractor)
+    cycle = _attractor_data(module, root)
+    order = endomorphism_ring(module)
+    if cycle is None:
+        unit = find_unit(order, root)
+        matrix_a = multiplication_matrix(unit.element, module)
+        realization = make_nonnegative(matrix_a, unit, module, root)
+    else:
+        v, realization = cycle
+        unit = UnitElement(v, int(v.norm()), order)
+        matrix_a = multiplication_matrix(v, module)
+        check_cycle_form(matrix_a, realization)
     roundtrip = realization.roundtrip
     af = StationaryAF(realization.matrix, roundtrip.digits, charpoly(realization.matrix))
     group = dimension_group(roundtrip.eigenvector[1:], root)

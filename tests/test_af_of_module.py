@@ -24,6 +24,7 @@ from heckeaf import hecke
 from heckeaf.exactnum import IntPolynomial, make_field, module_from_generators
 from heckeaf.exactnum.units import _attractor_data
 from heckeaf.mcf import convergent_matrix
+from test_attractor import reference_attractor_data
 from util import CUBIC_FAMILIES, irreducible_totally_real
 
 X = sympy.symbols("x")
@@ -91,20 +92,20 @@ def test_every_quadratic_module_certifies(d, gens, index):
 @given(abc=st.tuples(*[st.integers(-8, 8)] * 3).filter(irreducible_totally_real))
 @example(abc=(-4, -3, 1))  # Z+Za+2Za^2 at embedding 0 is not its own ring and cycles
 def test_cubic_modules_certify_wherever_their_expansion_cycles(abc):
-    """Every embedding of every family at which _attractor_data(m, root)
-    returns (T, W, period, v) gives unit v and the realization
-    (convergent_matrix(period), power 1, transform T).  Elsewhere the
-    unit search falls back to its shell enumeration, which can take
-    seconds, so af_of_module runs only where the expansion cycles."""
+    """Every embedding of every family at which the module's expansion
+    cycles, with (T, W, period, v) by the field-state reference
+    expansion, gives unit v and the realization (convergent_matrix(period),
+    power 1, transform T).  Elsewhere the unit search falls back to its
+    shell enumeration, which can take seconds, so af_of_module runs only
+    where the expansion cycles."""
     a, b, c = abc
     k = make_field(IntPolynomial((c, b, a, 1)))
     for rows in CUBIC_FAMILIES:
         module = module_from_generators(k, [k.element(row) for row in rows])
         for index, root in enumerate(k.real_roots):
-            attractor = _attractor_data(module, root)
-            if attractor is None:
+            if _attractor_data(module, root) is None:
                 continue
-            t_mat, _, period, v = attractor
+            t_mat, _, period, v = reference_attractor_data(module, root)
             result = hecke.af_of_module(module, index)
             assert result.unit.element == v
             real = result.realization

@@ -2,16 +2,17 @@
 
 units._attractor_data runs the Jacobi-Perron expansion of a module's
 basis ratios as integer row operations on its basis-change matrix, with
-digits and repeat fingerprints read from basis enclosures.  The first
-reference below is the direct expansion: exact field-element states
-stepped by mcf.jpa_step and hashed by their coordinates, with the
-attractor basis obtained by inverting the basis change.  Both must give
-the same (T, W, period, return unit), or both None.
+digits and repeat fingerprints read from basis enclosures, and returns the
+cycle's unit and realization in closed form.  The first reference below is
+the direct expansion: exact field-element states stepped by mcf.jpa_step
+and hashed by their coordinates, with the attractor basis obtained by
+inverting the basis change.  Its (T, W, period, return unit), written in
+the closed form, must equal what _attractor_data returns, or both None.
 
 The second reference is the classical degree-2 unit: one period of the
 continued fraction of the order's discriminant surd gives its fundamental
-unit.  find_unit, which takes the attractor's return unit in every
-degree, must give that unit on real quadratic orders.
+unit.  The return unit of _attractor_data, the unit of every cycling run
+in every degree, must be that unit on real quadratic orders.
 """
 
 from fractions import Fraction
@@ -25,7 +26,6 @@ from heckeaf import hecke, mcf
 from heckeaf.exactnum import (
     IntPolynomial,
     endomorphism_ring,
-    find_unit,
     make_field,
     module_from_generators,
     sign_at,
@@ -78,6 +78,21 @@ def reference_attractor_data(m, root, max_steps=512):
             return None
         state = nxt
     return None
+
+
+def reference_closed_form(m, root, max_steps=512):
+    """reference_attractor_data's (T, W, period, v) as _attractor_data
+    returns it: v, and the realization (C(period), power 1, T) with the
+    round trip (period, v, lam, the pure expansion with that period) for
+    lam = W g scaled to lam_0 = 1; None when the expansion does not cycle."""
+    data = reference_attractor_data(m, root, max_steps)
+    if data is None:
+        return None
+    t_mat, w, period, v = data
+    x = [_combination(row, m.basis_elements(), m.field) for row in w]
+    lam = tuple(e / x[0] for e in x)
+    roundtrip = mcf.RoundTrip(period, v, lam, mcf.JpaExpansion(len(w), (), period, False))
+    return v, units.Realization(mcf.convergent_matrix(period, len(w)), 1, t_mat, roundtrip)
 
 
 def reference_quadratic_unit(order, root):
@@ -158,7 +173,7 @@ def test_bundled_modules_match_reference(fingerprint_bits):
     cycled = 0
     for label, m, root in _bundled_cases():
         got = units._attractor_data(m, root)
-        assert got == reference_attractor_data(m, root), label
+        assert got == reference_closed_form(m, root), label
         cycled += got is not None
     assert cycled > 0
 
@@ -167,7 +182,7 @@ def test_level47a_matches_reference():
     f = hecke.load_newform(LEVEL47A.read_text())
     module = hecke.module_of_eigenform(f)
     root = f.field.real_roots[3]
-    assert units._attractor_data(module, root) == reference_attractor_data(module, root)
+    assert units._attractor_data(module, root) == reference_closed_form(module, root)
 
 
 def test_level47a_short_expansion_without_fingerprint(monkeypatch):
@@ -176,7 +191,7 @@ def test_level47a_short_expansion_without_fingerprint(monkeypatch):
     root = f.field.real_roots[3]
     monkeypatch.setattr(mcf, "_FINGERPRINT_BITS", 0)
     got = units._attractor_data(module, root, max_steps=64)
-    assert got == reference_attractor_data(module, root, max_steps=64)
+    assert got == reference_closed_form(module, root, max_steps=64)
 
 
 _FIELDS = {
@@ -202,7 +217,7 @@ def _full_rank_module(draw):
 @given(_full_rank_module())
 def test_random_modules_match_reference(case):
     m, root = case
-    assert units._attractor_data(m, root, 24) == reference_attractor_data(m, root, 24)
+    assert units._attractor_data(m, root, 24) == reference_closed_form(m, root, 24)
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,14 +230,15 @@ def test_random_modules_match_reference_without_fingerprint(case):
         got = units._attractor_data(m, root, 24)
     finally:
         mcf._FINGERPRINT_BITS = original
-    assert got == reference_attractor_data(m, root, 24)
+    assert got == reference_closed_form(m, root, 24)
 
 
 @pytest.mark.parametrize("d", [d for d in range(2, 61) if isqrt(d) ** 2 != d])
 def test_find_unit_matches_continued_fraction_unit(d):
-    """On Z[sqrt d], Z[(1+sqrt d)/2] when d = 1 mod 4, Z[2 sqrt d],
-    Z[3 sqrt d] and the module <3, 1 + sqrt d>, which is not a ring, at
-    both embeddings of Q(sqrt d)."""
+    """The unit of a cycling run, _attractor_data's return unit, is the
+    fundamental unit on Z[sqrt d], Z[(1+sqrt d)/2] when d = 1 mod 4,
+    Z[2 sqrt d], Z[3 sqrt d] and the module <3, 1 + sqrt d>, which is not
+    a ring, at both embeddings of Q(sqrt d)."""
     field = make_field(IntPolynomial((-d, 0, 1)))
     one, r = field.one, field.gen
     gens = [[one, r], [one, 2 * r], [one, 3 * r], [3 * one, one + r]]
@@ -231,18 +247,19 @@ def test_find_unit_matches_continued_fraction_unit(d):
     for g in gens:
         order = endomorphism_ring(module_from_generators(field, g))
         for root in field.real_roots:
-            u = find_unit(order, root, units._attractor_data(order.module, root))
-            assert u.element == reference_quadratic_unit(order, root), (g, root)
+            v, _ = units._attractor_data(order.module, root)
+            assert v == reference_quadratic_unit(order, root), (g, root)
 
 
 def test_find_unit_long_quadratic_period():
     """The continued fraction of sqrt(48799) has period 544: more than the
-    512 steps a rank-3 expansion gets, within the rank-2 budget."""
+    512 steps a rank-3 expansion gets, within the rank-2 budget, and
+    _attractor_data's return unit is the fundamental unit."""
     field = make_field(IntPolynomial((-48799, 0, 1)))
     order = endomorphism_ring(module_from_generators(field, [field.one, field.gen]))
     for root in field.real_roots:
-        u = find_unit(order, root, units._attractor_data(order.module, root))
-        assert u.element == reference_quadratic_unit(order, root)
+        v, _ = units._attractor_data(order.module, root)
+        assert v == reference_quadratic_unit(order, root)
 
 
 def _expand_times_tool():
@@ -281,7 +298,8 @@ def test_expand_times_reports_steps_and_repeats(capsys, steps, rows):
         assert float(fields[-1]) >= 0
     f = hecke.load_fixture("level23a")
     module = hecke.module_of_eigenform(f)
-    assert [len(units._attractor_data(module, r)[2]) for r in f.field.real_roots] == [1, 1]
+    assert [len(units._attractor_data(module, r)[1].roundtrip.digits)
+            for r in f.field.real_roots] == [1, 1]
 
 
 @pytest.mark.parametrize("spec", ["level23a@5", "level23a@x", "level23a@-1", "nofixture"])

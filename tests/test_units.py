@@ -1,7 +1,9 @@
 import dataclasses
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations, product
+from math import isqrt
 from pathlib import Path
 from unittest.mock import patch
 
@@ -46,6 +48,7 @@ from heckeaf.exactnum.units import (
     trace_gram,
 )
 from heckeaf import mcf
+from test_attractor import reference_attractor_data
 from util import CUBIC_FAMILIES, irreducible_totally_real, mat_pow
 
 LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
@@ -65,11 +68,11 @@ def test_find_unit_golden(golden):
     # the order is Z[(1 + sqrt5)/2], the maximal order of discriminant 5
     assert order.module == module_from_generators(field, [field.one, phi])
     root = field.real_roots[-1]
-    u = find_unit(order, root, _attractor_data(order.module, root))
+    v, _ = _attractor_data(order.module, root)
     # Pell oracle: x^2 - x - 1 has constant term -1
-    assert u.element == phi
-    assert u.norm == -1
-    assert u.element.min_poly() == IntPolynomial((-1, -1, 1))
+    assert v == phi
+    assert v.norm() == -1
+    assert v.min_poly() == IntPolynomial((-1, -1, 1))
 
 
 def test_find_unit_sqrt2():
@@ -77,10 +80,10 @@ def test_find_unit_sqrt2():
     module = module_from_generators(field, [field.one, field.gen])
     order = endomorphism_ring(module)
     root = field.real_roots[-1]
-    u = find_unit(order, root, _attractor_data(order.module, root))
+    v, _ = _attractor_data(order.module, root)
     # continued fraction oracle: sqrt2 = [1; 2, 2, ...] gives 1 + sqrt2
-    assert u.element == field.one + field.gen
-    assert u.norm == -1
+    assert v == field.one + field.gen
+    assert v.norm() == -1
 
 
 def test_find_unit_suborder():
@@ -90,18 +93,18 @@ def test_find_unit_suborder():
     # the order is Z[sqrt5], of discriminant 20
     assert order.module == module_from_generators(field, [field.one, field.gen])
     root = field.real_roots[-1]
-    u = find_unit(order, root, _attractor_data(order.module, root))
+    v, _ = _attractor_data(order.module, root)
     # fundamental unit of Z[sqrt5] is 2 + sqrt5 (phi^3)
-    assert u.element == field.element((2, 1))
-    assert u.norm == -1
-    assert order.contains(u.element.inverse())
+    assert v == field.element((2, 1))
+    assert v.norm() == -1
+    assert order.contains(v.inverse())
 
 
 def test_find_unit_degree_one():
     field = make_field(IntPolynomial((-1, 1)))
     order = endomorphism_ring(module_from_generators(field, [field.one]))
     with pytest.raises(UnitNotFound):
-        find_unit(order, field.real_roots[0], None)
+        find_unit(order, field.real_roots[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -145,7 +148,7 @@ def test_spent_unit_budget_raises_unit_not_found(monkeypatch, sqrt2_plus_sqrt3, 
     field, order = sqrt2_plus_sqrt3
     monkeypatch.setattr(units, "_MAX_CANDIDATES", 624)
     with pytest.raises(UnitNotFound, match=r"among 624 candidates, .* max-norm <= 2$"):
-        find_unit(order, field.real_roots[index], attractor=None)
+        find_unit(order, field.real_roots[index])
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -164,7 +167,7 @@ def test_unit_search_reaches_the_shell_of_max_norm_three(monkeypatch, sqrt2_plus
             yield coords
 
     monkeypatch.setattr(units, "_shell", recorded)
-    u = find_unit(order, root, attractor=None)
+    u = find_unit(order, root)
     assert set(tested) == set(product(range(-3, 4), repeat=4)) - {(0,) * 4}
     assert set(tested.values()) == {1}
     assert _max_norm_found_at(u.element, order) == 3
@@ -181,7 +184,7 @@ def test_enumerated_unit_is_dominant_and_carries_its_own_norm(poly):
     gens = [field.one, field.gen, field.gen * field.gen]
     order = endomorphism_ring(module_from_generators(field, gens))
     for root in field.real_roots:
-        u = find_unit(order, root, attractor=None)
+        u = find_unit(order, root)
         assert u.norm == u.element.norm()
         assert u.element.degree_over_q() == 3 and _dominant_of_full_degree(u.element, root)
 
@@ -190,18 +193,21 @@ def test_enumerated_unit_is_dominant_and_carries_its_own_norm(poly):
                                   "level71a@2", "level71b@0", "level71b@1", "level71b@2",
                                   "level47a@0", "level47a@1", "level47a@2", "level47a@3"])
 def test_pipeline_units_are_dominant(spec):
-    """The bundled fixtures take the attractor's return unit; level47a,
-    whose expansion does not cycle, a unit from the shell of max-norm 1."""
+    """The bundled fixtures take the return unit of their cycling
+    expansion; level47a, whose expansion does not cycle, a unit from the
+    shell of max-norm 1."""
     name, index = spec.split("@")
     f = hecke.load_newform(LEVEL47A.read_text()) if name == "level47a" else hecke.load_fixture(name)
     module = hecke.module_of_eigenform(f)
     root = f.field.real_roots[int(index)]
     order = endomorphism_ring(module)
-    u = find_unit(order, root, _attractor_data(order.module, root))
-    assert u.element.degree_over_q() == f.field.degree
-    assert _dominant_of_full_degree(u.element, root)
+    cycle = _attractor_data(module, root)
+    assert (cycle is None) == (name == "level47a")
+    u = find_unit(order, root).element if cycle is None else cycle[0]
+    assert u.degree_over_q() == f.field.degree
+    assert _dominant_of_full_degree(u, root)
     if name == "level47a":
-        assert _max_norm_found_at(u.element, order) == 1
+        assert _max_norm_found_at(u, order) == 1
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -234,7 +240,7 @@ def test_shell_unit_is_the_exact_minimum_tested_once(monkeypatch, index):
         return original(u, r)
 
     monkeypatch.setattr(units, "_dominant_of_full_degree", counted)
-    assert find_unit(order, root, attractor=None).element == least[0]
+    assert find_unit(order, root).element == least[0]
     assert len(tested) == len(set(tested)) == len(reps)
 
 
@@ -254,12 +260,12 @@ def test_unit_invariants_various_orders():
         module = module_from_generators(field, gens)
         order = endomorphism_ring(module)
         root = field.real_roots[-1]
-        u = find_unit(order, root, _attractor_data(order.module, root))
-        assert abs(u.element.norm()) == 1
-        a = multiplication_matrix(u.element, module)
+        v, _ = _attractor_data(order.module, root)
+        assert abs(v.norm()) == 1
+        a = multiplication_matrix(v, module)
         assert mat_det(a) in (1, -1)
-        assert order.contains(u.element) and order.contains(u.element.inverse())
-        lo, _ = eval_embedding(u.element, root, Fraction(1, 1000))
+        assert order.contains(v) and order.contains(v.inverse())
+        lo, _ = eval_embedding(v, root, Fraction(1, 1000))
         assert lo > 1
 
 
@@ -285,15 +291,18 @@ def test_multiplication_matrix_charpoly_property(golden):
 
 
 def test_make_nonnegative_golden(golden):
+    """The cycle's closed form and the form search on its unit both give
+    the golden-ratio block ((0, 1), (1, 1)) at the first power."""
     field, phi, module, order = golden
     root = field.real_roots[-1]
-    u = find_unit(order, root, _attractor_data(order.module, root))
-    a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
-    assert r.matrix == ((0, 1), (1, 1))
-    assert r.power == 1
-    assert mat_det(r.transform) in (1, -1)
-    assert charpoly(r.matrix) == (u.element ** r.power).min_poly()
+    v, closed = _attractor_data(module, root)
+    u = UnitElement(v, int(v.norm()), order)
+    a = multiplication_matrix(v, module)
+    for r in (closed, make_nonnegative(a, u, module, root)):
+        assert r.matrix == ((0, 1), (1, 1))
+        assert r.power == 1
+        assert mat_det(r.transform) in (1, -1)
+        assert charpoly(r.matrix) == (v ** r.power).min_poly()
 
 
 def test_make_nonnegative_negative_unit(golden):
@@ -303,7 +312,7 @@ def test_make_nonnegative_negative_unit(golden):
     u = UnitElement(neg, int(neg.norm()), order)
     a = multiplication_matrix(neg, module)
     assert any(x < 0 for row in a for x in row)
-    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
+    r = make_nonnegative(a, u, module, root)
     assert r.power % 2 == 0
     assert all(x >= 0 for row in r.matrix for x in row)
     assert charpoly(r.matrix) == (neg ** r.power).min_poly()
@@ -314,9 +323,10 @@ def test_make_nonnegative_spectral_radius(golden):
     # value of the factorized matrix
     field, phi, module, order = golden
     root = field.real_roots[-1]
-    u = find_unit(order, root, _attractor_data(order.module, root))
-    a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
+    v, _ = _attractor_data(module, root)
+    u = UnitElement(v, int(v.norm()), order)
+    a = multiplication_matrix(v, module)
+    r = make_nonnegative(a, u, module, root)
     k = r.power
     perron, _ = mcf.satz12_eigenvector(r.matrix)
     eps = Fraction(1, 10 ** 12)
@@ -331,7 +341,7 @@ def test_make_nonnegative_identity_rejected(golden):
     u = UnitElement(field.one, 1, order)
     ident = multiplication_matrix(field.one, module)
     with pytest.raises(NonnegativeFormNotFound):
-        make_nonnegative(ident, u, module, root, _attractor_data(module, root))
+        make_nonnegative(ident, u, module, root)
 
 
 def test_dominance_predicate(golden):
@@ -347,14 +357,11 @@ def test_cubic_unit_search_end_to_end():
     field = make_field(IntPolynomial((-1, -1, 0, 1)))
     t = field.gen
     module = module_from_generators(field, [field.one, t, t * t])
-    order = endomorphism_ring(module)
-    root = field.real_roots[-1]
-    u = find_unit(order, root, _attractor_data(order.module, root))
-    a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
+    result = hecke.af_of_module(module, len(field.real_roots) - 1)
+    r = result.realization
     digits = mcf.bauer_factorize(r.matrix)
     assert mcf.convergent_matrix(digits, 3) == r.matrix
-    assert charpoly(r.matrix) == (u.element ** r.power).min_poly()
+    assert charpoly(r.matrix) == (result.unit.element ** r.power).min_poly()
 
 
 @st.composite
@@ -445,18 +452,17 @@ def test_sign_classes_keep_the_non_negative_candidates_in_order(m):
 
 @pytest.mark.parametrize("poly", [(-5, 0, 1), (-1, -1, 0, 1), (3, -5, 0, 1)])
 def test_make_nonnegative_realization_is_consistent(poly):
-    """matrix = transform^-1 A^power transform, and the expansion is
-    purely periodic with a period repeating to the matrix's Bauer digits."""
+    """The pipeline's realization has matrix = transform^-1 A^power
+    transform for its unit's action matrix A, and its expansion is purely
+    periodic with a period repeating to the matrix's Bauer digits."""
     field = make_field(IntPolynomial(poly))
     gens = [field.one]
     for _ in range(field.degree - 1):
         gens.append(gens[-1] * field.gen)
     module = module_from_generators(field, gens)
-    root = field.real_roots[-1]
-    order = endomorphism_ring(module)
-    u = find_unit(order, root, _attractor_data(order.module, root))
-    a = multiplication_matrix(u.element, module)
-    r = make_nonnegative(a, u, module, root, _attractor_data(module, root))
+    result = hecke.af_of_module(module, len(field.real_roots) - 1)
+    a, r = result.matrix_a, result.realization
+    assert a == multiplication_matrix(result.unit.element, module)
     t = r.transform
     assert mat_mul(mat_mul(mat_inverse_fraction(t), mat_pow(a, r.power)), t) == r.matrix
     digits = tuple(mcf.bauer_factorize(r.matrix))
@@ -468,7 +474,8 @@ def test_make_nonnegative_realization_is_consistent(poly):
 def _roundtrip_candidates(monkeypatch, f):
     """The candidates make_nonnegative takes to the round trip in one
     af_of_eigenform run, in order, and the run's result (None when the
-    form search finds no realization)."""
+    form search finds no realization).  A cycling run takes none: its
+    form is the cycle's closed form."""
     cands = []
     original = mcf.bauer_factorize
 
@@ -490,7 +497,8 @@ def _roundtrip_candidates(monkeypatch, f):
                                   "level47a@0", "level47a@2"])
 def test_roundtrip_in_the_unit_field_matches_the_bare_matrix_roundtrip(monkeypatch, spec):
     """Every candidate the form search rejects, the round trip of the bare
-    matrix (its own Perron field) rejects too; the accepted one has that
+    matrix (its own Perron field) rejects too; the realization of a
+    stationary run, read off its cycle with no candidate formed, has that
     round trip's digits, expansion, char poly and eigenvector images.
     level47a's form search fails: at @0 on 576 candidates (552 that do not
     factorize, 24 whose digits are not canonical), at @2 on 288 that do
@@ -500,7 +508,7 @@ def test_roundtrip_in_the_unit_field_matches_the_bare_matrix_roundtrip(monkeypat
     f = dataclasses.replace(f, embedding_index=int(index))
     cands, result = _roundtrip_candidates(monkeypatch, f)
     if name != "level47a":
-        assert cands[-1] == result.realization.matrix
+        assert cands == []
         record = mcf.roundtrip_record(result.realization.matrix)
         assert record.digits == result.af.digits
         assert record.expansion == result.realization.roundtrip.expansion
@@ -512,7 +520,6 @@ def test_roundtrip_in_the_unit_field_matches_the_bare_matrix_roundtrip(monkeypat
             lo, hi = eval_embedding(got, root, eps)
             lo2, hi2 = eval_embedding(want, perron, eps)
             assert lo <= hi2 and lo2 <= hi
-        cands = cands[:-1]
     rejections = Counter()
     for cand in cands:
         with pytest.raises((NotFactorizable, DegenerateSpectrum, RoundTripMismatch)) as exc:
@@ -594,9 +601,11 @@ def _ref_lll_transform(gram):
 
 
 def ref_make_nonnegative(a, u, m, root, attractor):
-    """make_nonnegative as it was: A^k by repeated squaring at every power,
-    both products of each base change at every (power, base), u^k from
-    scratch, and the LLL transform before any candidate is tried."""
+    """make_nonnegative as it was: the attractor base of
+    reference_attractor_data's (T, W, period, v) first, when the module's
+    expansion cycled, A^k by repeated squaring at every power, both
+    products of each base change at every (power, base), u^k from scratch,
+    and the LLL transform before any candidate is tried."""
     n = len(a)
     s = sign_at(u.element, root)
     k_start, k_step = (1, 1) if s > 0 else (2, 2)
@@ -653,22 +662,45 @@ def ref_make_nonnegative(a, u, m, root, attractor):
     )
 
 
+def ref_find_unit(order, root, attractor):
+    """find_unit as it was: the return unit of reference_attractor_data's
+    (T, W, period, v) when it passes the unit checks (norm +-1, v and v^-1
+    in the order, image > 1), else the shell search."""
+    if attractor is not None:
+        v = attractor[3]
+        nrm = v.norm()
+        if (nrm in (1, -1) and order.contains(v) and order.contains(v.inverse())
+                and sign_at(v - order.field.one, root) > 0):
+            return UnitElement(v, int(nrm), order)
+    return find_unit(order, root)
+
+
+def _reference_budget(m):
+    """The expansion budget of _attractor_data at m's rank."""
+    return 4096 if len(m.basis_elements()) == 2 else 512
+
+
 def _form_search_outcomes(m, root):
-    """make_nonnegative's and ref_make_nonnegative's outcomes for the unit
-    find_unit gives on m at root: a Realization, or the typed error's class
-    and message; None when the unit search finds no unit."""
-    attractor = units._attractor_data(m, root)
+    """The pipeline's and the old search's outcomes on m at root: the unit
+    and Realization of af_of_module, or the typed error's class and
+    message, against ref_make_nonnegative on ref_find_unit's unit, both
+    given reference_attractor_data's (T, W, period, v); None when the unit
+    search finds no unit."""
+    attractor = reference_attractor_data(m, root, _reference_budget(m))
+    outcomes = []
     try:
-        u = find_unit(endomorphism_ring(m), root, attractor=attractor)
+        result = hecke.af_of_module(m, m.field.real_roots.index(root))
+        outcomes.append((result.unit, result.realization))
     except UnitNotFound:
         return None
+    except HeckeafError as exc:
+        outcomes.append((type(exc), str(exc)))
+    u = ref_find_unit(endomorphism_ring(m), root, attractor)
     a = multiplication_matrix(u.element, m)
-    outcomes = []
-    for search in (make_nonnegative, ref_make_nonnegative):
-        try:
-            outcomes.append(search(a, u, m, root, attractor=attractor))
-        except HeckeafError as exc:
-            outcomes.append((type(exc), str(exc)))
+    try:
+        outcomes.append((u, ref_make_nonnegative(a, u, m, root, attractor)))
+    except HeckeafError as exc:
+        outcomes.append((type(exc), str(exc)))
     return outcomes
 
 
@@ -680,9 +712,10 @@ def _form_search_outcomes(m, root):
 @example(abc=(6, 0, -1), rows=CUBIC_FAMILIES[1], index=0)  # no non-negative form
 def test_make_nonnegative_matches_the_recomputing_reference(abc, rows, index):
     """Carrying the powers, the base changes and u^k from power to power,
-    and computing the LLL base only when it is reached, changes no
-    outcome: on drawn cubic modules, cycling or not, the Realization is
-    equal field by field, or the error has the same class and message.
+    computing the LLL base only when it is reached, and reading a cycling
+    run's form off its cycle change no outcome: on drawn cubic modules,
+    cycling or not, the unit and the Realization are equal field by field
+    to the old search's, or the error has the same class and message.
     The unit search runs under a smaller budget, and a module it finds no
     unit of is skipped."""
     a, b, c = abc
@@ -705,6 +738,96 @@ def test_make_nonnegative_matches_the_recomputing_reference_on_level47a(index):
     assert got[0] is NonnegativeFormNotFound
 
 
+def _closed_form_matches_the_old_search(m, index):
+    """On a cycling run, _attractor_data's (v, Realization) is the unit and
+    the realization the old search found from the same expansion
+    (ref_find_unit, then ref_make_nonnegative), field by field: the
+    matrix C(period) at power 1, the transform T, and the round trip's
+    digits, Perron value, eigenvector and expansion; and the pipeline
+    returns them."""
+    root = m.field.real_roots[index]
+    cycle = units._attractor_data(m, root)
+    assert cycle is not None
+    attractor = reference_attractor_data(m, root, _reference_budget(m))
+    u = ref_find_unit(endomorphism_ring(m), root, attractor)
+    want = ref_make_nonnegative(multiplication_matrix(u.element, m), u, m, root, attractor)
+    assert cycle == (u.element, want)
+    result = hecke.af_of_module(m, index)
+    assert (result.unit, result.realization) == (u, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 10 ** 4).filter(lambda d: isqrt(d) ** 2 != d),
+       gens=st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda t: t[0] * t[3] != t[1] * t[2]),
+       index=st.integers(0, 1))
+def test_closed_form_matches_the_old_search_on_quadratic_modules(d, gens, index):
+    """Every module Z(a + b sqrt d) + Z(a' + b' sqrt d), coordinates in
+    -3..3, cycles at either embedding, and its closed form is the old
+    search's realization."""
+    k = make_field(IntPolynomial((-d, 0, 1)))
+    a, b, a2, b2 = gens
+    module = module_from_generators(k, [k.element([a, b]), k.element([a2, b2])])
+    _closed_form_matches_the_old_search(module, index)
+
+
+@settings(max_examples=20, deadline=None)
+@given(abc=st.tuples(*[st.integers(-8, 8)] * 3).filter(irreducible_totally_real))
+@example(abc=(-4, -3, 1))  # Z+Za+2Za^2 at embedding 0 is not its own ring and cycles
+def test_closed_form_matches_the_old_search_on_cubic_families(abc):
+    """Every embedding of every cubic family at which the module's
+    expansion cycles gives the old search's realization in closed form."""
+    a, b, c = abc
+    k = make_field(IntPolynomial((c, b, a, 1)))
+    for rows in CUBIC_FAMILIES:
+        module = module_from_generators(k, [k.element(row) for row in rows])
+        for index, root in enumerate(k.real_roots):
+            if units._attractor_data(module, root) is not None:
+                _closed_form_matches_the_old_search(module, index)
+
+
+_STATIONARY = ["level23a@0", "level23a@1", "level71a@0", "level71a@1", "level71a@2",
+               "level71b@0", "level71b@1", "level71b@2"]
+
+
+@pytest.mark.parametrize("spec", _STATIONARY)
+def test_closed_form_matches_the_old_search_on_bundled_runs(spec):
+    """The 8 bundled stationary runs realize in closed form, as the old
+    search realized them."""
+    name, index = spec.split("@")
+    _closed_form_matches_the_old_search(
+        hecke.module_of_eigenform(hecke.load_fixture(name)), int(index))
+
+
+def test_cycle_form_must_be_primitive(monkeypatch):
+    """Primitivity is the one fact of a cycle's closed form the expansion
+    does not give (_attractor_data, claim 4): with it reported false, a
+    cycling run ends in NonnegativeFormNotFound naming the period."""
+    f = hecke.load_fixture("level71a")
+    period = hecke.af_of_eigenform(f).af.digits
+    monkeypatch.setattr(units, "is_primitive", lambda m: False)
+    with pytest.raises(NonnegativeFormNotFound, match=re.escape(f"cycle {period} is not primitive")):
+        hecke.af_of_eigenform(f)
+
+
+def test_cycle_form_must_be_the_units_action_in_its_basis(monkeypatch):
+    """A cycle's form transposed is still non-negative, unimodular and
+    primitive, but not T^-1 A T for the unit's action matrix A: A T == T M
+    fails, and the run ends in NonnegativeFormNotFound naming the period."""
+    f = hecke.load_fixture("level71a")
+    period = hecke.af_of_eigenform(f).af.digits
+    original = units._attractor_data
+
+    def transposed(m, root, *args):
+        v, r = original(m, root, *args)
+        m_t = tuple(zip(*r.matrix))
+        assert m_t != r.matrix and is_primitive(m_t)
+        return v, dataclasses.replace(r, matrix=m_t)
+
+    monkeypatch.setattr(hecke, "_attractor_data", transposed)
+    with pytest.raises(NonnegativeFormNotFound, match=re.escape(f"cycle {period} is not T^-1 A T")):
+        hecke.af_of_eigenform(f)
+
+
 def test_perron_test_gets_the_carried_power_of_the_unit_and_matrix(monkeypatch):
     """At level47a@2 every power k = 1..12 has a non-negative candidate,
     so the form search asks _is_top_real_root once per power: with u^k,
@@ -713,8 +836,8 @@ def test_perron_test_gets_the_carried_power_of_the_unit_and_matrix(monkeypatch):
     f = hecke.load_newform(LEVEL47A.read_text())
     root = f.field.real_roots[2]
     module = hecke.module_of_eigenform(f)
-    attractor = units._attractor_data(module, root)
-    u = find_unit(endomorphism_ring(module), root, attractor=attractor)
+    assert units._attractor_data(module, root) is None
+    u = find_unit(endomorphism_ring(module), root)
     a = multiplication_matrix(u.element, module)
     calls = []
     original = units._is_top_real_root
@@ -725,7 +848,7 @@ def test_perron_test_gets_the_carried_power_of_the_unit_and_matrix(monkeypatch):
 
     monkeypatch.setattr(units, "_is_top_real_root", recorded)
     with pytest.raises(NonnegativeFormNotFound):
-        make_nonnegative(a, u, module, root, attractor=attractor)
+        make_nonnegative(a, u, module, root)
     assert sign_at(u.element, root) > 0
     assert [value for value, _ in calls] == [u.element ** k for k in range(1, units._K_MAX + 1)]
     assert [charpoly(m) for _, m in calls] == [charpoly(mat_pow(a, k))

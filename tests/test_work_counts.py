@@ -69,11 +69,18 @@ def _count_fields(monkeypatch):
 
 @pytest.mark.parametrize("label", ["level71a", "level23a"])
 def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
+    """A cycling run reads its unit, form, digits and round trip off the
+    module's one expansion: it searches for no unit or form, forms no
+    candidate, and neither factorizes nor expands again."""
     f = hecke.load_fixture(label)
     attractor = _count(monkeypatch, "_attractor_data", units, hecke)
     roundtrip = _count(monkeypatch, "roundtrip_record", mcf, units, hecke)
     eigenvector = _count(monkeypatch, "satz12_eigenvector", mcf, units, hecke, afalg)
     factorize = _count(monkeypatch, "bauer_factorize", mcf, units, hecke, afalg)
+    period = _count(monkeypatch, "check_period", mcf, units, hecke)
+    searches = {name: _count(monkeypatch, name, units, hecke)
+                for name in ("find_unit", "make_nonnegative", "_nonnegative_conjugates",
+                             "_is_top_real_root", "_lll_transform")}
     inverse = _count(monkeypatch, "mat_inverse_fraction", intmat, units, hecke)
     char_poly = _count(monkeypatch, "charpoly", intmat, units, mcf, hecke)
     make = _count(monkeypatch, "make_field", field, mcf, hecke)
@@ -86,9 +93,11 @@ def test_af_of_eigenform_computes_each_fact_once(monkeypatch, label):
     # basis: no matrix is certified again, and no second field is built
     assert roundtrip[0] == 0
     assert eigenvector[0] == 0
-    assert factorize[0] == 1
-    # no matrix inverse: the attractor expansion and the LLL step carry
-    # their basis changes' inverses as integer matrices
+    assert factorize[0] == 0
+    assert period[0] == 0
+    assert {name: calls[0] for name, calls in searches.items()} == dict.fromkeys(searches, 0)
+    # no matrix inverse: the attractor expansion carries its basis
+    # change's inverse as an integer matrix
     assert inverse[0] == 0
     # the accepted candidate's char poly, for the report; the Perron test
     # walks the unit's images instead
@@ -132,27 +141,20 @@ def test_af_conjugates_runs_the_pipeline_once(monkeypatch, tmp_path, capsys):
 
 def test_quadratic_unit_comes_from_the_shared_expansion(monkeypatch):
     """level23a's unit is the return unit of the one attractor expansion:
-    the unit search runs no Jacobi-Perron expansion of its own, and the
-    run expands twice, the attractor and the round trip."""
+    the run calls no unit search, and expands once, as the round trip is
+    that expansion's cycle."""
     f = hecke.load_fixture("level23a")
+    root = f.field.real_roots[f.working_embedding_index()]
+    v, _ = units._attractor_data(hecke.module_of_eigenform(f), root)
     attractor = _count(monkeypatch, "_attractor_data", units, hecke)
+    search = _count(monkeypatch, "find_unit", units, hecke)
     counts = _count_steps(monkeypatch)
-    in_find_unit = [0, 0]
-    original = units.find_unit
-
-    def counted(*args, **kwargs):
-        before = list(counts)
-        unit = original(*args, **kwargs)
-        in_find_unit[0] += counts[0] - before[0]
-        in_find_unit[1] += counts[1] - before[1]
-        return unit
-
-    monkeypatch.setattr(hecke, "find_unit", counted)
     result = hecke.af_of_eigenform(f)
     assert isinstance(result.af, hecke.StationaryAF)
+    assert result.unit.element == v
     assert attractor[0] == 1
-    assert counts[0] == 2 and counts[1] > 0
-    assert in_find_unit == [0, 0]
+    assert counts[0] == 1 and counts[1] > 0
+    assert search[0] == 0
 
 
 def test_attractor_expansion_makes_no_field_step_or_division(monkeypatch):
@@ -179,7 +181,8 @@ def test_attractor_expansion_makes_no_field_step_or_division(monkeypatch):
 def test_af_of_module_expands_a_module_that_is_not_a_ring_once(monkeypatch):
     """Z + Z a + 2Z a^2 in Q(a), a^3 - 4a^2 - 3a + 1 = 0, is not its own
     multiplier ring.  One run at embedding 0 expands that module once, and
-    its unit is the return unit of that expansion, a unit of End(m)."""
+    its unit and realization are that expansion's closed form, the unit
+    one of End(m)."""
     k = make_field(IntPolynomial((1, -3, -4, 1)))
     a = k.element([0, 1, 0])
     module = module_from_generators(k, [k.one, a, 2 * a * a])
@@ -195,7 +198,8 @@ def test_af_of_module_expands_a_module_that_is_not_a_ring_once(monkeypatch):
     monkeypatch.setattr(hecke, "_attractor_data", recorded)
     result = hecke.af_of_module(module, 0)
     assert len(returned) == 1
-    assert result.unit.element == returned[0][3]
+    assert (result.unit.element, result.realization) == returned[0]
+    assert result.unit.order == endomorphism_ring(module)
 
 
 def test_level47a_forms_no_signed_conjugate(monkeypatch):
@@ -474,39 +478,33 @@ _STATIONARY = ["level23a@0", "level23a@1", "level71a@0", "level71a@1", "level71a
 
 @pytest.mark.parametrize("spec", _STATIONARY)
 def test_stationary_runs_compute_no_lll_base(monkeypatch, spec):
-    """Every bundled stationary run realizes its form in the attractor
-    basis, before the form search reaches the LLL base, so none computes
-    the LLL transform (each computed it once, before any candidate)."""
+    """Every bundled stationary run cycles and reads its form off the
+    cycle, so none computes the LLL transform, forms a signed conjugate,
+    asks the Perron test, factorizes or expands a round trip."""
     name, index = spec.split("@")
     f = dataclasses.replace(hecke.load_fixture(name), embedding_index=int(index))
-    lll = _count(monkeypatch, "_lll_transform", units)
+    calls = {name: _count(monkeypatch, name, units, hecke)
+             for name in ("_lll_transform", "_nonnegative_conjugates", "_is_top_real_root")}
+    calls.update((name, _count(monkeypatch, name, mcf)) for name in ("bauer_factorize", "check_period"))
     assert isinstance(hecke.af_of_eigenform(f).af, hecke.StationaryAF)
-    assert lll[0] == 0
+    assert {name: c[0] for name, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 @pytest.mark.parametrize("spec", _STATIONARY)
 def test_round_trip_expansion_reads_the_ladder_it_finds(monkeypatch, spec):
-    """The round trip's expansion (mcf.check_period) reads its basis
-    enclosures off the levels the module's expansion left on the root's
-    ladder, so on every bundled stationary run it refines the root no
-    further (it made one refinement when it sharpened a copy of the root
-    from the coarse interval)."""
+    """The round trip of every bundled stationary run is the module's own
+    expansion's cycle (_attractor_data, claim 3): the run expands once and
+    never calls mcf.check_period, whose second expansion would only repeat
+    the period, so the round trip refines the root no further."""
     name, index = spec.split("@")
     f = dataclasses.replace(hecke.load_fixture(name), embedding_index=int(index))
-    refined = _count(monkeypatch, "refined", RealRootInterval)
-    in_check = []
-    original = mcf.check_period
-
-    def counted(*args):
-        before = refined[0]
-        try:
-            return original(*args)
-        finally:
-            in_check.append(refined[0] - before)
-
-    monkeypatch.setattr(mcf, "check_period", counted)
-    assert isinstance(hecke.af_of_eigenform(f).af, hecke.StationaryAF)
-    assert in_check and set(in_check) == {0}
+    check = _count(monkeypatch, "check_period", mcf)
+    counts = _count_steps(monkeypatch)
+    result = hecke.af_of_eigenform(f)
+    assert isinstance(result.af, hecke.StationaryAF)
+    assert check[0] == 0
+    assert counts[0] == 1
+    assert result.realization.roundtrip.expansion.period == result.af.digits
 
 
 def test_level47a_expansion_recomputes_the_same_states(capsys):

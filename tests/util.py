@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from heckeaf.exactnum.field import sign_at
 from heckeaf.exactnum.intmat import mat_identity, mat_mul
 
 
@@ -15,6 +16,19 @@ def mat_pow(a, e: int):
         base = mat_mul(base, base)
         e >>= 1
     return result
+
+
+def cone_contains(group, x) -> bool:
+    """Whether x lies in the positive cone of the dimension group: a
+    symbolic zero test of the cone functional first, then its certified
+    sign."""
+    x = tuple(int(v) for v in x)
+    if group.rank == 1:
+        return x[0] >= 0
+    value = group.functional(x)
+    if value.is_zero():
+        return True
+    return sign_at(value, group.root) > 0
 
 
 def random_unimodular(n, rng, steps=14):

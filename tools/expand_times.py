@@ -3,8 +3,9 @@
 
 For each real embedding of the fixture (or only embedding i, with
 `@i`), the script expands the coefficient module's basis ratios as the
-pipeline's unit and form searches do (`units._attractor_data`), under a
-budget of N states, and prints the steps run, whether a state repeated
+pipeline does before any unit or form search (`units._attractor_data`,
+whose cycle, when it finds one, gives the unit and the non-negative form
+in closed form), under a budget of N states, and prints the steps run, whether a state repeated
 (with the state it repeats and the period length), the precision in bits
 the basis enclosures ended at, the number of states whose row
 enclosures were recomputed from the basis bounds (not carried from the

@@ -15,7 +15,9 @@
 
 Every module runs at every real embedding.  An embedding "cycles" when
 the module's own Jacobi-Perron expansion (`units._attractor_data`, run
-untimed before the pipeline) finds a period within its budget.  For each
+untimed before the pipeline) finds a period within its budget; the
+pipeline then reads the unit and the non-negative form off that cycle
+in closed form, and runs the unit and form searches only elsewhere.  For each
 family the script prints the runs, the embeddings that cycle, the runs
 certified among cycling and among other embeddings, the typed failures
 by class and the slowest run; the last line is the total pipeline time.

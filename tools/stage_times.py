@@ -8,10 +8,13 @@ untimed warm-up run:
   load    read the fixture file and `load_newform` it (parse and verify)
   af      `af_of_eigenform` (a typed pipeline failure ends the stage),
           split into
-    expand  the module's Jacobi-Perron expansion (`_attractor_data`)
-    unit    the unit search (`find_unit`)
-    form    the non-negative form search (`make_nonnegative`)
-    rest    the rest of `af_of_eigenform`
+    expand  the module's Jacobi-Perron expansion (`_attractor_data`),
+            with the closed-form unit and realization of a cycling one
+    unit    the unit search (`find_unit`), 0 on a cycling run
+    form    the non-negative form search (`make_nonnegative`), 0 on a
+            cycling run
+    rest    the rest of `af_of_eigenform`, a cycling run's checks of its
+            closed form (`check_cycle_form`) included
   report  `build_report` plus `report_json`
 
 and, in separate runs, times
