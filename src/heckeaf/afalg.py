@@ -19,7 +19,7 @@ from .errors import ShapeMismatch
 from .exactnum.field import FieldElement, RealRootInterval, sign_at
 from .exactnum.intmat import charpoly, mat_det, mat_is_nonnegative, row_hnf_transform
 from .exactnum.polynomial import IntPolynomial
-from .mcf import JpaExpansion, convergent_matrix, jpa_block, satz12_eigenvector
+from .mcf import JpaExpansion, convergent_matrix, jpa_block, perron_charpoly
 
 VERDICT_COMPANION = "companion"
 VERDICT_SIMILAR_Q = "similar_over_Q"
@@ -88,7 +88,7 @@ def af_from_expansion(expansion: JpaExpansion):
         return TrivialAF()
     if expansion.is_periodic():
         b = convergent_matrix(expansion.period, n)
-        return StationaryAF(b, tuple(expansion.period), satz12_eigenvector(b)[0].field.minpoly)
+        return StationaryAF(b, tuple(expansion.period), perron_charpoly(b))
     mats = tuple(jpa_block(d, n) for d in expansion.digits)
     counts = (n,) * (len(mats) + 1)
     return BratteliDiagram(counts, mats, complete=expansion.terminated)
@@ -287,7 +287,7 @@ def parse_bratteli_json(text: str):
             fits = False
         if not fits:
             raise ShapeMismatch("digits do not multiply to the period matrix")
-        return StationaryAF(b, digits, satz12_eigenvector(b)[0].field.minpoly)
+        return StationaryAF(b, digits, perron_charpoly(b))
     if kind == "finite":
         complete = data.get("complete", True)
         if type(complete) is not bool:

@@ -205,7 +205,8 @@ def cmd_jpa(args) -> int:
     theta = _parse_theta(args.theta, field)
     for t in theta:
         if sign_at(t, root) <= 0:
-            raise HeckeafError(f"coordinate {t} is not positive at the embedding")
+            shown = ",".join(str(c) for c in t.coords)
+            raise HeckeafError(f"coordinate {shown} is not positive at the embedding")
     exp = jpa_expand(theta, root, max_steps=args.max_steps)
     _print_expansion(exp)
     if args.export:

@@ -120,10 +120,20 @@ class OrderRing:
 def endomorphism_ring(m: ZModule) -> OrderRing:
     """The coefficient order {alpha : alpha * m is contained in m}.
 
-    Computed as the intersection of the modules m * g^(-1) over the basis
-    elements g of m.
+    When 1 lies in m and every product g_i g_j (i <= j) of m's HNF basis
+    lies in m, the order is m itself: then m m is contained in m, so
+    m is contained in End(m); and alpha in End(m) gives alpha = alpha * 1
+    in m.  m is the same canonical HNF that the intersection below builds
+    (module_from_generators makes every ZModule), so a ring module reads
+    the same result with no inverse and no intersection.  Otherwise the
+    order is computed as the intersection of the modules m * g^(-1) over
+    the basis elements g of m.
     """
     basis = m.basis_elements()
+    if m.contains(m.field.one) and all(
+        m.contains(g * h) for i, g in enumerate(basis) for h in basis[i:]
+    ):
+        return OrderRing(m)
     result = None
     for g in basis:
         cand = m.scaled_by(g.inverse())

@@ -273,6 +273,11 @@ def _poly_div_mod_p(a, b, q):
     return _mp_trim(quo)
 
 
+# the most candidate factors _trial_factor_search enumerates for one degree,
+# and the most trial divisions _divisors makes
+_TRIAL_FACTOR_BUDGET = 3_000_000
+
+
 def _subset_sums(degrees):
     sums = {0}
     for d in degrees:
@@ -280,16 +285,23 @@ def _subset_sums(degrees):
     return sums
 
 
-def _divisors(n: int):
-    n = abs(n)
+def _divisors(c0: int):
+    """The positive divisors of a constant term c0 != 0, ascending, by
+    trial division up to sqrt|c0|; raises IrreducibilityUndecided, naming
+    |c0|, when that takes more than _TRIAL_FACTOR_BUDGET divisions."""
+    n = abs(c0)
+    root = math.isqrt(n)
+    if root > _TRIAL_FACTOR_BUDGET:
+        raise IrreducibilityUndecided(
+            f"the divisors of |c0| = {n} need {root} trial divisions, "
+            f"more than the budget of {_TRIAL_FACTOR_BUDGET}"
+        )
     small, large = [], []
-    k = 1
-    while k * k <= n:
+    for k in range(1, root + 1):
         if n % k == 0:
             small.append(k)
             if k != n // k:
                 large.append(n // k)
-        k += 1
     return small + large[::-1]
 
 
@@ -307,10 +319,6 @@ def _divides_monic(q, p):
             for i in range(dq):
                 rem[shift + i] -= top * q[i]
     return None if any(rem) else quo[::-1]
-
-
-# the most candidate factors _trial_factor_search enumerates for one degree
-_TRIAL_FACTOR_BUDGET = 3_000_000
 
 
 def _trial_factor_search(poly: IntPolynomial, candidate_degrees):
@@ -386,7 +394,8 @@ def _assert_no_factor(poly: IntPolynomial) -> None:
     """Raise ReduciblePolynomial unless the monic squarefree poly, of
     degree >= 2, is irreducible over Q.
 
-    Strategy: rational root check, then reduction mod p witnesses, then a
+    Strategy: rational root check (trial division of the constant term,
+    under _TRIAL_FACTOR_BUDGET), then reduction mod p witnesses, then a
     degree-pattern intersection, falling back to a bounded search for an
     explicit integer factor.
     """

@@ -218,6 +218,70 @@ def _coprime_splits(count: int):
             yield m, q
 
 
+# the widest packing width k (bits a coordinate) of the packed relation
+# test; a table whose bound needs more takes the field's product kernel.
+# Forcing the width on level47a's table (degree 4; Python 3.11, 2 shared
+# vCPUs), its 153 relations took 0.71 ms packed at 256 bits and 1.46 ms at
+# 512, the kernel 1.24 ms; on level23a and level71a 256 bits took about
+# half the kernel's time.
+_MAX_PACK_BITS = 256
+
+
+def _pack_width(field: NumberField, coeffs: tuple) -> int:
+    """The width k of the packed relation test on the table coeffs: the
+    bit length of B + F, so X = 2^k >= B + F + 1 (load_newform's
+    docstring)."""
+    n = field.degree
+    a = max(max(map(abs, c.num)) for c in coeffs)
+    delta = max(c.den for c in coeffs)
+    rho = max([1, *(abs(r) for row in field._power_rows for r in row)])
+    bound = n * n * rho * a * a * delta * delta + len(coeffs) * a * delta ** 3
+    return (bound + max(map(abs, field.minpoly.coeffs[:n]))).bit_length()
+
+
+def _relation_test(field: NumberField, coeffs: tuple):
+    """The test holds(z, x, y, t=0, w=1) of one Hecke relation
+    c(x) c(y) - t c(w) = c(z) on the table coeffs (indices from 1, and
+    c(1) = 1, so t = 0 is the product c(x) c(y) = c(z)), cross-multiplied
+    by the denominators.  The packed test of load_newform's docstring when
+    its width k is at most _MAX_PACK_BITS, else the field's product kernel
+    (NumberField.mul_numerators) on the numerators."""
+    k = _pack_width(field, coeffs)
+    if k > _MAX_PACK_BITS:
+        mul = field.mul_numerators
+
+        def holds(z, x, y, t=0, w=1):
+            cx, cy, cw, cz = coeffs[x - 1], coeffs[y - 1], coeffs[w - 1], coeffs[z - 1]
+            d = cx.den * cy.den
+            rhs = mul(cx.num, cy.num)
+            if t:
+                rhs = [v * cw.den - t * u * d for v, u in zip(rhs, cw.num)]
+                d *= cw.den
+            return [u * d for u in cz.num] == [v * cz.den for v in rhs]
+
+        return holds
+
+    def packed(num):
+        value = 0
+        for c in reversed(num):
+            value = (value << k) + c
+        return value
+
+    modulus = packed(field.minpoly.coeffs)
+    images = [0, *(packed(c.num) for c in coeffs)]
+    dens = [1, *(c.den for c in coeffs)]
+
+    def holds(z, x, y, t=0, w=1):
+        dx, dy, dz = dens[x], dens[y], dens[z]
+        lhs, rhs = images[x] * images[y] * dz, images[z] * dx * dy
+        if t:
+            dw = dens[w]
+            lhs, rhs = lhs * dw - t * images[w] * dx * dy * dz, rhs * dw
+        return (lhs - rhs) % modulus == 0
+
+    return holds
+
+
 def load_newform(source) -> NewformData:
     """Parse and fully verify a newform fixture.
 
@@ -229,12 +293,33 @@ def load_newform(source) -> NewformData:
     denominator (_coordinates).  The an and module rows share one dict of
     parsed coordinate strings, which lives for this call only, so each
     distinct string is parsed once per load: a fixture repeats a few dozen
-    strings over hundreds of coordinates.  The relations are checked on
-    those numerators: a product c(a) c(b) is the field's product kernel
-    (NumberField.mul_numerators, which FieldElement.__mul__ calls) over
-    the product of the two denominators, compared with c(m) cross-
-    multiplied, so rows with and without denominators take one path and
-    no field element is built for a product.
+    strings over hundreds of coordinates.
+
+    Each relation c(x) c(y) - t c(w) = c(z) (t = 0 for a product) is
+    checked cross-multiplied on those numerators I over denominators d:
+    the integer vector D = I_z d_x d_y d_w - (I_x I_y d_w - t I_w d_x d_y) d_z,
+    I_x I_y the product in Z[x]/(f), is zero (with t = 0, d_w drops out).
+    The check packs it (_relation_test): the map Z[x]/(f) -> Z/NZ,
+    x -> X = 2^k, N = f(X), is a ring homomorphism as f is monic, so each
+    coefficient becomes one integer I(X), its numerators at width k, and a
+    relation one cross-multiplied product tested mod N, with no reduction
+    by f.  It is exact when k comes from the table itself (_pack_width).
+    Let n be the degree, A the largest |numerator|, Delta the largest
+    denominator, rho = max(1, the largest |entry| of the reduction rows of
+    x^n .. x^(2n-2)), F the largest |f_i|, i < n.  A coordinate of I_x I_y
+    is at most n A^2 before the reduction and n A^2 (1 + (n - 1) rho)
+    <= n^2 rho A^2 after it, and 1 + t <= 1 + p <= p^2 <= count, so every
+    |D_i| <= B = n^2 rho A^2 Delta^2 + count A Delta^3.  With X >= B + F + 1:
+    |D(X)| <= B (X^n - 1)/(X - 1) < X^n - F (X^n - 1)/(X - 1) <= N, as
+    (B + F)(X^n - 1) < (X - 1) X^n; and D != 0 gives D(X) != 0, as its top
+    term D_j X^j, at least X^j in size, outweighs the terms below it, at
+    most B (X^j - 1)/(X - 1) <= X^j - 1.  So N divides D(X) exactly when
+    D = 0.  The failure scan that names a pair uses the same test.  When
+    k exceeds _MAX_PACK_BITS (a coordinate of dozens of digits), every
+    packed product would be as wide as the widest coordinate, so the check
+    takes the field's product kernel (NumberField.mul_numerators, which
+    FieldElement.__mul__ calls) on the vectors instead, each product as
+    wide as its own factors.
 
     Coprime multiplicativity, c(a) c(b) = c(ab) for all coprime a, b >= 2
     with ab <= count, takes one product per coefficient: it holds exactly
@@ -313,31 +398,19 @@ def load_newform(source) -> NewformData:
         raise NotNormalized(f"c(1) = {coeffs[0]}, expected 1")
 
     count = len(coeffs)
-    mul = field.mul_numerators
-
-    def is_product(m, a, b):
-        """c(m) = c(a) c(b), cross-multiplied on integer numerators."""
-        x, y, z = coeffs[a - 1], coeffs[b - 1], coeffs[m - 1]
-        d, e = x.den * y.den, z.den
-        return [u * d for u in z.num] == [v * e for v in mul(x.num, y.num)]
-
+    holds = _relation_test(field, coeffs)
     for m, q in _coprime_splits(count):
-        if not is_product(m, q, m // q):
+        if not holds(m, q, m // q):
             # by the proof above some coprime pair fails: name the first one
             m, n = next((m, n) for m in range(2, count + 1) for n in range(2, count // m + 1)
-                        if gcd(m, n) == 1 and not is_product(m * n, m, n))
+                        if gcd(m, n) == 1 and not holds(m * n, m, n))
             raise HeckeRelationViolated(f"c({m})c({n}) != c({m * n})", m=m, n=n)
     for p in _primes_up_to(count):
         t = 0 if level % p == 0 else p
         r = 1
         while p ** (r + 1) <= count:
-            # c(p^(r+1)) = c(p) c(p^r) - t c(p^(r-1)), cross-multiplied
-            x, y = coeffs[p - 1], coeffs[p ** r - 1]
-            w, z = coeffs[p ** (r - 1) - 1], coeffs[p ** (r + 1) - 1]
-            d = x.den * y.den
-            rhs = [v * w.den - t * u * d for v, u in zip(mul(x.num, y.num), w.num)]
-            d *= w.den
-            if [u * d for u in z.num] != [v * z.den for v in rhs]:
+            # c(p^(r+1)) = c(p) c(p^r) - t c(p^(r-1))
+            if not holds(p ** (r + 1), p, p ** r, t, p ** (r - 1)):
                 raise HeckeRelationViolated(
                     f"prime power recursion fails at c({p ** (r + 1)})",
                     m=p, n=p ** r,

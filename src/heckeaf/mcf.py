@@ -49,6 +49,7 @@ from .exactnum.field import (
     sign_at,
 )
 from .exactnum.intmat import charpoly, mat_det, mat_identity, mat_is_nonnegative, mat_mul, is_primitive
+from .exactnum.polynomial import IntPolynomial, assert_irreducible
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -464,6 +465,36 @@ def perron_embedding(field: NumberField) -> RealRootInterval:
     return field.real_roots[-1]
 
 
+def _perron_matrix(a):
+    """A as a tuple of integer rows and its characteristic polynomial, once
+    A is checked entrywise non-negative and of determinant +-1 (else
+    ValueError), and neither the identity nor imprimitive (else
+    DegenerateSpectrum)."""
+    a = tuple(tuple(int(x) for x in row) for row in a)
+    if not mat_is_nonnegative(a):
+        raise ValueError("matrix must be entrywise non-negative")
+    if mat_det(a) not in (1, -1):
+        raise ValueError("matrix must have determinant +1 or -1")
+    if a == mat_identity(len(a)):
+        raise DegenerateSpectrum("identity matrix has no expanding eigenvector")
+    if not is_primitive(a):
+        raise DegenerateSpectrum("matrix is not primitive; Perron root may be non-simple")
+    return a, charpoly(a)
+
+
+def perron_charpoly(a) -> IntPolynomial:
+    """The characteristic polynomial of satz12_eigenvector's matrix A,
+    the minimal polynomial of its field, with the same checks and errors
+    (ReducibleCharPoly when it is reducible), certified irreducible with
+    no field built: no root isolation, adjugate or inverse."""
+    a, cp = _perron_matrix(a)
+    try:
+        assert_irreducible(cp)
+    except ReduciblePolynomial as exc:
+        raise ReducibleCharPoly(f"char poly {cp} is reducible: {exc}") from exc
+    return cp
+
+
 def satz12_eigenvector(a):
     """Exact Perron eigenvector data of a non-negative unimodular matrix.
 
@@ -483,17 +514,8 @@ def satz12_eigenvector(a):
     adj(rho I - A) = char A'(rho) v w^T / (w^T v) with char A'(rho) > 0, so
     column 0 is a positive multiple of v.
     """
-    a = tuple(tuple(int(x) for x in row) for row in a)
+    a, cp = _perron_matrix(a)
     n = len(a)
-    if not mat_is_nonnegative(a):
-        raise ValueError("matrix must be entrywise non-negative")
-    if mat_det(a) not in (1, -1):
-        raise ValueError("matrix must have determinant +1 or -1")
-    if a == mat_identity(n):
-        raise DegenerateSpectrum("identity matrix has no expanding eigenvector")
-    if not is_primitive(a):
-        raise DegenerateSpectrum("matrix is not primitive; Perron root may be non-simple")
-    cp = charpoly(a)
     try:
         field = make_field(cp)
     except ReduciblePolynomial as exc:

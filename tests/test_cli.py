@@ -109,6 +109,43 @@ def test_cf_domain_and_input_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("cf", "--poly", "x^2+1"), "x^2+1 has no real roots"),
+    (("jpa", "--poly", "x^2+1", "--theta", "0,1"), "x^2+1 has no real roots"),
+    (("cf", "--poly", "x^2-2", "--root", "0"), "the chosen root is not positive"),
+    (("jpa", "--poly", "x^2-2", "--theta", "0,1;-3/2,0", "--root", "1"),
+     "coordinate -3/2,0 is not positive at the embedding"),
+    (("jpa", "--poly", "x^2-2", "--theta", "0,0", "--root", "1"),
+     "coordinate 0,0 is not positive at the embedding"),
+])
+def test_cf_and_jpa_domain_errors_name_their_input(capsys, argv, message):
+    """The cf and jpa domain errors exit 3 with the input they refuse:
+    a polynomial with no real root, a negative root, and a coordinate that
+    is not positive at the embedding, printed in the input grammar."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
+    assert "FieldElement" not in err
+
+
+def test_jpa_root_out_of_range_is_an_input_error(capsys):
+    code, out, err = run(capsys, "jpa", "--poly", "x^2-2", "--theta", "0,1", "--root", "2")
+    assert code == 2
+    assert out == ""
+    assert "--root 2 out of range" in err
+
+
+def test_cf_constant_term_past_the_divisor_budget_exits_within_a_second(capsys):
+    """The rational-root search of x^2 - (10^20 + 39) would trial-divide up
+    to 10^10; past the budget it is undecided at once, naming |c0|."""
+    started = time.perf_counter()
+    code, _, err = run(capsys, "cf", "--poly", "x^2-100000000000000000039")
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert "|c0| = 100000000000000000039" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("cf", "1e300000"),
     ("jpa", "--poly", "x^2-2", "--theta", "1e5000,1"),
@@ -732,10 +769,10 @@ def test_calls_of_main_share_no_arguments(tmp_path, capsys):
 def test_stage_times_prints_one_row_of_medians(capsys):
     """tools/stage_times.py runs load, af and report on a fixture, and the
     whole in-process `heckeaf af` command, and prints a header and one row:
-    the fixture and seven non-negative medians (ms), load, the af stage
-    split into expand, unit, form and rest, report and main, then the af
-    stage's calls of RealRootInterval.refined and _scaled_value in one
-    run, as non-negative integers."""
+    the fixture and eight non-negative medians (ms), load, the af stage
+    split into order, expand, unit, form and rest, report and main, then
+    the af stage's calls of RealRootInterval.refined and _scaled_value in
+    one run, as non-negative integers."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
@@ -746,12 +783,12 @@ def test_stage_times_prints_one_row_of_medians(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     fields = lines[1].split()
-    assert lines[0].split()[1:14:2] == ["load", "expand", "unit", "form", "rest", "report",
-                                        "main"]
-    assert lines[0].split()[15:17] == ["refined", "scaled"]
-    assert fields[0] == "level23a@0" and len(fields) == 10
-    assert all(float(ms) >= 0 for ms in fields[1:8])
-    assert all(count.isdigit() for count in fields[8:])
+    assert lines[0].split()[1:16:2] == ["load", "order", "expand", "unit", "form", "rest",
+                                        "report", "main"]
+    assert lines[0].split()[17:19] == ["refined", "scaled"]
+    assert fields[0] == "level23a@0" and len(fields) == 11
+    assert all(float(ms) >= 0 for ms in fields[1:9])
+    assert all(count.isdigit() for count in fields[9:])
     # a fixture that does not load is a usage error before anything is timed
     for spec in ("level23a@7", "level23a@x", "nofixture"):
         assert tool.main(["level23a@0", spec]) == 2

@@ -489,30 +489,76 @@ def _verdict(check):
     return None
 
 
-@pytest.mark.parametrize("label", ["level11a", "level23a"])
-def test_load_names_the_failure_the_pairwise_scan_names(label):
-    """Each c(m), m = 2..200, raised by 1, and seeded pairs of changed
-    coefficients: load_newform fails exactly when the pairwise scan plus
-    the prime-power recursion fails, with the same (m, n) and message."""
-    f = hecke.load_fixture(label)
-    data = fixture_dict(label)
-    rng = random.Random(4711)
-    changes = [{m: 1} for m in range(2, f.count + 1)]
-    for _ in range(60):
-        m1, m2 = rng.sample(range(2, f.count + 1), 2)
-        changes.append({m1: rng.choice((-2, -1, 1, 2)), m2: rng.choice((-2, -1, 1, 2))})
+def _fixture_and_data(label):
+    """A loaded fixture and its decoded JSON: a bundled one by name, or
+    level47a from perfbench/data."""
+    if label == "level47a":
+        data = json.loads(LEVEL47A.read_text())
+        return hecke.load_newform(data), data
+    return hecke.load_fixture(label), fixture_dict(label)
+
+
+def _count_reference_verdicts(f, data, changes):
+    """Load the fixture with each change (a dict m -> new c(m)) written into
+    its an rows, assert load_newform's verdict is reference_coefficient_check's
+    (None, or the same (m, n) and message), and return how many raised."""
     raised = 0
     for change in changes:
         coeffs = list(f.coeffs)
         an = [list(row) for row in data["an"]]
-        for m, delta in change.items():
-            coeffs[m - 1] = coeffs[m - 1] + delta
-            an[m - 1] = [str(x) for x in coeffs[m - 1].coords]
+        for m, value in change.items():
+            coeffs[m - 1] = value
+            an[m - 1] = [str(x) for x in value.coords]
         expected = _verdict(lambda: reference_coefficient_check(coeffs, f.level))
         got = _verdict(lambda: hecke.load_newform(dict(data, an=an)))
-        assert got == expected, change
+        assert got == expected, sorted(change)
         raised += expected is not None
-    assert raised > 150
+    return raised
+
+
+@pytest.mark.parametrize("label", ["level11a", "level23a", "level71a", "level47a"])
+def test_load_names_the_failure_the_pairwise_scan_names(label):
+    """Each c(m), m = 2..200, raised by 1, and seeded pairs of changed
+    coefficients: load_newform fails exactly when the pairwise scan plus
+    the prime-power recursion fails, with the same (m, n) and message."""
+    f, data = _fixture_and_data(label)
+    rng = random.Random(4711)
+    changes = [{m: f.c(m) + 1} for m in range(2, f.count + 1)]
+    for _ in range(60):
+        m1, m2 = rng.sample(range(2, f.count + 1), 2)
+        changes.append({m1: f.c(m1) + rng.choice((-2, -1, 1, 2)),
+                        m2: f.c(m2) + rng.choice((-2, -1, 1, 2))})
+    assert _count_reference_verdicts(f, data, changes) > 150
+
+
+@pytest.mark.parametrize("label", ["level23a", "level71a", "level71b", "level47a"])
+def test_load_names_the_adversarial_failure_the_reference_names(label):
+    """Changes aimed at the packed relation test give the reference verdict:
+    a carry, 2^j at coordinate i and -1 at i + 1, which at X = 2^j leaves
+    the packed image of c(m) as it was (j = k - 1, k, k + 1 for the
+    unchanged table's width k); changed denominators, alone and in a pair
+    c(2)/2, 2 c(3) that keeps c(6) = c(2) c(3); and one coordinate of 4300
+    digits, which takes the product kernel."""
+    f, data = _fixture_and_data(label)
+    field, n = f.field, f.field.degree
+    k = hecke._pack_width(field, f.coeffs)
+    changes = []
+    for m in (2, 3, 30, 97, 128, 200):
+        for i in range(n - 1):
+            for j in (k - 1, k, k + 1):
+                carry = [0] * n
+                carry[i], carry[i + 1] = 2 ** j, -1
+                changes.append({m: f.c(m) + field.element(carry)})
+        for d in (2, 3, 7):
+            changes.append({m: field.from_integers(f.c(m).num, d)})
+            changes.append({m: f.c(m) + Fraction(1, d)})
+    changes.append({2: f.c(2) * Fraction(1, 2), 3: f.c(3) * 2})
+    huge = [10 ** 4299 + 7] + [0] * (n - 1)
+    for m in (2, 200):
+        change = {m: f.c(m) + field.element(huge)}
+        assert hecke._pack_width(field, [*f.coeffs, *change.values()]) > hecke._MAX_PACK_BITS
+        changes.append(change)
+    assert _count_reference_verdicts(f, data, changes) == len(changes)
 
 
 def test_coefficient_field(f11, f23):

@@ -1,9 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from heckeaf import hecke
 from heckeaf.errors import NotFullRank
+from heckeaf.exactnum import field as field_module, lattice
 from heckeaf.exactnum import (
     IntPolynomial,
     endomorphism_ring,
@@ -140,3 +144,83 @@ def test_cubic_power_order_is_its_own_endomorphism_ring():
     t = field.gen
     m = module_from_generators(field, [field.one, t, t * t])
     assert endomorphism_ring(m).module == m
+
+
+LEVEL47A = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "level47a.json"
+
+
+def reference_endomorphism_ring(m):
+    """End(m) by its definition: the intersection of the modules m g^(-1)
+    over the basis elements g of m, whether or not m is a ring."""
+    result = None
+    for g in m.basis_elements():
+        cand = m.scaled_by(g.inverse())
+        result = cand if result is None else module_intersect(result, cand)
+    return result
+
+
+def _fixture_modules():
+    """The module of every bundled fixture and of level47a."""
+    fixtures = [hecke.load_fixture(name) for name in hecke.bundled_fixture_names()]
+    fixtures.append(hecke.load_newform(json.loads(LEVEL47A.read_text())))
+    return [hecke.module_of_eigenform(f) for f in fixtures]
+
+
+def _drawn_modules(rng):
+    """Z[alpha] for drawn integral alpha of full degree, and drawn modules
+    with integer or half-integer generators, in the fields of the
+    fixtures of degree >= 2."""
+    out = []
+    for field in dict.fromkeys(m.field for m in _fixture_modules() if m.field.degree >= 2):
+        n = field.degree
+        for _ in range(6):
+            alpha = field.element([rng.randint(-4, 4) for _ in range(n)])
+            if alpha.degree_over_q() == n:
+                powers = [field.one]
+                for _ in range(n - 1):
+                    powers.append(powers[-1] * alpha)
+                out.append(module_from_generators(field, powers))
+            gens = [field.element([Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2)))
+                                   for _ in range(n)]) for _ in range(n + 1)]
+            try:
+                out.append(module_from_generators(field, gens))
+            except NotFullRank:
+                pass
+        rows = [[int(i == j) * (2 if i == n - 1 else 1) for j in range(n)] for i in range(n)]
+        out.append(module_from_generators(field, rows))
+    return out
+
+
+def test_endomorphism_ring_is_the_intersection_of_the_scaled_modules():
+    """On the fixture modules, drawn Z[alpha] (each its own ring) and drawn
+    modules that are not rings, such as Z + Z a + 2Z a^2 in the power
+    basis, endomorphism_ring reads the reference's canonical module."""
+    modules = _fixture_modules() + _drawn_modules(random.Random(27))
+    rings = 0
+    for m in modules:
+        order = endomorphism_ring(m).module
+        assert order == reference_endomorphism_ring(m), m
+        rings += order == m
+    assert rings >= 10 and len(modules) - rings >= 10
+
+
+def test_ring_modules_are_their_own_order_with_no_inverse(monkeypatch):
+    """A module that is a ring (every fixture module) is read as its own
+    order with no field inverse and no intersection; Z + Z a + 2Z a^2 in
+    level71a's field, not a ring, takes the intersection."""
+    calls = {"inverse": 0, "module_intersect": 0}
+    for owner, name in ((field_module.FieldElement, "inverse"), (lattice, "module_intersect")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    for m in _fixture_modules():
+        assert endomorphism_ring(m).module == m
+    assert calls == {"inverse": 0, "module_intersect": 0}
+    field = hecke.load_fixture("level71a").field
+    m = module_from_generators(field, [(1, 0, 0), (0, 1, 0), (0, 0, 2)])
+    assert endomorphism_ring(m).module != m
+    assert calls == {"inverse": 3, "module_intersect": 2}

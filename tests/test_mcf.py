@@ -324,6 +324,45 @@ def test_satz12_rejects_reducible_charpoly():
         mcf.satz12_eigenvector(a)
 
 
+def _outcome(function, a):
+    """function(a), or the type of the HeckeafError or ValueError it raises."""
+    try:
+        return function(a)
+    except (HeckeafError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 10 ** 6))
+def test_perron_charpoly_is_the_eigenvector_fields_minpoly(n, length, seed):
+    """perron_charpoly reads the minimal polynomial of satz12_eigenvector's
+    field, or raises the same error type, on drawn cycle products."""
+    a = mcf.convergent_matrix(admissible_digits(random.Random(seed), n, length), n)
+    expected = _outcome(lambda b: mcf.satz12_eigenvector(b)[0].field.minpoly, a)
+    assert _outcome(mcf.perron_charpoly, a) == expected
+
+
+def test_perron_charpoly_raises_as_satz12_eigenvector(monkeypatch):
+    """The identity, an imprimitive permutation, a reducible char poly
+    ((x+1)(x^2-x-1)), a negative entry and determinant 2 raise the same
+    types from perron_charpoly as from satz12_eigenvector; a field-free
+    call builds no NumberField."""
+    cases = {
+        ((1, 0), (0, 1)): DegenerateSpectrum,
+        ((0, 1), (1, 0)): DegenerateSpectrum,
+        ((0, 0, 1), (1, 0, 1), (1, 1, 0)): ReducibleCharPoly,
+        ((1, -1), (1, 0)): ValueError,
+        ((1, 1), (1, 3)): ValueError,
+    }
+    for a, error in cases.items():
+        assert _outcome(mcf.satz12_eigenvector, a) is error
+        assert _outcome(mcf.perron_charpoly, a) is error
+    built = []
+    monkeypatch.setattr(mcf, "make_field", lambda poly: built.append(poly))
+    assert mcf.perron_charpoly(((1, 1), (1, 2))) == IntPolynomial((1, -3, 1))
+    assert built == []
+
+
 def test_periodicity_roundtrip_examples():
     e = mcf.periodicity_roundtrip(((0, 1), (1, 1)))
     assert e.is_purely_periodic() and e.period == ((1,),)

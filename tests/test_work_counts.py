@@ -5,13 +5,14 @@ library carries instrumentation.
 """
 
 import dataclasses
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from heckeaf import afalg, cli, hecke, mcf
-from heckeaf.errors import NonnegativeFormNotFound
+from heckeaf.errors import HeckeRelationViolated, NonnegativeFormNotFound
 from heckeaf.exactnum import field, intmat, polynomial, units
 from heckeaf.exactnum.field import FieldElement, RealRootInterval, make_field
 from heckeaf.exactnum.lattice import endomorphism_ring, module_from_generators
@@ -226,24 +227,55 @@ def test_level47a_forms_no_signed_conjugate(monkeypatch):
     assert yielded[0] == 0
 
 
+def _count_relations(monkeypatch):
+    """Wrap each relation test that load_newform builds with a counter;
+    returns a one-item list holding the number of relations tested."""
+    tested = [0]
+    original = hecke._relation_test
+
+    def counted_test(*args):
+        holds = original(*args)
+
+        def counted(*relation):
+            tested[0] += 1
+            return holds(*relation)
+
+        return counted
+
+    monkeypatch.setattr(hecke, "_relation_test", counted_test)
+    return tested
+
+
 def test_load_checks_multiplicativity_once_per_coefficient(monkeypatch):
-    """Loading level71a (200 coefficients) makes one field product per
-    coefficient that is not a prime power, plus the prime-power recursion:
-    153 products, where the pairwise coprime scan made 416.  The checks
-    run on integer numerators through the product kernel that
-    FieldElement.__mul__ also calls, so the kernel is what is counted, and
-    a count of 0 would mean that nothing was checked."""
+    """Loading level71a (200 coefficients) tests one relation per
+    coefficient that is not a prime power (139), plus the prime-power
+    recursion at the 14 prime powers p^(r+1), r >= 1: 153 relations, where
+    the pairwise coprime scan tested 416.  The table's bound is narrow, so
+    every relation is the packed test, which calls the field's product
+    kernel not once."""
     text = (Path(hecke.__file__).parent / "fixtures" / "level71a.json").read_text()
-    products = [0]
-    original = field.NumberField.mul_numerators
-
-    def counted(self, a, b):
-        products[0] += 1
-        return original(self, a, b)
-
-    monkeypatch.setattr(field.NumberField, "mul_numerators", counted)
+    tested = _count_relations(monkeypatch)
+    products = _count(monkeypatch, "mul_numerators", field.NumberField)
     load_newform(text)
-    assert 0 < products[0] < 200
+    assert tested[0] == 153
+    assert products[0] == 0
+
+
+def test_fixtures_take_the_packed_test_and_a_wide_table_the_kernel(monkeypatch):
+    """Every bundled fixture and level47a loads through the packed relation
+    test, with no call of the product kernel; level71a with a coordinate of
+    4300 digits in c(200) is past the packing width, and its relations take
+    the kernel (and fail at c(8) c(25))."""
+    products = _count(monkeypatch, "mul_numerators", field.NumberField)
+    for name in hecke.bundled_fixture_names():
+        hecke.load_fixture(name)
+    load_newform(LEVEL47A.read_text())
+    assert products[0] == 0
+    data = json.loads((Path(hecke.__file__).parent / "fixtures" / "level71a.json").read_text())
+    data["an"][199] = [str(10 ** 4299 + 7), "0", "0"]
+    with pytest.raises(HeckeRelationViolated, match=r"c\(8\)c\(25\)"):
+        load_newform(data)
+    assert products[0] > 0
 
 
 def test_level47a_walks_each_enclosure_once(monkeypatch):

@@ -8,6 +8,7 @@ untimed warm-up run:
   load    read the fixture file and `load_newform` it (parse and verify)
   af      `af_of_eigenform` (a typed pipeline failure ends the stage),
           split into
+    order   the coefficient order End(m) (`endomorphism_ring`)
     expand  the module's Jacobi-Perron expansion (`_attractor_data`),
             with the closed-form unit and realization of a cycling one
     unit    the unit search (`find_unit`), 0 on a cycling run
@@ -32,7 +33,7 @@ enclosure walks and the expansions' basis enclosures share) and of
 run loads a fresh field, whose ladders start empty, so the counts are
 the same in every run; they are taken in the untimed warm-up run, which
 also calls `main` once, so what a process builds at its first call (the
-argument parser) is not timed.  The three parts of af are timed by
+argument parser) is not timed.  The four parts of af are timed by
 wrapping the functions of those names where `hecke` calls them, for the
 run only, so the pipeline runs as it is.  The fixture is written with its embedding index to a temporary
 file first, so the read is a plain file read, as in `heckeaf af
@@ -68,7 +69,8 @@ from heckeaf.hecke import af_of_eigenform, load_newform  # noqa: E402
 REPEATS = 11
 
 # the parts of the af stage, by the hecke function each one times
-AF_PARTS = {"expand": "_attractor_data", "unit": "find_unit", "form": "make_nonnegative"}
+AF_PARTS = {"order": "endomorphism_ring", "expand": "_attractor_data", "unit": "find_unit",
+            "form": "make_nonnegative"}
 COLUMNS = ("load", *AF_PARTS, "rest", "report", "main")
 # the af stage's work counts, by the function each one counts the calls of
 COUNTS = {"refined": (field.RealRootInterval, "refined"), "scaled": (field, "_scaled_value")}
