@@ -395,9 +395,10 @@ def _assert_no_factor(poly: IntPolynomial) -> None:
     degree >= 2, is irreducible over Q.
 
     Strategy: rational root check (trial division of the constant term,
-    under _TRIAL_FACTOR_BUDGET), then reduction mod p witnesses, then a
-    degree-pattern intersection, falling back to a bounded search for an
-    explicit integer factor.
+    under _TRIAL_FACTOR_BUDGET), then the degree patterns of the
+    reductions mod up to six good primes, intersected into the candidate
+    factor degrees as each arrives and stopping once none is left,
+    falling back to a bounded search for an explicit integer factor.
     """
     n = poly.degree
     # rational roots: for a monic polynomial these are integer divisors of
@@ -412,24 +413,21 @@ def _assert_no_factor(poly: IntPolynomial) -> None:
     if n <= 3:
         return  # no rational root and degree <= 3: irreducible
 
-    patterns = []
+    # a factor of degree d over Q gives a factor of degree d mod every
+    # good prime, so d is a subset sum of every pattern: intersect each
+    # pattern in as it arrives (an irreducible one, {0, n}, empties the set)
+    candidates = set(range(2, n // 2 + 1))  # degree-1 factors already excluded
+    patterns = 0
     for p in _SMALL_PRIMES:
         degs = _factor_degrees_mod_p(poly, p)
         if degs is None:
             continue
-        if len(degs) == 1:
-            return  # irreducible mod p, hence over Q
-        patterns.append(degs)
-        if len(patterns) >= 6:
-            break
-
-    candidates = set(range(2, n // 2 + 1))  # degree-1 factors already excluded
-    for degs in patterns:
         candidates &= _subset_sums(degs)
-    candidates.discard(0)
-    candidates = {d for d in candidates if 2 <= d <= n // 2}
-    if not candidates:
-        return
+        if not candidates:
+            return
+        patterns += 1
+        if patterns >= 6:
+            break
 
     factor = _trial_factor_search(poly, candidates)
     if factor is not None:

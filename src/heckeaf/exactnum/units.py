@@ -236,7 +236,12 @@ def find_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
     A shell candidate sum_i c_i g_i over the order's HNF basis is summed
     on integer numerators over the basis' common denominator d, and its
     norm tested as FieldElement.norm computes it: |det M| == d^n for the
-    integer multiplication matrix M of the numerators.
+    integer multiplication matrix M of the numerators.  A shell holds c
+    and -c together, and they share one norm test and one representative:
+    N(-alpha) = (-1)^n N(alpha), and -alpha lies in alpha's class
+    +-alpha^+-1.  So only the vector whose first non-zero coordinate is
+    positive is tested; the count of candidates tested, the budget and
+    the unit returned count and see both.
     """
     field = order.field
     if field.degree < 2:
@@ -247,12 +252,15 @@ def find_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
     den = order.module.den
     cols = tuple(zip(*order.module.rows))  # the basis' numerators, coordinate by coordinate
     unit_det = den ** n
+    zero = (0,) * n
     tested = bound = 0
     while tested + (2 * bound + 3) ** n - (2 * bound + 1) ** n <= _MAX_CANDIDATES:
         bound += 1
         reps = {}  # each unit once, though the shell may hold all of +-alpha^+-1
         for coords in _shell(bound, n):
             tested += 1
+            if coords < zero:  # -coords, first non-zero coordinate positive, stands for it
+                continue
             num = [sum(c * x for c, x in zip(coords, col)) for col in cols]
             if abs(mat_det(field.mult_rows(num))) != unit_det:
                 continue

@@ -178,8 +178,9 @@ class _BasisEnclosure:
     """Integer enclosures a_k <= 2^p sigma(g_k) <= b_k of a basis g of
     field elements at one real embedding, sharpened on demand.
     ratio_floors encloses every row of a state v = W g from them and
-    leaves those enclosures [lo_j, hi_j] of 2^p sigma(v_j) in `rows`, for
-    the expansion to carry from step to step.
+    leaves those enclosures [lo_j, hi_j] of 2^p sigma(v_j) in two new
+    integer lists `lo` and `hi`, which the expansion then owns and steps
+    in place.
 
     The enclosures are read off the root's refinement ladder
     (field._level), which a sharpening extends where it needs deeper
@@ -192,7 +193,7 @@ class _BasisEnclosure:
     def __init__(self, basis, root: RealRootInterval, prec: int):
         self._basis = basis
         self._root = root
-        self.rows = None
+        self.lo = self.hi = None
         self._sharpen(prec)
 
     def _sharpen(self, prec: int) -> None:
@@ -231,7 +232,7 @@ class _BasisEnclosure:
 
     def _ratio_floors(self, w, bits, lo0, hi0):
         key = []
-        rows = [(lo0, hi0)]
+        los, his = [lo0], [hi0]
         for row in w[1:]:
             lo, hi = self._enclose(row)
             # the ratio lies in [lo, hi] / [lo0, hi0] with a positive divisor
@@ -241,8 +242,9 @@ class _BasisEnclosure:
                     [(x << bits) - floor_hi * y for x, y in zip(row, w[0])]):
                 return None
             key.append(floor_hi)
-            rows.append((lo, hi))
-        self.rows = rows
+            los.append(lo)
+            his.append(hi)
+        self.lo, self.hi = los, his
         return tuple(key)
 
     def ratio_floors(self, w, bits: int):
@@ -253,7 +255,7 @@ class _BasisEnclosure:
 
         Every row is enclosed from the basis bounds at the current
         precision, then tested exactly, then sharpened, and the rows
-        enclosed last are left in `rows`.
+        enclosed last are left in `lo` and `hi`.
         """
         while True:
             lo0, hi0 = self._enclose(w[0])
@@ -289,38 +291,45 @@ def _expand_states(basis, root: RealRootInterval, w, max_states: int):
     floor(2^F theta_j), F = _FINGERPRINT_BITS, shifted right by F bits;
     a fingerprint hit counts as a repeat only after _same_direction, so
     the repeat is the first literal repeat of the field-state expansion.
+    Each fingerprint is looked up once: its list of earlier states is
+    both tested and, if none repeats, extended.
 
-    The row enclosures [lo_j, hi_j] of 2^p sigma(v_j) are carried through
-    each step: with d_j >= 0, v'_{j-1} lies in [lo_j - d_j hi_0,
-    hi_j - d_j lo_0].  The fingerprints come from the carried rows when
-    those separate, and from the enclosure's ratio_floors, which encloses
-    every row again from the basis bounds, only when they do not.  The
+    The row enclosures lo_j <= 2^p sigma(v_j) <= hi_j are carried through
+    each step as two integer lists, lo and hi, in the row order of W:
+    with d_j >= 0, v'_{j-1} lies in [lo_j - d_j hi_0, hi_j - d_j lo_0].
+    One pass over the rows reads each digit off its fingerprint and, where
+    the digit is non-zero, updates the row of W, lo_j and hi_j together;
+    row 0 of all three then moves to the end.  The fingerprints come from
+    the carried enclosures when those separate, and from the enclosure's
+    ratio_floors, which encloses every row again from the basis bounds
+    and hands over new lo and hi lists, only when they do not.  The
     outcome, down to the precisions sharpened to, is the one enclosing
     every row at every state gives: the bounds change only at a
     sharpening, after which every row is enclosed again, so a carried
-    enclosure is interval arithmetic of the same integer row over the
-    same bounds and, by the triangle inequality, contains the one
-    ratio_floors would give.  When the carried rows separate, the
-    enclosed ones would too, with the same floors and no exact test or
-    sharpening.
+    enclosure is interval arithmetic of the same integer row over the same
+    bounds and, by the triangle inequality, contains the one ratio_floors
+    would give.  When the carried rows separate, the enclosed ones would
+    too, with the same floors and no exact test or sharpening.
     """
     field = basis[0].field
+    n = len(basis)
     bits = _FINGERPRINT_BITS
     enclosure = _BasisEnclosure(basis, root, bits + 32)
-    rows = None  # the carried row enclosures of the current state
+    lo = hi = None  # the carried row enclosures of the current state
     seen = {}
     states = []
     digits = []
     for step in range(max_states):
         key = None
-        if rows is not None and rows[0][0] > 0:
-            lo0, hi0 = rows[0]
+        if lo is not None and lo[0] > 0:
+            lo0, hi0 = lo[0], hi[0]
             floors = []
-            for lo, hi in rows[1:]:
+            for j in range(1, n):
                 # _floor_pair, inline
-                floor_hi = (hi << bits) // (lo0 if hi >= 0 else hi0)
-                y = hi0 if lo >= 0 else lo0
-                if not 0 <= (lo << bits) - floor_hi * y < y:
+                lo_j, hi_j = lo[j], hi[j]
+                floor_hi = (hi_j << bits) // (lo0 if hi_j >= 0 else hi0)
+                y = hi0 if lo_j >= 0 else lo0
+                if not 0 <= (lo_j << bits) - floor_hi * y < y:
                     break
                 floors.append(floor_hi)
             else:
@@ -329,22 +338,34 @@ def _expand_states(basis, root: RealRootInterval, w, max_states: int):
             key = enclosure.ratio_floors(w, bits)
             if key is None:
                 return digits, states, None, True
-            rows = enclosure.rows
-        for start in seen.get(key, ()):
+            lo, hi = enclosure.lo, enclosure.hi
+        earlier = seen.setdefault(key, [])
+        for start in earlier:
             if _same_direction(states[start], w, basis, field):
                 return digits, states, start, False
         if step == max_states - 1:
             break
-        seen.setdefault(key, []).append(step)
+        earlier.append(step)
         states.append(w)
-        digit = tuple([f >> bits for f in key])
-        digits.append(digit)
         w0 = w[0]
-        lo0, hi0 = rows[0]
-        w = tuple([row if d == 0 else tuple([x - d * y for x, y in zip(row, w0)])
-                   for row, d in zip(w[1:], digit)]) + (w0,)
-        rows = [row if d == 0 else (row[0] - d * hi0, row[1] - d * lo0)
-                for row, d in zip(rows[1:], digit)] + [rows[0]]
+        lo0, hi0 = lo[0], hi[0]
+        digit = []
+        rows = []
+        for j, f in enumerate(key, 1):
+            d = f >> bits
+            digit.append(d)
+            row = w[j]
+            if d:
+                row = tuple([x - d * y for x, y in zip(row, w0)])
+                lo[j] -= d * hi0
+                hi[j] -= d * lo0
+            rows.append(row)
+        digits.append(tuple(digit))
+        rows.append(w0)
+        w = tuple(rows)
+        del lo[0], hi[0]
+        lo.append(lo0)
+        hi.append(hi0)
     return digits, states, None, False
 
 

@@ -20,6 +20,7 @@ from heckeaf.exactnum.polynomial import (
     IntPolynomial,
     _trial_factor_search,
     assert_irreducible,
+    is_irreducible,
     is_squarefree,
     root_bound,
     sign_variations,
@@ -252,4 +253,57 @@ def test_trial_factor_search_certifies_the_seed_4002_quartic(monkeypatch):
     monkeypatch.setattr(polynomial, "_trial_factor_search", recorded)
     assert assert_irreducible(poly) is None
     assert searched == [({2}, None)]
+    assert sympy.Poly(poly.coeffs[::-1], X).is_irreducible
+
+
+def _monic(coeffs):
+    """The monic polynomial with lower coefficients coeffs, constant first."""
+    return tuple(coeffs) + (1,)
+
+
+@st.composite
+def _monic_quartic_or_sextic(draw):
+    """A monic quartic or sextic with integer coefficients: drawn whole, or
+    the product of two monic factors of degrees (1, 3), (2, 2), (1, 5),
+    (2, 4) or (3, 3).  Coefficients stay small enough for the trial
+    factor search to stay within its budget."""
+    n = draw(st.sampled_from([4, 6]))
+    span = 20 if n == 4 else 3
+    if draw(st.booleans()):
+        return _monic(draw(st.lists(st.integers(-span, span), min_size=n, max_size=n)))
+    d = draw(st.integers(1, n // 2))
+    span = 10 if n == 4 else 2
+    g, h = (sympy.Poly(_monic(draw(st.lists(st.integers(-span, span), min_size=k, max_size=k)))[::-1], X)
+            for k in (d, n - d))
+    return tuple(int(c) for c in reversed((g * h).all_coeffs()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monic_quartic_or_sextic())
+def test_is_irreducible_matches_sympy_factor_list(coeffs):
+    """Stopping the mod-p pattern scan once no factor degree is left
+    changes no verdict: on drawn monic quartics and sextics, irreducible or
+    products of two factors, is_irreducible agrees with sympy's
+    factor_list (one factor, to the first power)."""
+    _, factors = sympy.factor_list(sympy.Poly(coeffs[::-1], X).as_expr())
+    expected = len(factors) == 1 and factors[0][1] == 1
+    assert is_irreducible(IntPolynomial(coeffs)) is expected
+
+
+def test_one_pattern_mod_p_settles_a_quartic(monkeypatch):
+    """x^4 - 3x^3 + 3x^2 + 2x + 1 has no rational root, and its first good
+    reduction's degree pattern has no subset summing to 2: one
+    _factor_degrees_mod_p call certifies it irreducible (8 when six
+    patterns were computed before any was intersected)."""
+    poly = IntPolynomial((1, 2, 3, -3, 1))
+    calls = []
+    original = polynomial._factor_degrees_mod_p
+
+    def recorded(p, prime):
+        calls.append(prime)
+        return original(p, prime)
+
+    monkeypatch.setattr(polynomial, "_factor_degrees_mod_p", recorded)
+    assert assert_irreducible(poly) is None
+    assert len(calls) == 1
     assert sympy.Poly(poly.coeffs[::-1], X).is_irreducible

@@ -176,6 +176,84 @@ def test_unit_search_reaches_the_shell_of_max_norm_three(monkeypatch, sqrt2_plus
     assert order.contains(u.element) and order.contains(u.element.inverse())
 
 
+def ref_shell_search(order, root):
+    """find_unit as it was, norm-testing both vectors of each pair +-c of a
+    shell: the full enumeration, under the same budget."""
+    field = order.field
+    if field.degree < 2:
+        raise UnitNotFound("degree-1 orders have only the torsion units +1, -1")
+    n = field.degree
+    den = order.module.den
+    cols = tuple(zip(*order.module.rows))
+    tested = bound = 0
+    while tested + (2 * bound + 3) ** n - (2 * bound + 1) ** n <= units._MAX_CANDIDATES:
+        bound += 1
+        reps = {}
+        for coords in _shell(bound, n):
+            tested += 1
+            num = [sum(c * x for c, x in zip(coords, col)) for col in cols]
+            if abs(mat_det(field.mult_rows(num))) != den ** n:
+                continue
+            alpha = field.from_integers(num, den)
+            if not alpha.is_rational():
+                reps[units._expanding_representative(alpha, root)] = None
+        best = None
+        for rep in reps:
+            if rep.degree_over_q() == n and _dominant_of_full_degree(rep, root) and (
+                    best is None or sign_at(rep - best, root) < 0):
+                best = rep
+        if best is not None:
+            return UnitElement(best, int(best.norm()), order)
+    raise UnitNotFound(f"no unit dominant at the embedding among {tested} candidates, "
+                       f"every coordinate vector of max-norm <= {bound}")
+
+
+@st.composite
+def _unit_search_order(draw):
+    """(order, root, budget): the End(m) of a module of one of the four
+    cubic families over a drawn totally real cubic field, Z[c sqrt d] for
+    a non-square d <= 10^4 and c <= 3, or Z[sqrt2 + sqrt3]; at a drawn
+    real embedding; and a budget that fits the shells of max-norm up to a
+    drawn b >= 1 (at most 30, 5 and 3 at degree 2, 3 and 4), with a drawn
+    slack short of the next shell."""
+    kind = draw(st.sampled_from(["cubic", "quadratic", "sqrt2+sqrt3"]))
+    if kind == "cubic":
+        a, b, c = draw(st.tuples(*[st.integers(-8, 8)] * 3).filter(irreducible_totally_real),
+                       label="abc")
+        field = make_field(IntPolynomial((c, b, a, 1)))
+        gens = [field.element(row) for row in draw(st.sampled_from(CUBIC_FAMILIES), label="rows")]
+    elif kind == "quadratic":
+        d = draw(st.integers(2, 10 ** 4).filter(lambda d: isqrt(d) ** 2 != d), label="d")
+        field = make_field(IntPolynomial((-d, 0, 1)))
+        gens = [field.one, field.gen * draw(st.integers(1, 3), label="c")]
+    else:
+        field = make_field(IntPolynomial((1, 0, -10, 0, 1)))
+        gens = [field.one, field.gen, field.gen * field.gen, field.gen ** 3]
+    n = field.degree
+    index = draw(st.integers(0, n - 1), label="index")
+    b = draw(st.integers(1, {2: 30, 3: 5, 4: 3}[n]), label="b")
+    budget = (2 * b + 1) ** n - 1 + draw(st.integers(0, (2 * b + 3) ** n - (2 * b + 1) ** n - 1))
+    return endomorphism_ring(module_from_generators(field, gens)), field.real_roots[index], budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_search_order())
+def test_halved_unit_search_matches_the_full_enumeration(case):
+    """Norm-testing one vector of each pair +-c changes no outcome: under a
+    lowered budget, the search returns the full enumeration's unit, or
+    raises UnitNotFound with the same message (the same candidate count
+    and max-norm)."""
+    order, root, budget = case
+    outcomes = []
+    with patch.object(units, "_MAX_CANDIDATES", budget):
+        for search in (find_unit, ref_shell_search):
+            try:
+                outcomes.append(search(order, root))
+            except UnitNotFound as exc:
+                outcomes.append((UnitNotFound, str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("poly", [(-1, -1, 0, 1), (3, -5, 0, 1), (1, -2, -1, 1), (-2, 0, 0, 1)])
 def test_enumerated_unit_is_dominant_and_carries_its_own_norm(poly):
     """In odd degree the expanding sign of a unit flips its norm: the norm

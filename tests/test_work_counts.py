@@ -300,6 +300,20 @@ def test_level47a_walks_each_enclosure_once(monkeypatch):
     assert 0 < counts["degree_over_q"] <= 18
 
 
+def test_level47a_unit_search_norm_tests_half_its_shell(monkeypatch):
+    """level47a@3's unit comes from the shell of max-norm 1, whose 80
+    vectors come in pairs +-c of one norm and one representative: the
+    search norm-tests one of each pair, 40 units.mat_det calls in the whole
+    run (80 when both were tested), and still ends in
+    NonnegativeFormNotFound."""
+    f = load_newform(LEVEL47A.read_text())
+    assert f.working_embedding_index() == 3
+    norms = _count(monkeypatch, "mat_det", units)
+    with pytest.raises(NonnegativeFormNotFound):
+        hecke.af_of_eigenform(f)
+    assert norms[0] == 40
+
+
 def test_conjugate_unit_images_jump_to_their_level(monkeypatch):
     """Each of level71a's three per-conjugate unit images, the first
     enclosure narrower than 10^-8, lies 10 or 11 quarter steps down its

@@ -25,11 +25,12 @@ and, in separate runs, times
           the command line adds (parsing the arguments, reading the file,
           writing the report)
 
-and prints the median of each column in milliseconds, then two work
+and prints the median of each column in milliseconds, then three work
 counts of one af stage: its calls of `RealRootInterval.refined` (root
 refinements, each a new level of a root's refinement ladder, which the
-enclosure walks and the expansions' basis enclosures share) and of
-`_scaled_value` (the polynomial signs those refinements evaluate).  Each
+enclosure walks and the expansions' basis enclosures share), of
+`_scaled_value` (the polynomial signs those refinements evaluate) and of
+`units.mat_det` (the unit search's norm tests, 0 on a cycling run).  Each
 run loads a fresh field, whose ladders start empty, so the counts are
 the same in every run; they are taken in the untimed warm-up run, which
 also calls `main` once, so what a process builds at its first call (the
@@ -63,7 +64,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from heckeaf import cli, hecke  # noqa: E402
 from heckeaf.cli import build_report, report_json  # noqa: E402
 from heckeaf.errors import HeckeafError  # noqa: E402
-from heckeaf.exactnum import field  # noqa: E402
+from heckeaf.exactnum import field, units  # noqa: E402
 from heckeaf.hecke import af_of_eigenform, load_newform  # noqa: E402
 
 REPEATS = 11
@@ -73,7 +74,8 @@ AF_PARTS = {"order": "endomorphism_ring", "expand": "_attractor_data", "unit": "
             "form": "make_nonnegative"}
 COLUMNS = ("load", *AF_PARTS, "rest", "report", "main")
 # the af stage's work counts, by the function each one counts the calls of
-COUNTS = {"refined": (field.RealRootInterval, "refined"), "scaled": (field, "_scaled_value")}
+COUNTS = {"refined": (field.RealRootInterval, "refined"), "scaled": (field, "_scaled_value"),
+          "norms": (units, "mat_det")}
 
 
 def fixture_text(spec: str) -> str:
