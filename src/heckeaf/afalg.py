@@ -266,40 +266,6 @@ def _integers(value, depth: int, what: str):
         raise ShapeMismatch(f"{what} has an entry too long: {exc}") from exc
 
 
-def parse_bratteli_json(text: str):
-    """The descriptor export_bratteli(obj, "json") wrote; ShapeMismatch
-    for any text that is not such a payload."""
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise ShapeMismatch(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ShapeMismatch(f"a diagram is a JSON object, not a {type(data).__name__}")
-    kind = data.get("type")
-    if kind == "trivial":
-        return TrivialAF()
-    if kind == "stationary":
-        b = _integers(data.get("period_matrix"), 2, "period_matrix")
-        digits = _integers(data.get("digits"), 2, "digits")
-        try:
-            fits = convergent_matrix(digits, len(b)) == b
-        except ValueError:  # a digit of the wrong length or sign
-            fits = False
-        if not fits:
-            raise ShapeMismatch("digits do not multiply to the period matrix")
-        return StationaryAF(b, digits, perron_charpoly(b))
-    if kind == "finite":
-        complete = data.get("complete", True)
-        if type(complete) is not bool:
-            raise ShapeMismatch(f"complete must be true or false, not {complete!r}")
-        return BratteliDiagram(
-            _integers(data.get("vertex_counts"), 1, "vertex_counts"),
-            _integers(data.get("matrices"), 3, "matrices"),
-            complete=complete,
-        )
-    raise ShapeMismatch(f"unknown diagram type {kind!r}")
-
-
 def _export_dot(obj) -> str:
     if isinstance(obj, TrivialAF):
         return 'digraph bratteli {\n  rankdir=TB;\n  v0_0 [shape=point];\n}\n'

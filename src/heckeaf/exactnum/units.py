@@ -6,10 +6,11 @@ cycles, the cycle gives the unit, its non-negative realization and the
 round trip in closed form, and check_cycle_form checks that form on
 integers.  Otherwise find_unit enumerates max-norm shells of coordinate
 vectors under one budget for a unit dominant at the chosen real
-embedding, or raises UnitNotFound, and make_nonnegative hunts for a
-power/basis change making its integer action matrix
-(multiplication_matrix) entrywise non-negative with a canonical digit
-cycle, checked on the Perron data the unit and the module basis give.
+embedding, or raises UnitNotFound, and make_nonnegative looks for a
+signed permutation of the module's basis or of its LLL basis making its
+integer action matrix (multiplication_matrix) entrywise non-negative
+with a canonical digit cycle, checked on the Perron data the unit and
+the module basis give.
 """
 
 from __future__ import annotations
@@ -224,13 +225,13 @@ def find_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
     have distinct images).
 
     A non-dominant u with sigma_e(u) > 1 is never realized, so it is not
-    returned.  If u has lower degree, so has every u^k: _is_top_real_root
-    raises NotSquarefree.  If only u^2 has, so have even k, and at odd k
-    the real images +-sigma_e(u)^k tie in modulus: no candidate is
-    primitive with Perron root sigma_e(u^k).  Else some real |sigma_j(u)|
-    > sigma_e(u): a u^k of lower degree raises NotSquarefree, and at full
-    degree a non-negative candidate's Perron root is a real image of u^k
-    above sigma_e(u^k), so _is_top_real_root is false.  Returning u would
+    returned.  If u has lower degree, _is_top_real_root raises
+    NotSquarefree.  Else some real |sigma_j(u)| >= sigma_e(u).  If
+    sigma_j(u) > sigma_e(u), _is_top_real_root is false.  Else a
+    non-negative candidate's Perron root, a real eigenvalue and its
+    spectral radius, is at most sigma_e(u), the top real root, and at
+    least |sigma_j(u)|: so sigma_j(u) = -sigma_e(u) ties with it in
+    modulus and the candidate is not primitive.  Returning u would
     relabel a unit-stage failure as NonnegativeFormNotFound/NotSquarefree.
 
     A shell candidate sum_i c_i g_i over the order's HNF basis is summed
@@ -281,8 +282,6 @@ def find_unit(order: OrderRing, root: RealRootInterval) -> UnitElement:
 # ---------------------------------------------------------------------------
 # the action matrix and its non-negative realization
 
-# largest power k of the action matrix that make_nonnegative tries
-_K_MAX = 12
 
 def multiplication_matrix(u: FieldElement, m: ZModule):
     """Integer matrix A with row i the coordinates of u * g_i in the basis
@@ -443,102 +442,55 @@ def _times_signed_permutation(base, q, signs):
     return tuple(tuple(signs[j] * base[i][q[j]] for j in range(n)) for i in range(n))
 
 
-def _base_changes(m: ZModule, ident):
-    """The base changes (B, B^-1) make_nonnegative tries, in its order: the
-    identity, and the LLL one unless it is the identity.  Each inverse is
-    already known, so no B is inverted; and as a generator this computes
-    the LLL transform only when the search first reaches it."""
-    yield ident, ident
-    u_lll, inv = _lll_transform(trace_gram(m.basis_elements()))
-    if u_lll != ident:
-        yield inv, u_lll  # A in the LLL basis is T^-1 A T for T = U^-1
-
-
-def _powers_in_bases(a, k_step, bases):
-    """(k, B, B^-1, B^-1 A^k B) for k = k_step, 2 k_step, ... up to _K_MAX,
-    k outer, and each (B, B^-1) of bases inner.
-
-    C_B = B^-1 A^k_step B is formed once per base, when the first power
-    reaches it (so bases is drawn lazily), and each later power is carried:
-    B^-1 A^k B = (B^-1 A^(k - k_step) B) C_B.  For the identity base C_B is
-    A^k_step itself.
-    """
-    a_step = a if k_step == 1 else mat_mul(a, a)
-    ident = mat_identity(len(a))
-    forms = []  # [B, B^-1, C_B, B^-1 A^k B] for each base reached
-    for base, base_inv in bases:
-        c = a_step if base == ident else mat_mul(mat_mul(base_inv, a_step), base)
-        forms.append([base, base_inv, c, c])
-        yield k_step, base, base_inv, c
-    for k in range(2 * k_step, _K_MAX + 1, k_step):
-        for form in forms:
-            form[3] = mat_mul(form[3], form[2])
-            yield k, form[0], form[1], form[3]
-
-
 def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval) -> Realization:
-    """Search for T and k with A' = T^-1 A^k T entrywise non-negative.
+    """A non-negative form T^-1 A T of the unit's action matrix A, with
+    T = B P for a base change B of m's basis and a signed permutation P,
+    or NonnegativeFormNotFound.
 
-    The form search of a module whose expansion does not cycle.  T = B P
-    ranges over base changes B (the identity and an LLL-derived basis
-    change) times signed permutations P; k runs over 1.._K_MAX, even values only when the unit's
-    image is negative so that the spectral radius of A' is sigma_e(u)^k
-    (this is verified, not assumed).  The candidates at power k are all
-    conjugate to A^k: _is_top_real_root decides at the first of them
-    whether sigma_e(u^k) is their Perron root (and that u^k has full
-    degree, so their char poly is irreducible).  A candidate is kept only
-    if it is primitive and its Bauer digit cycle is the canonical
+    The form search of a module whose expansion does not cycle.  B runs
+    over the identity and the LLL base change, the inverse of the
+    unimodular U that _lll_transform returns with it, so no matrix is
+    inverted.  Both bases are needed: Z[a] at x^3 + 5x^2 + 2x - 6,
+    embedding 2, realizes only in the module's own basis, and
+    2Z + Za + Za^2 at x^3 - 5x^2 + 2x + 4, embedding 2, only in the LLL
+    one.  No surveyed module realizes at a power A^k, k > 1, where the
+    first power does not, so no power is tried.
+
+    M = B^-1 A B is formed once per base.  Since P^-1 = P^T, each
+    candidate P^T M P is read off M by index and sign, and T = B P is
+    formed only for the candidate returned.  Candidates are visited in
+    the order of _signed_conjugates, but only those of an admissible sign
+    class (_nonnegative_conjugates): a conjugate is non-negative exactly
+    when D_t M D_t is for its sign vector t, so an M with no admissible
+    class forms no conjugate.  `seen` need hold non-negative candidates
+    only, and a base LLL leaves as it is repeats the identity's.
+
+    All candidates are conjugate to A: _is_top_real_root decides at the
+    first of them whether sigma_e(u) is their Perron root (and that u has
+    full degree, so their char poly is irreducible).  A candidate is kept
+    only if it is primitive and its Bauer digit cycle is the canonical
     expansion of its own Perron vector (mcf.check_period, returned in the
     Realization).  Its Perron data lie in the unit's field: A g = u g for
-    the module basis g, so the candidate has the Perron root u^k at root
+    the module basis g, so the candidate has the Perron root u at root
     and the eigenvector P^T B^-1 g, scaled to lam_0 = 1.
-
-    No B is inverted here: the LLL step already holds its inverse.  Since
-    P^-1 = P^T, the candidate P^T (B^-1 A^k B) P is read off M =
-    B^-1 A^k B by index and sign, and T = B P is formed only for the
-    candidate returned.
-
-    Nothing is recomputed from one power to the next (_powers_in_bases):
-    each M is the previous power's times C_B = B^-1 A^k_step B, formed
-    once per base, and u^k the previous one times u^k_step.  The LLL base
-    is computed only when the search first reaches it (_base_changes),
-    so a search that returns earlier never runs LLL.  M goes to
-    _is_top_real_root in place of A^k: it is similar to A^k, so the char
-    poly a NotSquarefree names is the same.
-
-    Candidates are visited in the order of _signed_conjugates, but only
-    those of an admissible sign class (_nonnegative_conjugates): a
-    conjugate is non-negative exactly when D_t M D_t is for its sign
-    vector t, so the sign classes of M are tested before any permutation,
-    and an M with none forms no conjugate.  `seen` need hold non-negative
-    candidates only: a matrix skipped for its signs is skipped wherever it
-    recurs.
     """
     from .. import mcf
 
-    s = sign_at(u.element, root)
-    k_step = 1 if s > 0 else 2
-    u_step = u.element if k_step == 1 else u.element * u.element
     basis = m.basis_elements()  # g
     ident = mat_identity(len(a))
+    u_lll, inv = _lll_transform(trace_gram(basis))
+    # (B, B^-1, B^-1 A B): the module's basis, then the LLL one, T = U^-1
+    bases = ((ident, ident, a), (inv, u_lll, mat_mul(mat_mul(u_lll, a), inv)))
 
-    seen = set()
-    found_nonneg = False
-    power = u_pow = perron = None
-    for k, base, base_inv, mk in _powers_in_bases(a, k_step, _base_changes(m, ident)):
-        if k != power:
-            power = k
-            u_pow = u_step if u_pow is None else u_pow * u_step
-            perron = None  # the Perron verdict of power k, at its first candidate
-        for cand, q, signs in _nonnegative_conjugates(mk):
-            if cand in seen:
+    seen = set()  # the non-negative candidates tried, the identity aside
+    perron = None  # the Perron verdict, at the first candidate
+    for base, base_inv, form in bases:
+        for cand, q, signs in _nonnegative_conjugates(form):
+            if cand in seen or cand == ident:
                 continue
             seen.add(cand)
-            if cand == ident:
-                continue
-            found_nonneg = True
             if perron is None:
-                perron = _is_top_real_root(u_pow, mk, root)
+                perron = _is_top_real_root(u.element, a, root)
             if not perron:
                 continue
             try:
@@ -551,16 +503,14 @@ def make_nonnegative(a, u: UnitElement, m: ZModule, root: RealRootInterval) -> R
                    for sign, i in zip(signs, q)]  # P^T B^-1 g
             scale = lam[0].inverse()
             try:
-                roundtrip = mcf.check_period(digits, u_pow, tuple(v * scale for v in lam), root)
+                roundtrip = mcf.check_period(digits, u.element, tuple(v * scale for v in lam), root)
             except RoundTripMismatch:
                 continue  # the candidate's digit cycle is not canonical
-            transform = _times_signed_permutation(base, q, signs)
-            return Realization(cand, k, transform, roundtrip)
-    if found_nonneg:
+            return Realization(cand, 1, _times_signed_permutation(base, q, signs), roundtrip)
+    if seen:
         raise NonnegativeFormNotFound(
-            "non-negative forms exist but none passed the Perron/canonical "
-            f"cycle checks within k <= {_K_MAX}"
-        )
-    raise NonnegativeFormNotFound(
-        f"no non-negative conjugate of a power up to {_K_MAX} found"
-    )
+            f"none of the {len(seen)} non-negative signed-permutation conjugates of the unit's "
+            "action matrix in the module's basis and its LLL basis passed the Perron/canonical "
+            "cycle checks")
+    raise NonnegativeFormNotFound("the unit's action matrix has no non-negative signed-permutation "
+                                  "conjugate in the module's basis or its LLL basis")

@@ -626,7 +626,7 @@ def af_of_module(module: ZModule, embedding_index: int) -> EigenformAFResult:
     does not, find_unit searches for the unit and make_nonnegative for the
     form.  Each fact is computed once and passed on: the unit keeps the
     order End(module), and the result keeps the realization with its
-    round-trip record (digits, Perron value u^k and eigenvector in the
+    round-trip record (digits, Perron value u and eigenvector in the
     module's field, expansion).
 
     Conjugate data: the action of the conjugated unit on the conjugated

@@ -10,7 +10,7 @@ from heckeaf.errors import ShapeMismatch
 from heckeaf.exactnum import IntPolynomial, make_field
 from heckeaf.exactnum.intmat import charpoly, mat_inverse_fraction, mat_mul
 
-from util import admissible_digits, cone_contains, random_unimodular
+from util import admissible_digits, cone_contains, parse_bratteli_json, random_unimodular
 
 X = sympy.symbols("x")
 
@@ -292,16 +292,16 @@ def test_charpoly_invariant_under_digit_rotation():
 def test_export_import_roundtrip():
     e = mcf.JpaExpansion(2, (), ((1,),), False)
     af = afalg.af_from_expansion(e)
-    back = afalg.parse_bratteli_json(afalg.export_bratteli(af, "json"))
+    back = parse_bratteli_json(afalg.export_bratteli(af, "json"))
     assert back.period_matrix == af.period_matrix
     assert back.char_poly == af.char_poly
     assert back.digits == af.digits
 
     diagram = afalg.af_from_expansion(mcf.regular_cf(Fraction(355, 113)))
-    assert afalg.parse_bratteli_json(afalg.export_bratteli(diagram, "json")) == diagram
+    assert parse_bratteli_json(afalg.export_bratteli(diagram, "json")) == diagram
 
     trivial = afalg.TrivialAF()
-    assert afalg.parse_bratteli_json(afalg.export_bratteli(trivial, "json")) == trivial
+    assert parse_bratteli_json(afalg.export_bratteli(trivial, "json")) == trivial
     assert '"type": "trivial"' in afalg.export_bratteli(trivial, "json")
 
 
@@ -313,7 +313,7 @@ def test_import_rejects_digits_that_do_not_give_the_matrix(digits):
         "digits": digits,
     })
     with pytest.raises(ShapeMismatch):
-        afalg.parse_bratteli_json(text)
+        parse_bratteli_json(text)
 
 
 _STATIONARY = {"type": "stationary", "period_matrix": [["0", "1"], ["1", "1"]], "digits": [["1"]]}
@@ -337,10 +337,15 @@ _FINITE = {"type": "finite", "vertex_counts": [1, 2], "matrices": [[["1"], ["1"]
 ])
 def test_import_rejects_a_payload_that_is_not_a_diagram(payload):
     """Each payload is _STATIONARY or _FINITE, both diagrams, with one fault."""
-    assert afalg.parse_bratteli_json(json.dumps(_STATIONARY)).period_matrix == ((0, 1), (1, 1))
-    assert afalg.parse_bratteli_json(json.dumps(_FINITE)).vertex_counts == (1, 2)
+    assert parse_bratteli_json(json.dumps(_STATIONARY)).period_matrix == ((0, 1), (1, 1))
+    assert parse_bratteli_json(json.dumps(_FINITE)).vertex_counts == (1, 2)
     with pytest.raises(ShapeMismatch):
-        afalg.parse_bratteli_json(json.dumps(payload))
+        parse_bratteli_json(json.dumps(payload))
+
+
+def test_import_rejects_text_that_is_not_json():
+    with pytest.raises(ShapeMismatch, match="not valid JSON"):
+        parse_bratteli_json('{"type": "trivial"')
 
 
 def test_dot_export():

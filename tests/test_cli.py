@@ -771,9 +771,11 @@ def test_stage_times_prints_one_row_of_medians(capsys):
     whole in-process `heckeaf af` command, and prints a header and one row:
     the fixture and eight non-negative medians (ms), load, the af stage
     split into order, expand, unit, form and rest, report and main, then
-    the af stage's calls of RealRootInterval.refined, _scaled_value and
-    units.mat_det in one run, as non-negative integers.  The last are the
-    unit search's norm tests: none on a cycling run, 40 on level47a@3."""
+    the af stage's calls of RealRootInterval.refined, _scaled_value,
+    units.mat_det and mcf.bauer_factorize in one run, as non-negative
+    integers.  The last two are the unit search's norm tests, none on a
+    cycling run and 40 on level47a@3, and the form search's Bauer peels,
+    none on a cycling run and 48 on level47a@0."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "tools" / "stage_times.py"
@@ -786,13 +788,15 @@ def test_stage_times_prints_one_row_of_medians(capsys):
     fields = lines[1].split()
     assert lines[0].split()[1:16:2] == ["load", "order", "expand", "unit", "form", "rest",
                                         "report", "main"]
-    assert lines[0].split()[17:20] == ["refined", "scaled", "norms"]
-    assert fields[0] == "level23a@0" and len(fields) == 12
+    assert lines[0].split()[17:21] == ["refined", "scaled", "norms", "peels"]
+    assert fields[0] == "level23a@0" and len(fields) == 13
     assert all(float(ms) >= 0 for ms in fields[1:9])
     assert all(count.isdigit() for count in fields[9:])
-    assert fields[11] == "0"
-    assert tool.main([f"{LEVEL47A}@3"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split()[11] == "40"
+    assert fields[11:] == ["0", "0"]
+    assert tool.main([f"{LEVEL47A}@3", f"{LEVEL47A}@0"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[11] for row in rows] == ["40", "40"]
+    assert [row[12] for row in rows] == ["0", "48"]
     # a fixture that does not load is a usage error before anything is timed
     for spec in ("level23a@7", "level23a@x", "nofixture"):
         assert tool.main(["level23a@0", spec]) == 2

@@ -204,9 +204,10 @@ def test_af_of_module_expands_a_module_that_is_not_a_ring_once(monkeypatch):
 
 
 def test_level47a_forms_no_signed_conjugate(monkeypatch):
-    """No power of level47a's action matrix, in any of its bases, has an
-    admissible sign class, so the form search builds none of the 24 x 384
-    signed conjugates and still ends in NonnegativeFormNotFound."""
+    """level47a's action matrix has no admissible sign class in the
+    module's basis or in its LLL basis, so the form search builds none of
+    the 2 x 384 signed conjugates and still ends in
+    NonnegativeFormNotFound."""
     f = load_newform(LEVEL47A.read_text())
     calls, yielded = [0], [0]
     original = units._signed_conjugates
@@ -504,18 +505,29 @@ def test_level47a_carries_its_row_enclosures(monkeypatch):
     assert counts["_sharpen"] == 5
 
 
-def test_level47a_form_search_carries_its_powers(monkeypatch):
-    """level47a@3's form search forms C_B = B^-1 A B once for each of its
-    two bases (the identity's is A) and steps B^-1 A^k B by one product
-    with it per power: 24 integer matrix products in the whole run, where
-    A^k by repeated squaring at every power (12 mat_pow calls) and both
-    base-change products at every (power, base) made 107."""
-    f = load_newform(LEVEL47A.read_text())
-    assert f.working_embedding_index() == 3
+@pytest.mark.parametrize("index", range(4), ids=lambda i: f"level47a@{i}")
+def test_level47a_form_search_conjugates_once(monkeypatch, index):
+    """Every level47a embedding is a non-cycling run whose form search
+    computes the LLL base once and forms B^-1 A B with two integer matrix
+    products (A itself is the identity base's), where the search over
+    powers k <= 12 stepped one product per power and base (up to 26 in
+    the run at @3).  At @0 and @2 the Perron test runs once, at the first
+    non-negative candidate, and each of the 48 and 24 candidates is
+    peeled once (576 and 288 peels over the twelve powers); at @1 and @3
+    no conjugate is non-negative, so neither runs.  Every run ends in
+    NonnegativeFormNotFound."""
+    f = dataclasses.replace(load_newform(LEVEL47A.read_text()), embedding_index=index)
     products = _count(monkeypatch, "mat_mul", intmat, units)
+    calls = {name: _count(monkeypatch, name, units, hecke)
+             for name in ("_lll_transform", "_is_top_real_root")}
+    peels = _count(monkeypatch, "bauer_factorize", mcf)
     with pytest.raises(NonnegativeFormNotFound):
         hecke.af_of_eigenform(f)
-    assert 0 < products[0] <= 26
+    candidates = {0: 48, 2: 24}.get(index, 0)
+    assert products[0] == 2
+    assert calls["_lll_transform"][0] == 1
+    assert calls["_is_top_real_root"][0] == min(candidates, 1)
+    assert peels[0] == candidates
 
 
 _STATIONARY = ["level23a@0", "level23a@1", "level71a@0", "level71a@1", "level71a@2",

@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+import json
 from fractions import Fraction
 
+from heckeaf import afalg
+from heckeaf.errors import ShapeMismatch
 from heckeaf.exactnum.field import sign_at
 from heckeaf.exactnum.intmat import mat_identity, mat_mul
+from heckeaf.mcf import convergent_matrix, perron_charpoly
 
 
 def mat_pow(a, e: int):
@@ -93,3 +97,38 @@ CUBIC_FAMILIES = (
     ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
     ((1, 0, 0), (0, 3, 0), (0, 0, 1)),
 )
+
+
+def parse_bratteli_json(text: str):
+    """The descriptor afalg.export_bratteli(obj, "json") wrote, the
+    reference the export is read back against; ShapeMismatch for any text
+    that is not such a payload."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        raise ShapeMismatch(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ShapeMismatch(f"a diagram is a JSON object, not a {type(data).__name__}")
+    kind = data.get("type")
+    if kind == "trivial":
+        return afalg.TrivialAF()
+    if kind == "stationary":
+        b = afalg._integers(data.get("period_matrix"), 2, "period_matrix")
+        digits = afalg._integers(data.get("digits"), 2, "digits")
+        try:
+            fits = convergent_matrix(digits, len(b)) == b
+        except ValueError:  # a digit of the wrong length or sign
+            fits = False
+        if not fits:
+            raise ShapeMismatch("digits do not multiply to the period matrix")
+        return afalg.StationaryAF(b, digits, perron_charpoly(b))
+    if kind == "finite":
+        complete = data.get("complete", True)
+        if type(complete) is not bool:
+            raise ShapeMismatch(f"complete must be true or false, not {complete!r}")
+        return afalg.BratteliDiagram(
+            afalg._integers(data.get("vertex_counts"), 1, "vertex_counts"),
+            afalg._integers(data.get("matrices"), 3, "matrices"),
+            complete=complete,
+        )
+    raise ShapeMismatch(f"unknown diagram type {kind!r}")

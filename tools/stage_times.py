@@ -25,12 +25,14 @@ and, in separate runs, times
           the command line adds (parsing the arguments, reading the file,
           writing the report)
 
-and prints the median of each column in milliseconds, then three work
+and prints the median of each column in milliseconds, then four work
 counts of one af stage: its calls of `RealRootInterval.refined` (root
 refinements, each a new level of a root's refinement ladder, which the
 enclosure walks and the expansions' basis enclosures share), of
-`_scaled_value` (the polynomial signs those refinements evaluate) and of
-`units.mat_det` (the unit search's norm tests, 0 on a cycling run).  Each
+`_scaled_value` (the polynomial signs those refinements evaluate), of
+`units.mat_det` (the unit search's norm tests, 0 on a cycling run) and
+of `mcf.bauer_factorize` (the form search's Bauer peels of its
+candidates, 0 on a cycling run).  Each
 run loads a fresh field, whose ladders start empty, so the counts are
 the same in every run; they are taken in the untimed warm-up run, which
 also calls `main` once, so what a process builds at its first call (the
@@ -61,7 +63,7 @@ from unittest.mock import patch
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from heckeaf import cli, hecke  # noqa: E402
+from heckeaf import cli, hecke, mcf  # noqa: E402
 from heckeaf.cli import build_report, report_json  # noqa: E402
 from heckeaf.errors import HeckeafError  # noqa: E402
 from heckeaf.exactnum import field, units  # noqa: E402
@@ -75,7 +77,7 @@ AF_PARTS = {"order": "endomorphism_ring", "expand": "_attractor_data", "unit": "
 COLUMNS = ("load", *AF_PARTS, "rest", "report", "main")
 # the af stage's work counts, by the function each one counts the calls of
 COUNTS = {"refined": (field.RealRootInterval, "refined"), "scaled": (field, "_scaled_value"),
-          "norms": (units, "mat_det")}
+          "norms": (units, "mat_det"), "peels": (mcf, "bauer_factorize")}
 
 
 def fixture_text(spec: str) -> str:
